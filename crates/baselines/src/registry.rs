@@ -123,13 +123,11 @@ fn build_neighborhood(p: &AlgoParams) -> Box<dyn TriangleEstimator + Send> {
     Box::new(TriangleCounter::new(p.space.max(1), p.seed))
 }
 
-/// `neighborhood-bulk`: the SoA-pooled batch counter. Under the `simd`
-/// cargo feature its hot path runs the u64×4 lane kernels
-/// ([`tristream_core::BulkKernel::Lanes`]) instead of the scalar loops,
-/// but the memory model is unchanged — the lanes read and write the same
+/// `neighborhood-bulk`: the SoA-pooled batch counter. Its hot path runs in
+/// u64×4 lane groups ([`tristream_core::lanes`]) that read and write the
 /// ten SoA columns and three presence bitsets in place, with no shadow
-/// state and no padding — so [`budget_neighborhood_bulk`]'s sizing and the
-/// measured `memory_words()` are identical under both kernels.
+/// state and no padding, so [`budget_neighborhood_bulk`]'s sizing matches
+/// the measured `memory_words()`.
 fn build_neighborhood_bulk(p: &AlgoParams) -> Box<dyn TriangleEstimator + Send> {
     Box::new(BulkTriangleCounter::new(p.space.max(1), p.seed))
 }
@@ -173,9 +171,6 @@ fn budget_neighborhood_bulk(budget: usize, _hint: &StreamHint) -> usize {
     // larger pool. The bitset overhead (3 words per 64 estimators) is part
     // of the measured `memory_words()`, so it must be part of the sizing
     // too or the pool would land just over the budget it claims to meet.
-    // The `simd` lane kernels change none of this: same columns, same
-    // bitsets, in place (see `build_neighborhood_bulk`), so one sizing
-    // rule serves both kernels.
     let words_per_64 = 64 * BulkTriangleCounter::words_per_estimator() + 3;
     budget.saturating_mul(64) / words_per_64
 }

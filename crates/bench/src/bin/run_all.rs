@@ -24,7 +24,6 @@ fn main() {
         ("figure4", experiments::figure4()),
         ("figure5", experiments::figure5()),
         ("figure6", experiments::figure6()),
-        ("engine_throughput", experiments::engine_throughput()),
     ];
 
     for (name, table) in jobs {

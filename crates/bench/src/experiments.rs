@@ -9,13 +9,11 @@
 //! (not the paper's original, full-scale datasets).
 
 use crate::report::ExperimentTable;
-use crate::spawn_baseline::SpawnPerBatchCounter;
 use crate::trial::run_trials;
 use crate::workloads::{env_seed, env_trials, load_standin, Workload};
-use std::time::Instant;
 use tristream_baselines::JowhariGhodsiCounter;
 use tristream_core::theory::error_bound_for_estimators;
-use tristream_core::{BulkTriangleCounter, ParallelBulkTriangleCounter};
+use tristream_core::BulkTriangleCounter;
 use tristream_gen::DatasetKind;
 use tristream_graph::{DegreeHistogram, DegreeTable};
 
@@ -328,107 +326,10 @@ pub fn figure6() -> ExperimentTable {
     table
 }
 
-/// Batch sizes swept by [`engine_throughput`]: small batches are where
-/// spawn-per-batch pays thread-creation cost per `w` edges.
-pub const ENGINE_BATCH_SIZES: [usize; 5] = [256, 1_024, 4_096, 16_384, 65_536];
-
-/// Engine study: spawn-per-batch scoped threads vs the persistent sharded
-/// worker pool, racing the two execution models of the same sharded counter
-/// (identical seeds, bit-identical estimates) across batch sizes. Reported
-/// throughput covers stream processing plus the final synchronising
-/// `estimate()` call; counter construction (where the persistent pool pays
-/// its one-time thread spawns) is excluded for both models, matching how a
-/// long-lived service amortises it.
-pub fn engine_throughput() -> ExperimentTable {
-    engine_throughput_with(4_096, 4, env_trials())
-}
-
-/// [`engine_throughput`] with explicit pool size, shard count and trial
-/// count (used by tests and ad-hoc comparisons).
-pub fn engine_throughput_with(r: usize, shards: usize, trials: usize) -> ExperimentTable {
-    let seed = env_seed();
-    let stream = tristream_gen::holme_kim(20_000, 5, 0.4, seed);
-    let edges = stream.edges();
-    let mut table = ExperimentTable::new(
-        &format!(
-            "Engine — spawn-per-batch vs persistent worker pool \
-             (r = {r}, shards = {shards}, {} edges)",
-            edges.len()
-        ),
-        &[
-            "batch w",
-            "spawn Meps",
-            "persistent Meps",
-            "speedup",
-            "estimates equal",
-        ],
-    );
-    for &w in &ENGINE_BATCH_SIZES {
-        let mut spawn_secs = 0.0;
-        let mut persistent_secs = 0.0;
-        let mut equal = true;
-        for t in 0..trials {
-            let trial_seed = seed.wrapping_add(t as u64);
-
-            let run_spawn = |secs: &mut f64| {
-                let mut baseline = SpawnPerBatchCounter::new(r, shards, trial_seed);
-                let start = Instant::now();
-                baseline.process_stream(edges, w);
-                let estimate = baseline.estimate();
-                *secs += start.elapsed().as_secs_f64();
-                estimate
-            };
-            let run_persistent = |secs: &mut f64| {
-                let mut pool = ParallelBulkTriangleCounter::new(r, shards, trial_seed);
-                let start = Instant::now();
-                pool.process_stream(edges, w);
-                let estimate = pool.estimate();
-                *secs += start.elapsed().as_secs_f64();
-                estimate
-            };
-
-            // Alternate which model goes first: whoever runs second sees
-            // the edge slice warm in cache, and a fixed order would bias
-            // the comparison.
-            let (spawn_estimate, pool_estimate) = if t % 2 == 0 {
-                let s = run_spawn(&mut spawn_secs);
-                let p = run_persistent(&mut persistent_secs);
-                (s, p)
-            } else {
-                let p = run_persistent(&mut persistent_secs);
-                let s = run_spawn(&mut spawn_secs);
-                (s, p)
-            };
-
-            equal &= spawn_estimate == pool_estimate;
-        }
-        let meps = |secs: f64| edges.len() as f64 * trials as f64 / secs / 1.0e6;
-        table.push_row(vec![
-            w.to_string(),
-            format!("{:.3}", meps(spawn_secs)),
-            format!("{:.3}", meps(persistent_secs)),
-            format!("{:.2}x", spawn_secs / persistent_secs),
-            equal.to_string(),
-        ]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workloads::load_standin_scaled;
-
-    #[test]
-    fn engine_throughput_covers_every_batch_size_with_equal_estimates() {
-        let t = engine_throughput_with(128, 2, 1);
-        assert_eq!(t.len(), ENGINE_BATCH_SIZES.len());
-        assert!(
-            !t.render().contains("false"),
-            "both execution models must produce identical estimates:\n{}",
-            t.render()
-        );
-    }
 
     #[test]
     fn baseline_study_produces_rows_for_every_configuration() {

@@ -18,7 +18,6 @@
 
 pub mod experiments;
 pub mod report;
-pub mod spawn_baseline;
 pub mod suite;
 pub mod trial;
 pub mod workloads;
@@ -26,7 +25,6 @@ pub mod workloads;
 pub use report::{
     write_csv, BenchReport, ExperimentTable, WorkloadKind, WorkloadResult, BENCH_SCHEMA_VERSION,
 };
-pub use spawn_baseline::SpawnPerBatchCounter;
 pub use suite::{run_suite, BenchConfig};
 pub use trial::{run_trials, ThroughputSummary, TrialOutcome, TrialSummary};
 pub use workloads::{

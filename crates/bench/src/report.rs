@@ -2,32 +2,33 @@
 //! under `target/experiments/`, and the versioned machine-readable
 //! `BENCH.json` report emitted by `tristream-cli bench`.
 //!
-//! # `BENCH.json` schema (version 6)
+//! # `BENCH.json` schema (version 7)
 //!
-//! The schema is additive-only: new fields may appear in later versions,
-//! existing fields keep their name, type and meaning, and
+//! Existing fields keep their name, type and meaning, and
 //! `schema_version` is bumped on any change. Version 2 added the
 //! equal-memory head-to-head fields `algo`, `memory_words` and
 //! `budget_words`; version 3 added the `"hot-path"` value of `kind` (the
 //! pooled-vs-reference bulk-counter race — no new fields); version 4
 //! added the `"serve"` value of `kind` (the daemon's socket ingest/query
 //! workloads — no new fields); version 5 added the derived
-//! `parallel_vs_sequential_decode_speedup` field (the pipelined-reader
-//! payoff the decode-pipeline gate watches); version 6 added the
+//! `parallel_vs_sequential_decode_speedup` field; version 6 added the
 //! `"snapshot"` value of `kind` and the nullable `snapshot_words` field
 //! (checkpoint encode/restore latency and container size, with restore
-//! bit-parity gated at exactly zero). Field by field:
+//! bit-parity gated at exactly zero); version 7 removed the
+//! `parallel_vs_sequential_decode_speedup` field and the `"engine"` value
+//! of `kind`, together with the pipelined `.tsb` reader and the
+//! spawn-per-batch baseline they measured. Field by field:
 //!
 //! * `schema` (string) — always `"tristream-bench"`.
-//! * `schema_version` (integer) — `6`.
+//! * `schema_version` (integer) — `7`.
 //! * `mode` (string) — `"smoke"` or `"full"`.
 //! * `seed` (integer) — base RNG seed the whole suite derives from.
 //! * `workloads` (array) — one object per named workload:
 //!   * `name` (string) — stable workload identifier, e.g.
-//!     `"ingest-binary"`, `"engine-persistent-w4096"`,
-//!     `"accuracy-jowhari-ghodsi"`, `"hotpath-pooled-w4096"`.
-//!   * `kind` (string) — `"ingest"`, `"engine"`, `"accuracy"`,
-//!     `"hot-path"`, `"serve"` or `"snapshot"`.
+//!     `"ingest-binary"`, `"accuracy-jowhari-ghodsi"`,
+//!     `"hotpath-pooled-w4096"`.
+//!   * `kind` (string) — `"ingest"`, `"accuracy"`, `"hot-path"`,
+//!     `"serve"` or `"snapshot"`.
 //!   * `edges` (integer) — edges processed per trial.
 //!   * `trials` (integer) — number of timed trials.
 //!   * `batch` (integer | null) — batch size `w`, when the workload has one.
@@ -57,9 +58,6 @@
 //! * `derived` (object):
 //!   * `binary_vs_text_ingest_speedup` (number | null) — `edges_per_sec`
 //!     of `ingest-binary` over `ingest-text`, when both ran.
-//!   * `parallel_vs_sequential_decode_speedup` (number | null) —
-//!     `edges_per_sec` of `ingest-binary-parallel` over `ingest-binary`,
-//!     when both ran.
 //!
 //! Deterministic seeding makes `mean_rel_error` identical run-to-run, so
 //! the accuracy gate is stable; only the latency fields vary with the
@@ -198,8 +196,6 @@ pub fn write_csv(table: &ExperimentTable, name: &str) -> PathBuf {
 pub enum WorkloadKind {
     /// File-ingestion throughput (reader + decode, no estimator).
     Ingest,
-    /// Execution-model throughput (spawn-per-batch vs persistent engine).
-    Engine,
     /// Estimate accuracy against exact ground truth.
     Accuracy,
     /// Bulk-counter hot-path throughput: the SoA-pool pipeline raced
@@ -221,7 +217,6 @@ impl WorkloadKind {
     fn as_str(self) -> &'static str {
         match self {
             WorkloadKind::Ingest => "ingest",
-            WorkloadKind::Engine => "engine",
             WorkloadKind::Accuracy => "accuracy",
             WorkloadKind::HotPath => "hot-path",
             WorkloadKind::Serve => "serve",
@@ -234,7 +229,7 @@ impl WorkloadKind {
 /// `BENCH.json` (schema documented at [module level](self)).
 #[derive(Debug, Clone)]
 pub struct WorkloadResult {
-    /// Stable identifier, e.g. `ingest-binary` or `engine-persistent-w4096`.
+    /// Stable identifier, e.g. `ingest-binary` or `hotpath-pooled-w4096`.
     pub name: String,
     /// What the workload measures.
     pub kind: WorkloadKind,
@@ -352,8 +347,9 @@ pub struct BenchReport {
 /// `"serve"` `kind` value; version 5 added the
 /// `parallel_vs_sequential_decode_speedup` derived field; version 6
 /// added the `"snapshot"` `kind` value and the nullable `snapshot_words`
-/// field.
-pub const BENCH_SCHEMA_VERSION: u32 = 6;
+/// field; version 7 removed the decode-speedup field and the `"engine"`
+/// `kind` value.
+pub const BENCH_SCHEMA_VERSION: u32 = 7;
 
 /// Tolerance of the hot-path regression gate: the pooled bulk path fails
 /// the gate if its p50 latency exceeds the reference path's by more than
@@ -367,16 +363,6 @@ pub const BENCH_SCHEMA_VERSION: u32 = 6;
 /// asserted bit-for-bit while the rows are produced, so the correctness
 /// half of the gate is fully deterministic.
 pub const HOT_PATH_TOLERANCE: f64 = 1.5;
-
-/// Required `edges_per_sec` speedup of `ingest-binary-parallel` over
-/// `ingest-binary` on machines with at least two hardware threads — on
-/// such machines the pipelined reader overlaps I/O and decoding across
-/// cores, and anything under this bound means the pipeline stopped
-/// pulling its weight. Single-core machines cannot express the overlap,
-/// so there the gate checks only the report's *shape*, not its timings
-/// (see
-/// [`decode_pipeline_regressions`](BenchReport::decode_pipeline_regressions)).
-pub const DECODE_SPEEDUP_BOUND: f64 = 1.5;
 
 impl BenchReport {
     /// Looks up a workload by name.
@@ -437,57 +423,6 @@ impl BenchReport {
                 (!ok).then(|| w.name.clone())
             })
             .collect()
-    }
-
-    /// Failures of the decode-pipeline gate — the CI gate fails when
-    /// non-empty. A report without an `ingest-binary-parallel` row has
-    /// nothing to gate and passes; a report *with* one fails closed on
-    /// shape problems (missing `ingest-binary` partner, unusable
-    /// latencies), on any machine. The performance bounds themselves are
-    /// capability-guarded on at least two hardware threads:
-    ///
-    /// * the pipelined reader must not be slower than the sequential one
-    ///   beyond [`HOT_PATH_TOLERANCE`], and
-    /// * it must be at least [`DECODE_SPEEDUP_BOUND`]× faster.
-    ///
-    /// A single-core machine cannot express the overlap at all — the
-    /// reader thread, decode workers and consumer time-slice one core, so
-    /// the pipeline's coordination is pure cost there and measures only
-    /// the scheduler, not the code. On such machines the shape checks
-    /// still run (they catch renames and missing rows deterministically)
-    /// and both performance bounds are skipped rather than flaked.
-    pub fn decode_pipeline_regressions(&self) -> Vec<String> {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        self.decode_pipeline_regressions_with_cores(cores)
-    }
-
-    /// [`decode_pipeline_regressions`](Self::decode_pipeline_regressions)
-    /// with the hardware-thread count injected, so the gate logic is
-    /// testable on any machine.
-    fn decode_pipeline_regressions_with_cores(&self, cores: usize) -> Vec<String> {
-        let name = "ingest-binary-parallel";
-        let Some(parallel) = self.workload(name) else {
-            return Vec::new();
-        };
-        let usable =
-            |w: &WorkloadResult| w.p50_latency_secs.is_finite() && w.p50_latency_secs > 0.0;
-        let ok = self.workload("ingest-binary").is_some_and(|sequential| {
-            if !usable(parallel) || !usable(sequential) {
-                return false;
-            }
-            cores < 2
-                || (parallel.p50_latency_secs <= sequential.p50_latency_secs * HOT_PATH_TOLERANCE
-                    && self
-                        .speedup(name, "ingest-binary")
-                        .is_some_and(|s| s >= DECODE_SPEEDUP_BOUND))
-        });
-        if ok {
-            Vec::new()
-        } else {
-            vec![name.to_string()]
-        }
     }
 
     /// Renders the report as pretty-printed JSON in the documented schema.
@@ -567,12 +502,8 @@ impl BenchReport {
         out.push_str("  ],\n");
         out.push_str("  \"derived\": {\n");
         out.push_str(&format!(
-            "    \"binary_vs_text_ingest_speedup\": {},\n",
+            "    \"binary_vs_text_ingest_speedup\": {}\n",
             json_opt_f64(self.speedup("ingest-binary", "ingest-text"))
-        ));
-        out.push_str(&format!(
-            "    \"parallel_vs_sequential_decode_speedup\": {}\n",
-            json_opt_f64(self.speedup("ingest-binary-parallel", "ingest-binary"))
         ));
         out.push_str("  }\n");
         out.push_str("}\n");
@@ -979,72 +910,6 @@ mod tests {
         assert!(report
             .hot_path_regressions()
             .contains(&"hot-path-pooled-w512".to_string()));
-    }
-
-    #[test]
-    fn decode_pipeline_gate_compares_parallel_against_sequential_rows() {
-        let mut report = sample_report();
-        // sample_report has ingest-binary but no parallel row: nothing to
-        // gate.
-        assert!(report.decode_pipeline_regressions().is_empty());
-        let sequential_p50 = report.workload("ingest-binary").unwrap().p50_latency_secs;
-        report.workloads.push(summarize_workload(
-            "ingest-binary-parallel",
-            WorkloadKind::Ingest,
-            1_000_000,
-            &[sequential_p50 / 2.0],
-            Some(65_536),
-            Some(2),
-            None,
-            None,
-        ));
-        // 2x faster passes both bounds of the gate on a multi-core box.
-        assert!(report.decode_pipeline_regressions_with_cores(4).is_empty());
-        // Slower than the sequential reader beyond the tolerance fails on
-        // a multi-core box…
-        report.workloads.last_mut().unwrap().p50_latency_secs =
-            sequential_p50 * HOT_PATH_TOLERANCE * 1.01;
-        assert_eq!(
-            report.decode_pipeline_regressions_with_cores(4),
-            vec!["ingest-binary-parallel"]
-        );
-        // …and so does faster-but-short-of-the-speedup-bound…
-        report.workloads.last_mut().unwrap().p50_latency_secs = sequential_p50 / 1.2;
-        report.workloads.last_mut().unwrap().edges_per_sec =
-            report.workload("ingest-binary").unwrap().edges_per_sec * 1.2;
-        assert_eq!(
-            report.decode_pipeline_regressions_with_cores(4),
-            vec!["ingest-binary-parallel"]
-        );
-        // …but a single-core machine skips both performance bounds — the
-        // pipeline cannot overlap anything there.
-        assert!(report.decode_pipeline_regressions_with_cores(1).is_empty());
-        // Unusable latency fails closed, on any machine.
-        report.workloads.last_mut().unwrap().p50_latency_secs = f64::NAN;
-        assert_eq!(report.decode_pipeline_regressions_with_cores(1).len(), 1);
-        assert_eq!(report.decode_pipeline_regressions_with_cores(4).len(), 1);
-        // A parallel row without its sequential partner fails closed, on
-        // any machine.
-        report
-            .workloads
-            .retain(|w| w.name != "ingest-binary" && w.name != "ingest-binary-parallel");
-        report.workloads.push(summarize_workload(
-            "ingest-binary-parallel",
-            WorkloadKind::Ingest,
-            10_000,
-            &[0.01],
-            Some(1_024),
-            Some(2),
-            None,
-            None,
-        ));
-        assert_eq!(
-            report.decode_pipeline_regressions_with_cores(1),
-            vec!["ingest-binary-parallel"]
-        );
-        // The derived speedup field serialises alongside the ingest pair.
-        let json = sample_report().to_json();
-        assert!(json.contains("\"parallel_vs_sequential_decode_speedup\": null"));
     }
 
     #[test]

@@ -11,25 +11,17 @@
 //!
 //! Workloads:
 //!
-//! * `ingest-text` / `ingest-binary` / `ingest-binary-parallel` — batched
-//!   file ingestion of the same synthetic stream through the SNAP text
-//!   codec, the `.tsb` binary codec, and the pipelined multi-threaded
-//!   `.tsb` reader (reader thread + decode workers, recycling consumer).
-//!   The binary-vs-text `edges_per_sec` ratio is the payoff of the binary
-//!   format (target: ≥5×); the parallel-vs-sequential ratio feeds the
-//!   capability-guarded
-//!   [`decode_pipeline_regressions`](BenchReport::decode_pipeline_regressions)
-//!   CI gate.
-//! * `engine-spawn-w{N}` / `engine-persistent-w{N}` — spawn-per-batch
-//!   scoped threads vs the persistent [`ShardedEngine`] worker pool across
-//!   batch sizes `w = 256 … 65536`, same seeds, bit-identical estimates.
+//! * `ingest-text` / `ingest-binary` — batched file ingestion of the same
+//!   synthetic stream through the SNAP text codec and the `.tsb` binary
+//!   codec. The binary-vs-text `edges_per_sec` ratio is the payoff of the
+//!   binary format (target: ≥5×).
 //! * `hotpath-reference-w{N}` / `hotpath-pooled-w{N}` — the retained
 //!   pre-pool bulk counter ([`ReferenceBulkCounter`]) raced against the
-//!   SoA-pool [`BulkTriangleCounter`] over the same batch-size sweep,
-//!   sequentially on one thread so the rows isolate the hot-path rewrite
-//!   (data layout, scratch reuse, hashing, batched RNG) from engine
-//!   effects. Estimates are asserted bit-identical per seed while the rows
-//!   are produced; the latency ratio feeds the
+//!   SoA-pool [`BulkTriangleCounter`] across batch sizes
+//!   `w = 256 … 65536`, sequentially on one thread so the rows isolate the
+//!   hot-path rewrite (data layout, scratch reuse, hashing, batched RNG)
+//!   from [`ShardedEngine`] effects. Estimates are asserted bit-identical
+//!   per seed while the rows are produced; the latency ratio feeds the
 //!   [`hot_path_regressions`](BenchReport::hot_path_regressions) CI gate.
 //! * `accuracy-bulk-syn3reg` / `accuracy-parallel-planted` — bulk-counter
 //!   estimates against exact ground truth on generator graphs, each with a
@@ -55,7 +47,6 @@
 //! [`ReferenceBulkCounter`]: tristream_core::reference::ReferenceBulkCounter
 
 use crate::report::{summarize_workload, BenchReport, WorkloadKind, WorkloadResult};
-use crate::spawn_baseline::SpawnPerBatchCounter;
 use crate::trial::run_trials;
 use crate::workloads::load_standin_scaled;
 use std::path::PathBuf;
@@ -68,7 +59,6 @@ use tristream_core::{
 use tristream_gen::DatasetKind;
 use tristream_graph::binary::{read_edges_binary_batched_file, write_edges_binary_file};
 use tristream_graph::io::{read_edge_list_batched_file, write_edge_list_file};
-use tristream_graph::pipeline::read_edges_binary_pipelined_file;
 use tristream_graph::{Edge, EdgeStream, GraphError};
 use tristream_sample::{salted_seed, splitmix64_next};
 use tristream_serve::{Client, CreateStream, Server, SERVE_STREAM_HINT};
@@ -127,13 +117,16 @@ pub struct BenchConfig {
     pub ingest_edges: usize,
     /// Batch size for the ingest readers.
     pub ingest_batch: usize,
-    /// Batch sizes `w` swept by the engine workloads.
+    /// Batch sizes `w` swept by the hot-path workloads; the serve and
+    /// snapshot families use the middle one.
     pub engine_batches: Vec<usize>,
-    /// Vertices of the Holme–Kim stream the engine workloads process.
+    /// Vertices of the Holme–Kim stream the hot-path, serve and snapshot
+    /// workloads process.
     pub engine_vertices: u64,
-    /// Estimator-pool size for the engine workloads.
+    /// Estimator-pool size (or word budget) for the hot-path, serve and
+    /// snapshot workloads.
     pub engine_estimators: usize,
-    /// Worker shards for the parallel execution models.
+    /// Worker shards for the sharded workloads.
     pub shards: usize,
     /// Estimator-pool size for the accuracy workloads.
     pub accuracy_estimators: usize,
@@ -144,7 +137,7 @@ pub struct BenchConfig {
 
 impl BenchConfig {
     /// The CI configuration: full-size ingest comparison (the 1M-edge
-    /// stream the ≥5× claim is measured on), all engine batch sizes, and
+    /// stream the ≥5× claim is measured on), all hot-path batch sizes, and
     /// the accuracy gate, but few trials and moderate pools so the whole
     /// run stays in CI budget.
     pub fn smoke(seed: u64) -> Self {
@@ -169,7 +162,7 @@ impl BenchConfig {
     }
 
     /// The full configuration: same workloads at five trials with larger
-    /// engine streams and pools.
+    /// hot-path streams and pools.
     pub fn full(seed: u64) -> Self {
         Self {
             mode: "full".into(),
@@ -205,12 +198,11 @@ pub fn synthetic_ingest_stream(n: usize, seed: u64) -> Vec<Edge> {
 /// Runs the whole suite and returns the report. Ingest scratch files live
 /// under a per-process temp directory that is removed before returning.
 pub fn run_suite(config: &BenchConfig) -> Result<BenchReport, GraphError> {
-    // One generation feeds both the engine and the hot-path families, so
-    // the two row sets measure the same stream by construction.
+    // One generation feeds the hot-path, serve and snapshot families, so
+    // the three row sets measure the same stream by construction.
     let engine_stream = tristream_gen::holme_kim(config.engine_vertices, 5, 0.4, config.seed);
     let mut workloads = Vec::new();
     workloads.extend(ingest_workloads(config)?);
-    workloads.extend(engine_workloads(config, &engine_stream));
     workloads.extend(hot_path_workloads(config, &engine_stream));
     workloads.extend(accuracy_workloads(config));
     workloads.extend(head_to_head_workloads(config));
@@ -240,17 +232,6 @@ fn ingest_workloads(config: &BenchConfig) -> Result<Vec<WorkloadResult>, GraphEr
     result
 }
 
-/// Decode workers for the `ingest-binary-parallel` row: the machine's
-/// available parallelism, capped at four — the same policy the serve
-/// daemon and the CLI use (`docs/OPERATIONS.md`), so the row measures the
-/// configuration operators actually run.
-fn bench_decode_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(4)
-}
-
 fn ingest_workloads_in(
     config: &BenchConfig,
     edges: &[Edge],
@@ -261,12 +242,10 @@ fn ingest_workloads_in(
     write_edge_list_file(&EdgeStream::new(edges.to_vec()), &text_path)?;
     write_edges_binary_file(edges, &tsb_path)?;
 
-    let workers = bench_decode_workers();
     let mut text_latencies = Vec::with_capacity(config.trials);
     let mut binary_latencies = Vec::with_capacity(config.trials);
-    let mut parallel_latencies = Vec::with_capacity(config.trials);
     for trial in 0..config.trials {
-        // Rotate the order so filesystem cache warmth cannot
+        // Alternate the order so filesystem cache warmth cannot
         // systematically favour whichever codec runs later in a trial.
         let run_text = |latencies: &mut Vec<f64>| -> Result<(), GraphError> {
             let start = Instant::now();
@@ -288,36 +267,12 @@ fn ingest_workloads_in(
             assert_eq!(seen, edges.len(), "binary reader must cover the stream");
             Ok(())
         };
-        let run_parallel = |latencies: &mut Vec<f64>| -> Result<(), GraphError> {
-            let start = Instant::now();
-            let mut seen = 0usize;
-            let mut reader =
-                read_edges_binary_pipelined_file(&tsb_path, config.ingest_batch, workers)?;
-            while let Some(batch) = reader.next() {
-                let batch = batch?;
-                seen += batch.len();
-                reader.recycle(batch);
-            }
-            latencies.push(start.elapsed().as_secs_f64());
-            assert_eq!(seen, edges.len(), "pipelined reader must cover the stream");
-            Ok(())
-        };
-        match trial % 3 {
-            0 => {
-                run_text(&mut text_latencies)?;
-                run_binary(&mut binary_latencies)?;
-                run_parallel(&mut parallel_latencies)?;
-            }
-            1 => {
-                run_binary(&mut binary_latencies)?;
-                run_parallel(&mut parallel_latencies)?;
-                run_text(&mut text_latencies)?;
-            }
-            _ => {
-                run_parallel(&mut parallel_latencies)?;
-                run_text(&mut text_latencies)?;
-                run_binary(&mut binary_latencies)?;
-            }
+        if trial % 2 == 0 {
+            run_text(&mut text_latencies)?;
+            run_binary(&mut binary_latencies)?;
+        } else {
+            run_binary(&mut binary_latencies)?;
+            run_text(&mut text_latencies)?;
         }
     }
 
@@ -336,77 +291,7 @@ fn ingest_workloads_in(
     Ok(vec![
         summarize("ingest-text", &text_latencies),
         summarize("ingest-binary", &binary_latencies),
-        summarize_workload(
-            "ingest-binary-parallel",
-            WorkloadKind::Ingest,
-            edges.len() as u64,
-            &parallel_latencies,
-            Some(config.ingest_batch),
-            Some(workers),
-            None,
-            None,
-        ),
     ])
-}
-
-fn engine_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<WorkloadResult> {
-    let edges = stream.edges();
-    let (r, shards) = (config.engine_estimators, config.shards);
-    let mut results = Vec::new();
-    for &w in &config.engine_batches {
-        let mut spawn_latencies = Vec::with_capacity(config.trials);
-        let mut persistent_latencies = Vec::with_capacity(config.trials);
-        for t in 0..config.trials {
-            let trial_seed = config.seed.wrapping_add(t as u64);
-            let run_spawn = |latencies: &mut Vec<f64>| {
-                let mut counter = SpawnPerBatchCounter::new(r, shards, trial_seed);
-                let start = Instant::now();
-                counter.process_stream(edges, w);
-                let estimate = counter.estimate();
-                latencies.push(start.elapsed().as_secs_f64());
-                estimate
-            };
-            let run_persistent = |latencies: &mut Vec<f64>| {
-                let mut counter = ParallelBulkTriangleCounter::new(r, shards, trial_seed);
-                let start = Instant::now();
-                counter.process_stream(edges, w);
-                let estimate = counter.estimate();
-                latencies.push(start.elapsed().as_secs_f64());
-                estimate
-            };
-            // Alternate measurement order (cache warmth), as in the
-            // `engine` experiment binary.
-            let (spawn_estimate, persistent_estimate) = if t % 2 == 0 {
-                let s = run_spawn(&mut spawn_latencies);
-                (s, run_persistent(&mut persistent_latencies))
-            } else {
-                let p = run_persistent(&mut persistent_latencies);
-                (run_spawn(&mut spawn_latencies), p)
-            };
-            assert_eq!(
-                spawn_estimate, persistent_estimate,
-                "execution models must agree bit-for-bit (w = {w})"
-            );
-        }
-        let summarize = |name: String, latencies: &[f64]| {
-            summarize_workload(
-                &name,
-                WorkloadKind::Engine,
-                edges.len() as u64,
-                latencies,
-                Some(w),
-                Some(shards),
-                Some(r),
-                None,
-            )
-        };
-        results.push(summarize(format!("engine-spawn-w{w}"), &spawn_latencies));
-        results.push(summarize(
-            format!("engine-persistent-w{w}"),
-            &persistent_latencies,
-        ));
-    }
-    results
 }
 
 /// The `hot-path` family: the pre-pool reference bulk counter vs the
@@ -625,7 +510,7 @@ fn serve_workloads(
     stream: &EdgeStream,
 ) -> Result<Vec<WorkloadResult>, GraphError> {
     let edges = stream.edges();
-    // Middle of the engine batch sweep: big enough to amortise framing,
+    // Middle of the hot-path batch sweep: big enough to amortise framing,
     // small enough that each trial sends many frames.
     let w = config.engine_batches[config.engine_batches.len() / 2];
     let shards = config.shards.max(1);
@@ -893,19 +778,16 @@ mod tests {
     #[test]
     fn suite_runs_end_to_end_and_passes_its_own_gate() {
         let report = run_suite(&tiny_config()).unwrap();
-        // 3 ingest + 2 engine + 2 hot-path (one batch size) + 2 accuracy +
-        // 2 serve + 2 snapshot + the equal-memory head-to-head family (one
-        // row per registry entry).
+        // 2 ingest + 2 hot-path (one batch size) + 2 accuracy + 2 serve +
+        // 2 snapshot + the equal-memory head-to-head family (one row per
+        // registry entry).
         assert_eq!(
             report.workloads.len(),
-            13 + tristream_baselines::registry().len()
+            10 + tristream_baselines::registry().len()
         );
         for name in [
             "ingest-text",
             "ingest-binary",
-            "ingest-binary-parallel",
-            "engine-spawn-w128",
-            "engine-persistent-w128",
             "hotpath-reference-w128",
             "hotpath-pooled-w128",
             "accuracy-bulk-syn3reg",
@@ -940,11 +822,6 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(report.speedup("ingest-binary", "ingest-text").is_some());
-        assert!(report
-            .speedup("ingest-binary-parallel", "ingest-binary")
-            .is_some());
-        let parallel = report.workload("ingest-binary-parallel").unwrap();
-        assert_eq!(parallel.shards, Some(bench_decode_workers()));
         assert!(report
             .speedup("hotpath-pooled-w128", "hotpath-reference-w128")
             .is_some());

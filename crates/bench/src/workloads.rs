@@ -1,6 +1,7 @@
 //! Workload construction for the experiment binaries: dataset stand-ins,
 //! their exact ground truth, and the environment knobs that control scale.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tristream_gen::{DatasetKind, StandIn};
 use tristream_graph::io::{read_edge_list_file, write_edge_list_file};
@@ -63,9 +64,9 @@ impl Workload {
 /// comes from the dataset default multiplied by the `TRISTREAM_SCALE`
 /// environment knob.
 ///
-/// The round trip goes through `target/experiments/data/<slug>.txt`, so the
-/// I/O measurement exercises the same code path a user streaming a real
-/// SNAP file would.
+/// The round trip goes through a temporary file under
+/// `target/experiments/data/`, so the I/O measurement exercises the same
+/// code path a user streaming a real SNAP file would.
 pub fn load_standin(kind: DatasetKind, seed: u64) -> Workload {
     load_standin_scaled(kind, env_scale_factor(), seed)
 }
@@ -78,12 +79,22 @@ pub fn load_standin_scaled(kind: DatasetKind, extra_scale: u64, seed: u64) -> Wo
         .saturating_mul(extra_scale.max(1));
     let stand_in = StandIn::generate_scaled(kind, scale, seed);
 
-    // Measure a write + read round trip as the I/O cost. The file name
-    // includes the scale and seed so concurrent callers (e.g. parallel test
-    // threads) never race on the same path.
+    // Measure a write + read round trip as the I/O cost. Concurrent calls
+    // for the same stand-in are common (parallel test threads each running
+    // the bench suite), so the file name is unique per call — process id
+    // plus a call counter — and the file is removed after the read; a
+    // shared path let one caller read another's half-written file.
+    static NEXT_ROUND_TRIP: AtomicU64 = AtomicU64::new(0);
+    let unique = NEXT_ROUND_TRIP.fetch_add(1, Ordering::Relaxed);
     let dir = std::path::Path::new("target/experiments/data");
     std::fs::create_dir_all(dir).ok();
-    let path = dir.join(format!("{}-x{}-s{}.txt", kind.slug(), scale, seed));
+    let path = dir.join(format!(
+        "{}-x{}-s{}-{}-{unique}.txt",
+        kind.slug(),
+        scale,
+        seed,
+        std::process::id()
+    ));
     let io_start = Instant::now();
     let stream = match write_edge_list_file(&stand_in.stream, &path)
         .and_then(|_| read_edge_list_file(&path))
@@ -92,6 +103,7 @@ pub fn load_standin_scaled(kind: DatasetKind, extra_scale: u64, seed: u64) -> Wo
         Err(_) => stand_in.stream.clone(),
     };
     let io_time = io_start.elapsed();
+    std::fs::remove_file(&path).ok();
 
     let summary = GraphSummary::of_stream(&stream);
     Workload {

@@ -295,10 +295,10 @@ instead, which every subcommand reads transparently; `convert` translates
 between the two (exactly one side must be `.tsb`, and `--timestamps` adds a
 stream-position timestamp column when writing `.tsb`).
 
-`bench` runs the named perf workloads (text vs binary ingest, spawn vs
-persistent engine, accuracy vs exact) and writes a machine-readable
-BENCH.json (default path: BENCH.json); `--check` makes an accuracy-bound
-violation a non-zero exit, which is how CI gates.
+`bench` runs the named perf workloads (text vs binary ingest, pooled vs
+reference bulk hot path, accuracy vs exact, serve and snapshot parity) and
+writes a machine-readable BENCH.json (default path: BENCH.json); `--check`
+makes a gate violation a non-zero exit, which is how CI gates.
 
 `serve` runs the multi-tenant streaming estimation daemon: clients CREATE
 named streams running any registry algorithm under a word budget, feed

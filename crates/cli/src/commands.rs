@@ -26,7 +26,6 @@ use tristream_graph::binary::{
     write_edges_binary_timestamped_file,
 };
 use tristream_graph::io::{read_edge_list_batched_file, read_edge_list_file, write_edge_list_file};
-use tristream_graph::pipeline::read_edges_binary_pipelined_file;
 use tristream_graph::{Edge, EdgeStream, GraphError, GraphSummary};
 use tristream_serve::{Client, CreateStream, RetryPolicy, Server, ServerOptions, StreamCheckpoint};
 
@@ -47,7 +46,9 @@ fn read_stream_auto<P: AsRef<Path>>(path: P) -> Result<EdgeStream, GraphError> {
 type BatchSource = Box<dyn Iterator<Item = Result<Vec<Edge>, GraphError>>>;
 
 /// Opens a file as a [batch source](BatchSource) (the engine-side ingestion
-/// boundary), picking the codec from the extension.
+/// boundary), picking the codec from the extension. Under `--parallel` the
+/// batches are decoded on the calling thread while the shards work: the
+/// engine's bounded queue lets the caller run up to its depth ahead.
 fn open_batched_auto<P: AsRef<Path>>(
     path: P,
     batch_size: usize,
@@ -59,33 +60,9 @@ fn open_batched_auto<P: AsRef<Path>>(
     }
 }
 
-/// [`open_batched_auto`] for the `--parallel` paths: `.tsb` inputs go
-/// through the pipelined reader (a reader thread plus decode workers on
-/// bounded channels), so decoding overlaps with the estimation shards
-/// instead of serialising in front of them. Batches, batch boundaries and
-/// errors are identical to the single-threaded reader, so estimates are
-/// unchanged. Text inputs keep the line reader — parsing text in parallel
-/// would change nothing observable but the thread count.
-fn open_batched_parallel<P: AsRef<Path>>(
-    path: P,
-    batch_size: usize,
-) -> Result<BatchSource, GraphError> {
-    if is_tsb_path(&path) {
-        Ok(Box::new(read_edges_binary_pipelined_file(
-            path,
-            batch_size,
-            decode_workers(),
-        )?))
-    } else {
-        Ok(Box::new(read_edge_list_batched_file(path, batch_size)?))
-    }
-}
-
 /// Wraps a batch source, accumulating the wall clock spent inside
-/// `next()` — the decode component of `count`'s split timing report. With
-/// the pipelined reader this is the time the consumer *waited* on
-/// decoding; fully overlapped decode shows up as a near-zero decode
-/// component, which is exactly the claim worth measuring.
+/// `next()` — file I/O plus record decoding, the decode component of
+/// `count`'s split timing report.
 struct TimedBatches {
     inner: BatchSource,
     decode_secs: Rc<Cell<f64>>,
@@ -104,9 +81,9 @@ impl Iterator for TimedBatches {
 }
 
 /// The `count` subcommand's decode/estimate split line: how much of the
-/// elapsed wall clock went to producing edges (file I/O + record decoding,
-/// or — under the pipelined reader — waiting for it) versus consuming them
-/// (estimation).
+/// elapsed wall clock went to producing edges (file I/O + record decoding)
+/// versus consuming them (estimation, including any wait for space in the
+/// engine's queue).
 fn split_line(decode_secs: f64, elapsed_secs: f64) -> String {
     format!(
         "wall clock: decode {decode_secs:.3} s, estimate {:.3} s\n",
@@ -156,7 +133,7 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 let mut counter = ParallelBulkTriangleCounter::new(estimators.max(1), shards, seed);
                 let decode_secs = Rc::new(Cell::new(0.0));
                 let source = TimedBatches {
-                    inner: open_batched_parallel(&input, batch)?,
+                    inner: open_batched_auto(&input, batch)?,
                     decode_secs: Rc::clone(&decode_secs),
                 };
                 let edges = counter.process_source(source)?;
@@ -312,11 +289,6 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             if let Some(speedup) = report.speedup("ingest-binary", "ingest-text") {
                 out.push_str(&format!("binary vs text ingest speedup: {speedup:.2}x\n"));
             }
-            if let Some(speedup) = report.speedup("ingest-binary-parallel", "ingest-binary") {
-                out.push_str(&format!(
-                    "parallel vs sequential .tsb decode: {speedup:.2}x\n"
-                ));
-            }
             if let Some(speedup) = report.speedup("hotpath-pooled-w4096", "hotpath-reference-w4096")
             {
                 out.push_str(&format!(
@@ -351,7 +323,6 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             // job runs) and skipped, visibly, otherwise.
             if cfg!(debug_assertions) {
                 out.push_str("hot-path gate: skipped (unoptimised build)\n");
-                out.push_str("decode-pipeline gate: skipped (unoptimised build)\n");
             } else {
                 let regressions = report.hot_path_regressions();
                 if regressions.is_empty() {
@@ -363,28 +334,6 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                         return Err(format!(
                             "hot-path gate failed: {regressions:?} slower than the reference \
                              path beyond the documented tolerance"
-                        )
-                        .into());
-                    }
-                }
-                // The decode-pipeline gate: the pipelined `.tsb` reader
-                // must never be slower than the sequential one beyond the
-                // tolerance, and on multi-core machines must deliver the
-                // documented decode speedup (the capability guard lives in
-                // the report, so single-core runners skip the speedup half
-                // instead of flaking).
-                let regressions = report.decode_pipeline_regressions();
-                if regressions.is_empty() {
-                    out.push_str("decode-pipeline gate: ok\n");
-                } else {
-                    out.push_str(&format!(
-                        "decode-pipeline gate: FAILED for {regressions:?}\n"
-                    ));
-                    if check {
-                        print!("{out}");
-                        return Err(format!(
-                            "decode-pipeline gate failed: {regressions:?} missed the documented \
-                             parallel-decode bound"
                         )
                         .into());
                     }
@@ -543,7 +492,7 @@ fn run_count_algo(
         });
         let decode_secs = Rc::new(Cell::new(0.0));
         let source = TimedBatches {
-            inner: open_batched_parallel(input, batch)?,
+            inner: open_batched_auto(input, batch)?,
             decode_secs: Rc::clone(&decode_secs),
         };
         let edges = counter.process_source(source)?;
@@ -708,14 +657,6 @@ fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Decode workers for the pipelined `.tsb` reader under `--parallel`: one
-/// short of the machine (the estimation shards want the rest), capped at
-/// four — block decoding is memcpy-bound and stops scaling long before the
-/// estimator pool does. See `docs/OPERATIONS.md` on thread budgeting.
-fn decode_workers() -> usize {
-    default_shards().saturating_sub(1).clamp(1, 4)
 }
 
 /// Maps a CLI dataset slug to its [`DatasetKind`].
@@ -1130,7 +1071,7 @@ mod tests {
         let json = std::fs::read_to_string(&json_path).unwrap();
         assert!(json.contains("\"schema\": \"tristream-bench\""), "{json}");
         assert!(json.contains("\"mode\": \"smoke\""), "{json}");
-        assert!(json.contains("\"engine-persistent-w65536\""), "{json}");
+        assert!(json.contains("\"hotpath-pooled-w65536\""), "{json}");
         assert!(json.contains("\"hotpath-pooled-w4096\""), "{json}");
         assert!(json.contains("\"hotpath-reference-w4096\""), "{json}");
         std::fs::remove_file(&json_path).ok();

@@ -315,6 +315,68 @@ fn missing_file_fails_cleanly() {
     assert!(stderr.contains("error"), "stderr should explain:\n{stderr}");
 }
 
+/// A `.tsb` v1 stream of the given raw records, self-loops included — the
+/// library writer refuses to produce those.
+fn raw_tsb(records: &[(u64, u64)]) -> Vec<u8> {
+    let mut out = b"TSB\0".to_vec();
+    out.extend_from_slice(&1u16.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes());
+    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    for (u, v) in records {
+        out.extend_from_slice(&u.to_le_bytes());
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+#[test]
+fn malformed_tsb_fails_identically_on_every_count_path() {
+    // Record 70 of 100 is the first bad one: the stream is cut 5 bytes into
+    // it, or it is a self-loop. Every path must name its byte offset,
+    // 16 + 70 × 16, although each reads the file in different blocks
+    // (whole-file blocks for `count`, 16-edge batches under `--parallel`).
+    let path: Vec<(u64, u64)> = (0..100).map(|i| (i, i + 1)).collect();
+    let mut truncated = raw_tsb(&path);
+    truncated.truncate(16 + 70 * 16 + 5);
+    let mut looped = path.clone();
+    looped[70] = (7, 7);
+    for (name, bytes, reason) in [
+        ("truncated.tsb", truncated, "truncated record data"),
+        (
+            "self-loop.tsb",
+            raw_tsb(&looped),
+            "self-loop record (u == v)",
+        ),
+    ] {
+        let file = temp_path(name);
+        std::fs::write(&file, bytes).unwrap();
+        let file = file.to_str().unwrap();
+        let common = ["--batch", "16", "--estimators", "64", "--seed", "3"];
+        let runs = [
+            vec!["count", file],
+            vec!["count", file, "--parallel", "--shards", "2"],
+            vec![
+                "count",
+                file,
+                "--algo",
+                "neighborhood-bulk",
+                "--parallel",
+                "--shards",
+                "2",
+            ],
+        ];
+        let expected = format!("error: malformed .tsb stream at byte 1136: {reason}");
+        for mut args in runs {
+            args.extend(common);
+            let output = run(&args);
+            assert_eq!(output.status.code(), Some(1), "{args:?}: {output:?}");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(stderr.trim_end(), expected, "{args:?}");
+        }
+        let _ = std::fs::remove_file(file);
+    }
+}
+
 #[test]
 fn convert_and_binary_count_end_to_end() {
     let text_list = temp_path("convert.txt");
@@ -366,8 +428,9 @@ fn convert_and_binary_count_end_to_end() {
         "{}",
         stdout(&count)
     );
-    // `.tsb` + `--parallel` runs the pipelined decoder; the report must
-    // still split wall clock into decode and estimate components.
+    // `.tsb` + `--parallel` decodes on the calling thread while the shards
+    // work; the report must still split wall clock into decode and
+    // estimate components.
     assert!(
         stdout(&count).contains("wall clock: decode "),
         "binary parallel count must report the decode/estimate split:\n{}",
@@ -492,16 +555,13 @@ fn bench_smoke_emits_machine_readable_json() {
     let json = std::fs::read_to_string(&json_path).expect("bench wrote the report");
     for field in [
         "\"schema\": \"tristream-bench\"",
-        "\"schema_version\": 6",
+        "\"schema_version\": 7",
         "\"snapshot-encode\"",
         "\"snapshot-restore\"",
         "\"kind\": \"snapshot\"",
         "\"snapshot_words\"",
         "\"ingest-text\"",
         "\"ingest-binary\"",
-        "\"ingest-binary-parallel\"",
-        "\"engine-spawn-w256\"",
-        "\"engine-persistent-w65536\"",
         "\"hotpath-reference-w4096\"",
         "\"hotpath-pooled-w4096\"",
         "\"kind\": \"hot-path\"",
@@ -516,9 +576,18 @@ fn bench_smoke_emits_machine_readable_json() {
         "\"memory_words\"",
         "\"budget_words\"",
         "\"binary_vs_text_ingest_speedup\"",
-        "\"parallel_vs_sequential_decode_speedup\"",
     ] {
         assert!(json.contains(field), "BENCH.json missing {field}:\n{json}");
+    }
+    for removed in [
+        "\"ingest-binary-parallel\"",
+        "\"engine-",
+        "\"parallel_vs_sequential_decode_speedup\"",
+    ] {
+        assert!(
+            !json.contains(removed),
+            "BENCH.json v7 has no {removed}:\n{json}"
+        );
     }
     let _ = std::fs::remove_file(&json_path);
 }

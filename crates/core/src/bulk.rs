@@ -85,37 +85,6 @@ pub enum Level1Strategy {
     GeometricSkip,
 }
 
-/// Which kernel [`BulkTriangleCounter::process_batch`] dispatches to.
-///
-/// Both kernels are always compiled and produce **bit-identical** results:
-/// [`Lanes`](Self::Lanes) consumes the RNG stream in exactly the order
-/// [`Scalar`](Self::Scalar) does (and therefore in the order of
-/// [`crate::reference::ReferenceBulkCounter`]); it differs only in memory
-/// schedule — u64×4 draw groups with scalar remainder loops, whole-word
-/// `BitSet` replacement masks, and batched multiply-shift hashing with
-/// probe-start prefetching for the [`FastMap`] scratch tables (see
-/// [`crate::lanes`]). The `simd` cargo feature (default on) selects which
-/// kernel `Default` resolves to; [`BulkTriangleCounter::with_kernel`]
-/// overrides it per instance, which is how the equivalence proptests and
-/// CI's `--no-default-features` perf run pin both paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BulkKernel {
-    /// Hand-unrolled u64×4 lane kernels ([`crate::lanes`]).
-    Lanes,
-    /// The straight-line per-estimator / per-edge loops.
-    Scalar,
-}
-
-impl Default for BulkKernel {
-    fn default() -> Self {
-        if cfg!(feature = "simd") {
-            Self::Lanes
-        } else {
-            Self::Scalar
-        }
-    }
-}
-
 /// Chain terminator for the per-estimator `next` columns in
 /// [`BatchScratch`].
 const CHAIN_END: u32 = u32::MAX;
@@ -193,9 +162,10 @@ impl BatchScratch {
     }
 }
 
-// The helpers below are the shared bodies of the per-item work both kernels
-// perform — the lane kernel calls them with precomputed probe starts, the
-// scalar kernel without. They run inside the batch hot loop.
+// The helpers below are the per-item bodies of the batch steps. Full lane
+// groups call them with probe starts hashed one group ahead; the tails
+// past the last full group call the plain variants. They run inside the
+// batch hot loop.
 // analyze: region(no-alloc)
 
 /// Increments the batch degree of `vertex`, returning the new value.
@@ -244,8 +214,8 @@ fn record_betas(
 /// The Step-2b per-estimator body: one `randInt` decides whether estimator
 /// `idx` keeps its level-2 edge or subscribes to the EVENT_B that produces
 /// the new one. Returns whether a subscription was added. Called in
-/// estimator-index order by both kernels, so the RNG consumption order is
-/// identical.
+/// estimator-index order, so the RNG consumption order is that of
+/// [`crate::reference::ReferenceBulkCounter`].
 #[inline]
 fn step2b_estimator(
     pool: &mut EstimatorPool,
@@ -292,7 +262,8 @@ fn step2b_estimator(
 /// The Step-2c per-edge body: resolve any EVENT_B subscriptions that fire
 /// at edge `i`'s endpoint occurrence numbers (recorded by the Step-2a
 /// scan — no second degree-table pass). `starts` carries the precomputed
-/// `(u, du)`/`(v, dv)` probe starts under the lane kernel.
+/// `(u, du)`/`(v, dv)` probe starts inside a full lane group, `None` in the
+/// tail.
 #[inline]
 fn step2c_edge(
     pool: &mut EstimatorPool,
@@ -447,7 +418,6 @@ pub struct BulkTriangleCounter {
     seed: u64,
     aggregation: Aggregation,
     level1_strategy: Level1Strategy,
-    kernel: BulkKernel,
 }
 
 impl BulkTriangleCounter {
@@ -485,7 +455,6 @@ impl BulkTriangleCounter {
             seed,
             aggregation,
             level1_strategy: Level1Strategy::default(),
-            kernel: BulkKernel::default(),
         }
     }
 
@@ -493,20 +462,6 @@ impl BulkTriangleCounter {
     /// construction seed, shared by the constructor and snapshot restore.
     fn hash_seed(seed: u64) -> u64 {
         splitmix64(salted_seed(seed, 0xB0_1D_FA_CE_0F_F1_CE_5E))
-    }
-
-    /// Selects which hot-path kernel [`process_batch`](Self::process_batch)
-    /// dispatches to (see [`BulkKernel`]); returns `self` for builder-style
-    /// chaining. Both kernels produce bit-identical estimates — this only
-    /// picks the memory schedule.
-    pub fn with_kernel(mut self, kernel: BulkKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The hot-path kernel in use.
-    pub fn kernel(&self) -> BulkKernel {
-        self.kernel
     }
 
     /// Selects how level-1 resampling iterates over the pool (see
@@ -536,11 +491,10 @@ impl BulkTriangleCounter {
     /// sizing unit): [`crate::pool::POOL_COLUMNS`] `u64`s; the three
     /// presence bits per estimator amortise to under half a word per 64
     /// estimators and are covered by the measured
-    /// [`estimator_memory_bytes`](Self::estimator_memory_bytes). The `simd`
-    /// lane kernels ([`BulkKernel::Lanes`]) read and write these same
-    /// columns in u64×4 groups — no shadow state, no padding, no extra
-    /// columns — so this accounting is identical under both kernels and
-    /// equal-memory head-to-head budgets stay honest.
+    /// [`estimator_memory_bytes`](Self::estimator_memory_bytes). The lane
+    /// groups of [`process_batch`](Self::process_batch) read and write these
+    /// same columns in u64×4 groups — no shadow state, no padding, no extra
+    /// columns — so equal-memory head-to-head budgets stay honest.
     pub fn words_per_estimator() -> usize {
         crate::pool::POOL_COLUMNS
     }
@@ -577,28 +531,23 @@ impl BulkTriangleCounter {
     }
 
     /// Ingests one batch of edges, advancing every estimator as if the edges
-    /// had been processed one at a time in order. Dispatches to one of two
-    /// monomorphised kernels (see [`BulkKernel`]); both are allocation-free
-    /// in the steady state: all working memory comes from the reused
-    /// `BatchScratch` (the region below lets `tristream-analyze` reject
-    /// allocating tokens at review time; `tests/alloc_steady_state.rs` pins
-    /// the runtime behaviour).
-    pub fn process_batch(&mut self, batch: &[Edge]) {
-        match self.kernel {
-            BulkKernel::Lanes => self.process_batch_impl::<true>(batch),
-            BulkKernel::Scalar => self.process_batch_impl::<false>(batch),
-        }
-    }
-
-    /// The batch pipeline, monomorphised over the kernel choice: with
-    /// `LANES_ON` the steps run in u64×4 lane groups (scalar remainder
-    /// loops pick up the tail), RNG draws come in [`LANES`]-wide groups in
-    /// the *same order* the scalar path consumes them, Step-1 presence bits
-    /// are written as whole-word masks, and every [`FastMap`] access in the
-    /// edge scans probes from a start index hashed one lane group ahead and
-    /// prefetched. With `LANES_ON = false` this is the plain per-item loop.
+    /// had been processed one at a time in order.
+    ///
+    /// The steps run in u64×4 lane groups ([`crate::lanes`]), with per-item
+    /// remainder loops for the tail past the last full group. RNG draws come
+    /// in [`LANES`]-wide groups in the *same order* a per-item loop consumes
+    /// them, Step-1 presence bits are written as whole-word masks, and every
+    /// [`FastMap`] access in the edge scans probes from a start index hashed
+    /// one lane group ahead and prefetched — a memory schedule only, so the
+    /// results stay bit-identical to
+    /// [`crate::reference::ReferenceBulkCounter`].
+    ///
+    /// Allocation-free in the steady state: all working memory comes from
+    /// the reused `BatchScratch` (the region below lets `tristream-analyze`
+    /// reject allocating tokens at review time;
+    /// `tests/alloc_steady_state.rs` pins the runtime behaviour).
     // analyze: region(no-alloc)
-    fn process_batch_impl<const LANES_ON: bool>(&mut self, batch: &[Edge]) {
+    pub fn process_batch(&mut self, batch: &[Edge]) {
         let w = batch.len();
         if w == 0 {
             return;
@@ -613,52 +562,41 @@ impl BulkTriangleCounter {
         match self.level1_strategy {
             Level1Strategy::PerEstimator => {
                 let total = m + w as u64;
-                if LANES_ON {
-                    // Draw a lane group of reservoir positions at a time and
-                    // accumulate each 64-estimator word's replacement mask,
-                    // so the three presence bitsets are updated with three
-                    // word operations instead of three bit operations per
-                    // replaced estimator.
-                    let mut idx = 0usize;
-                    for word_idx in 0..pool.r1_set.words().len() {
-                        let word_end = ((word_idx + 1) * 64).min(r);
-                        let mut mask = 0u64;
-                        while idx + LANES <= word_end {
-                            let draws = lemire4(self.rng.next_lane(), total);
-                            for (lane, draw) in draws.into_iter().enumerate() {
-                                if draw >= m {
-                                    let i = idx + lane;
-                                    let k = (draw - m) as usize;
-                                    pool.set_r1_columns(i, batch[k], m + k as u64 + 1);
-                                    mask |= 1u64 << (i % 64);
-                                    scratch.replaced.push((i as u32, k as u32));
-                                }
-                            }
-                            idx += LANES;
-                        }
-                        // Scalar remainder: the tail of the final word.
-                        while idx < word_end {
-                            let draw = self.rng.gen_range(0..total);
+                // Draw a lane group of reservoir positions at a time and
+                // accumulate each 64-estimator word's replacement mask, so
+                // the three presence bitsets are updated with three word
+                // operations instead of three bit operations per replaced
+                // estimator.
+                let mut idx = 0usize;
+                for word_idx in 0..pool.r1_set.words().len() {
+                    let word_end = ((word_idx + 1) * 64).min(r);
+                    let mut mask = 0u64;
+                    while idx + LANES <= word_end {
+                        let draws = lemire4(self.rng.next_lane(), total);
+                        for (lane, draw) in draws.into_iter().enumerate() {
                             if draw >= m {
+                                let i = idx + lane;
                                 let k = (draw - m) as usize;
-                                pool.set_r1_columns(idx, batch[k], m + k as u64 + 1);
-                                mask |= 1u64 << (idx % 64);
-                                scratch.replaced.push((idx as u32, k as u32));
+                                pool.set_r1_columns(i, batch[k], m + k as u64 + 1);
+                                mask |= 1u64 << (i % 64);
+                                scratch.replaced.push((i as u32, k as u32));
                             }
-                            idx += 1;
                         }
-                        if mask != 0 {
-                            pool.apply_r1_word(word_idx, mask);
-                        }
+                        idx += LANES;
                     }
-                } else {
-                    for idx in 0..r {
+                    // Per-item remainder: the tail of the final word.
+                    while idx < word_end {
                         let draw = self.rng.gen_range(0..total);
                         if draw >= m {
                             let k = (draw - m) as usize;
-                            pool.take_r1(idx, batch[k], m + k as u64 + 1);
+                            pool.set_r1_columns(idx, batch[k], m + k as u64 + 1);
+                            mask |= 1u64 << (idx % 64);
                             scratch.replaced.push((idx as u32, k as u32));
                         }
+                        idx += 1;
+                    }
+                    if mask != 0 {
+                        pool.apply_r1_word(word_idx, mask);
                     }
                 }
             }
@@ -673,7 +611,7 @@ impl BulkTriangleCounter {
                 // of the reference implementation. The gap walk is
                 // inherently sequential (each gap feeds the next cursor),
                 // but the per-success draws are independent and run in lane
-                // groups under the lane kernel.
+                // groups.
                 let p = w as f64 / (m + w as u64) as f64;
                 let mut skip = GeometricSkip::new(p);
                 while let Some(pos) = skip.next_success(&mut self.rng) {
@@ -682,31 +620,22 @@ impl BulkTriangleCounter {
                     }
                     scratch.replaced.push(((pos - 1) as u32, 0));
                 }
-                if LANES_ON {
-                    let n = scratch.replaced.len();
-                    let mut i = 0usize;
-                    while i + LANES <= n {
-                        let ks = lemire4(self.rng.next_lane(), w as u64);
-                        for (lane, k) in ks.into_iter().enumerate() {
-                            let entry = &mut scratch.replaced[i + lane];
-                            let k = k as usize;
-                            entry.1 = k as u32;
-                            pool.take_r1(entry.0 as usize, batch[k], m + k as u64 + 1);
-                        }
-                        i += LANES;
-                    }
-                    for entry in &mut scratch.replaced[i..] {
-                        let k = self.rng.gen_range(0..w);
+                let n = scratch.replaced.len();
+                let mut i = 0usize;
+                while i + LANES <= n {
+                    let ks = lemire4(self.rng.next_lane(), w as u64);
+                    for (lane, k) in ks.into_iter().enumerate() {
+                        let entry = &mut scratch.replaced[i + lane];
+                        let k = k as usize;
                         entry.1 = k as u32;
                         pool.take_r1(entry.0 as usize, batch[k], m + k as u64 + 1);
                     }
-                } else {
-                    for entry in &mut scratch.replaced {
-                        let idx = entry.0 as usize;
-                        let k = self.rng.gen_range(0..w);
-                        entry.1 = k as u32;
-                        pool.take_r1(idx, batch[k], m + k as u64 + 1);
-                    }
+                    i += LANES;
+                }
+                for entry in &mut scratch.replaced[i..] {
+                    let k = self.rng.gen_range(0..w);
+                    entry.1 = k as u32;
+                    pool.take_r1(entry.0 as usize, batch[k], m + k as u64 + 1);
                 }
             }
         }
@@ -719,103 +648,82 @@ impl BulkTriangleCounter {
         // batches, matching the reference's fresh `vec![(0, 0); r]`.
         scratch.replaced.sort_unstable_by_key(|&(_, k)| k);
         let mut next_replaced = 0usize;
-        if LANES_ON {
-            let full = w - w % LANES;
-            let mut base = 0usize;
-            let mut starts = if full > 0 {
-                hash_edge_group(&scratch.deg, batch, 0)
-            } else {
-                ([0; LANES], [0; LANES])
-            };
-            while base < full {
-                let next = if base + LANES < full {
-                    Some(hash_edge_group(&scratch.deg, batch, base + LANES))
-                } else {
-                    None
-                };
-                for lane in 0..LANES {
-                    let i = base + lane;
-                    let e = &batch[i];
-                    let du = bump_degree_from(&mut scratch.deg, starts.0[lane], e.u().raw());
-                    let dv = bump_degree_from(&mut scratch.deg, starts.1[lane], e.v().raw());
-                    record_betas(scratch, pool, i, e, du, dv, &mut next_replaced);
-                }
-                if let Some(n) = next {
-                    starts = n;
-                }
-                base += LANES;
-            }
-            for (i, e) in batch.iter().enumerate().skip(full) {
-                let du = bump_degree(&mut scratch.deg, e.u().raw());
-                let dv = bump_degree(&mut scratch.deg, e.v().raw());
-                record_betas(scratch, pool, i, e, du, dv, &mut next_replaced);
-            }
+        let full = w - w % LANES;
+        let mut base = 0usize;
+        let mut starts = if full > 0 {
+            hash_edge_group(&scratch.deg, batch, 0)
         } else {
-            for (i, e) in batch.iter().enumerate() {
-                let du = bump_degree(&mut scratch.deg, e.u().raw());
-                let dv = bump_degree(&mut scratch.deg, e.v().raw());
+            ([0; LANES], [0; LANES])
+        };
+        while base < full {
+            let next = if base + LANES < full {
+                Some(hash_edge_group(&scratch.deg, batch, base + LANES))
+            } else {
+                None
+            };
+            for lane in 0..LANES {
+                let i = base + lane;
+                let e = &batch[i];
+                let du = bump_degree_from(&mut scratch.deg, starts.0[lane], e.u().raw());
+                let dv = bump_degree_from(&mut scratch.deg, starts.1[lane], e.v().raw());
                 record_betas(scratch, pool, i, e, du, dv, &mut next_replaced);
             }
+            if let Some(n) = next {
+                starts = n;
+            }
+            base += LANES;
+        }
+        for (i, e) in batch.iter().enumerate().skip(full) {
+            let du = bump_degree(&mut scratch.deg, e.u().raw());
+            let dv = bump_degree(&mut scratch.deg, e.v().raw());
+            record_betas(scratch, pool, i, e, du, dv, &mut next_replaced);
         }
 
         // ---- Step 2b: one randInt per estimator; subscribe to EVENT_B. ----
         let mut pending_subs = 0usize;
-        if LANES_ON {
-            let full_r = r - r % LANES;
-            let mut base = 0usize;
-            let mut starts = if full_r > 0 {
-                hash_r1_group(&scratch.deg, pool, 0)
-            } else {
-                ([0; LANES], [0; LANES])
-            };
-            while base < full_r {
-                let next = if base + LANES < full_r {
-                    Some(hash_r1_group(&scratch.deg, pool, base + LANES))
-                } else {
-                    None
-                };
-                for lane in 0..LANES {
-                    let idx = base + lane;
-                    if !pool.r1_set.get(idx) {
-                        continue;
-                    }
-                    let deg_x = scratch
-                        .deg
-                        .get_from(starts.0[lane], (pool.r1_u[idx], 0))
-                        .unwrap_or(0);
-                    let deg_y = scratch
-                        .deg
-                        .get_from(starts.1[lane], (pool.r1_v[idx], 0))
-                        .unwrap_or(0);
-                    if step2b_estimator(pool, scratch, &mut self.rng, idx, deg_x, deg_y) {
-                        pending_subs += 1;
-                    }
-                }
-                if let Some(n) = next {
-                    starts = n;
-                }
-                base += LANES;
-            }
-            for idx in full_r..r {
-                if !pool.r1_set.get(idx) {
-                    continue;
-                }
-                let deg_x = scratch.deg.get((pool.r1_u[idx], 0)).unwrap_or(0);
-                let deg_y = scratch.deg.get((pool.r1_v[idx], 0)).unwrap_or(0);
-                if step2b_estimator(pool, scratch, &mut self.rng, idx, deg_x, deg_y) {
-                    pending_subs += 1;
-                }
-            }
+        let full_r = r - r % LANES;
+        let mut base = 0usize;
+        let mut starts = if full_r > 0 {
+            hash_r1_group(&scratch.deg, pool, 0)
         } else {
-            for idx in 0..r {
+            ([0; LANES], [0; LANES])
+        };
+        while base < full_r {
+            let next = if base + LANES < full_r {
+                Some(hash_r1_group(&scratch.deg, pool, base + LANES))
+            } else {
+                None
+            };
+            for lane in 0..LANES {
+                let idx = base + lane;
                 if !pool.r1_set.get(idx) {
                     continue;
                 }
-                let deg_x = scratch.deg.get((pool.r1_u[idx], 0)).unwrap_or(0);
-                let deg_y = scratch.deg.get((pool.r1_v[idx], 0)).unwrap_or(0);
+                let deg_x = scratch
+                    .deg
+                    .get_from(starts.0[lane], (pool.r1_u[idx], 0))
+                    .unwrap_or(0);
+                let deg_y = scratch
+                    .deg
+                    .get_from(starts.1[lane], (pool.r1_v[idx], 0))
+                    .unwrap_or(0);
                 if step2b_estimator(pool, scratch, &mut self.rng, idx, deg_x, deg_y) {
                     pending_subs += 1;
                 }
+            }
+            if let Some(n) = next {
+                starts = n;
+            }
+            base += LANES;
+        }
+        for idx in full_r..r {
+            if !pool.r1_set.get(idx) {
+                continue;
+            }
+            let deg_x = scratch.deg.get((pool.r1_u[idx], 0)).unwrap_or(0);
+            let deg_y = scratch.deg.get((pool.r1_v[idx], 0)).unwrap_or(0);
+            if step2b_estimator(pool, scratch, &mut self.rng, idx, deg_x, deg_y) {
+                pending_subs += 1;
             }
         }
         // Restore the all-zero β invariant for the next batch.
@@ -832,53 +740,42 @@ impl BulkTriangleCounter {
         // per batch, so the table never needs deletions; a countdown of
         // pending subscriptions ends the scan early instead.
         if pending_subs > 0 {
-            if LANES_ON {
-                let full = w - w % LANES;
-                let mut base = 0usize;
-                let mut starts = if full > 0 {
-                    hash_sub_group(scratch, batch, 0)
-                } else {
-                    ([0; LANES], [0; LANES])
-                };
-                'groups: while base < full {
-                    let next = if base + LANES < full {
-                        Some(hash_sub_group(scratch, batch, base + LANES))
-                    } else {
-                        None
-                    };
-                    for lane in 0..LANES {
-                        let i = base + lane;
-                        let position = m + i as u64 + 1;
-                        let lane_starts = (starts.0[lane], starts.1[lane]);
-                        step2c_edge(
-                            pool,
-                            scratch,
-                            &batch[i],
-                            position,
-                            i,
-                            Some(lane_starts),
-                            &mut pending_subs,
-                        );
-                        if pending_subs == 0 {
-                            break 'groups;
-                        }
-                    }
-                    if let Some(n) = next {
-                        starts = n;
-                    }
-                    base += LANES;
-                }
-                if pending_subs > 0 {
-                    for (i, e) in batch.iter().enumerate().skip(full) {
-                        let position = m + i as u64 + 1;
-                        step2c_edge(pool, scratch, e, position, i, None, &mut pending_subs);
-                        if pending_subs == 0 {
-                            break;
-                        }
-                    }
-                }
+            let mut base = 0usize;
+            let mut starts = if full > 0 {
+                hash_sub_group(scratch, batch, 0)
             } else {
-                for (i, e) in batch.iter().enumerate() {
+                ([0; LANES], [0; LANES])
+            };
+            'groups: while base < full {
+                let next = if base + LANES < full {
+                    Some(hash_sub_group(scratch, batch, base + LANES))
+                } else {
+                    None
+                };
+                for lane in 0..LANES {
+                    let i = base + lane;
+                    let position = m + i as u64 + 1;
+                    let lane_starts = (starts.0[lane], starts.1[lane]);
+                    step2c_edge(
+                        pool,
+                        scratch,
+                        &batch[i],
+                        position,
+                        i,
+                        Some(lane_starts),
+                        &mut pending_subs,
+                    );
+                    if pending_subs == 0 {
+                        break 'groups;
+                    }
+                }
+                if let Some(n) = next {
+                    starts = n;
+                }
+                base += LANES;
+            }
+            if pending_subs > 0 {
+                for (i, e) in batch.iter().enumerate().skip(full) {
                     let position = m + i as u64 + 1;
                     step2c_edge(pool, scratch, e, position, i, None, &mut pending_subs);
                     if pending_subs == 0 {
@@ -895,8 +792,7 @@ impl BulkTriangleCounter {
         // ---- Step 3: find wedge-closing edges within the batch. -----------
         // Candidates are exactly the estimators with a wedge but no closer:
         // one `r2_set & !closer_set` word per 64 estimators, skipping empty
-        // words outright (both kernels — the scan was word-parallel before
-        // the lane kernels existed and stays shared).
+        // words outright.
         let mut waiting_count = 0usize;
         for word_idx in 0..pool.r2_set.words().len() {
             let mut bits = pool.r2_set.words()[word_idx] & !pool.closer_set.words()[word_idx];
@@ -924,47 +820,36 @@ impl BulkTriangleCounter {
             }
         }
         if waiting_count > 0 {
-            if LANES_ON {
-                let full = w - w % LANES;
-                let mut base = 0usize;
-                let mut starts = if full > 0 {
-                    hash_pair_group(&scratch.waiting, batch, 0)
-                } else {
-                    [0; LANES]
-                };
-                while base < full {
-                    let next = if base + LANES < full {
-                        Some(hash_pair_group(&scratch.waiting, batch, base + LANES))
-                    } else {
-                        None
-                    };
-                    for (lane, &start) in starts.iter().enumerate() {
-                        let i = base + lane;
-                        let e = &batch[i];
-                        let position = m + i as u64 + 1;
-                        if let Some(head) =
-                            scratch.waiting.get_from(start, (e.u().raw(), e.v().raw()))
-                        {
-                            close_wedges(pool, scratch, e, position, head);
-                        }
-                    }
-                    if let Some(n) = next {
-                        starts = n;
-                    }
-                    base += LANES;
-                }
-                for (i, e) in batch.iter().enumerate().skip(full) {
-                    let position = m + i as u64 + 1;
-                    if let Some(head) = scratch.waiting.get((e.u().raw(), e.v().raw())) {
-                        close_wedges(pool, scratch, e, position, head);
-                    }
-                }
+            let mut base = 0usize;
+            let mut starts = if full > 0 {
+                hash_pair_group(&scratch.waiting, batch, 0)
             } else {
-                for (i, e) in batch.iter().enumerate() {
+                [0; LANES]
+            };
+            while base < full {
+                let next = if base + LANES < full {
+                    Some(hash_pair_group(&scratch.waiting, batch, base + LANES))
+                } else {
+                    None
+                };
+                for (lane, &start) in starts.iter().enumerate() {
+                    let i = base + lane;
+                    let e = &batch[i];
                     let position = m + i as u64 + 1;
-                    if let Some(head) = scratch.waiting.get((e.u().raw(), e.v().raw())) {
+                    if let Some(head) = scratch.waiting.get_from(start, (e.u().raw(), e.v().raw()))
+                    {
                         close_wedges(pool, scratch, e, position, head);
                     }
+                }
+                if let Some(n) = next {
+                    starts = n;
+                }
+                base += LANES;
+            }
+            for (i, e) in batch.iter().enumerate().skip(full) {
+                let position = m + i as u64 + 1;
+                if let Some(head) = scratch.waiting.get((e.u().raw(), e.v().raw())) {
+                    close_wedges(pool, scratch, e, position, head);
                 }
             }
         }
@@ -1079,9 +964,7 @@ impl BulkTriangleCounter {
     /// trailing bytes) surfaces as [`SnapshotError::Corrupt`]; bytes that
     /// decode but describe an impossible counter — zero estimators, a
     /// broken presence-subset chain, an all-zero RNG state, a bad enum tag
-    /// — as [`SnapshotError::Incompatible`]. Never panics. The hot-path
-    /// kernel is not part of the state: the restored counter uses this
-    /// build's default (both kernels are bit-identical).
+    /// — as [`SnapshotError::Incompatible`]. Never panics.
     pub fn from_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let incompatible = |reason: String| SnapshotError::Incompatible { reason };
         let reader = SnapshotReader::parse(bytes)?;
@@ -1171,7 +1054,6 @@ impl BulkTriangleCounter {
             seed,
             aggregation,
             level1_strategy,
-            kernel: BulkKernel::default(),
         })
     }
 }
@@ -1214,12 +1096,8 @@ impl crate::traits::TriangleEstimator for BulkTriangleCounter {
         self.to_snapshot()
     }
 
-    /// Restores state while keeping the receiver's kernel choice — the
-    /// kernel is a memory schedule, not state, and both produce
-    /// bit-identical results.
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), SnapshotError> {
-        let restored = Self::from_snapshot(snapshot)?.with_kernel(self.kernel);
-        *self = restored;
+        *self = Self::from_snapshot(snapshot)?;
         Ok(())
     }
 }

@@ -203,7 +203,7 @@ impl<V: Copy + Default> FastMap<V> {
     /// The probe start (multiply-shift hash) over a lane group: evaluated
     /// for [`LANES`] keys at once, giving the backend a branch-free run of
     /// independent multiplies to schedule. Exposed crate-privately so the
-    /// bulk lane kernels can compute a group of probe starts ahead of use
+    /// bulk hot path can compute a lane group of probe starts ahead of use
     /// and prefetch the slots; each index is a pure function of the key,
     /// the seed and the table size, so it stays valid until the next
     /// growth.

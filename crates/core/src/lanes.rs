@@ -1,25 +1,25 @@
 //! Hand-unrolled u64×4 lane helpers for the bulk hot path.
 //!
-//! The `simd` cargo feature (default on) selects
-//! [`BulkKernel::Lanes`](crate::bulk::BulkKernel) as the default dispatch
-//! of [`BulkTriangleCounter::process_batch`](crate::bulk::BulkTriangleCounter::process_batch);
-//! the helpers here are *portable-SIMD-shaped* — fixed-width `[u64; LANES]`
-//! groups that a vectorising backend maps onto 256-bit registers — but they
-//! compile on every target and are **always built**, so the scalar fallback
-//! and the lane path can be compared bit-for-bit inside one binary (see
-//! `tests/lane_equivalence.rs`).
+//! [`BulkTriangleCounter::process_batch`](crate::bulk::BulkTriangleCounter::process_batch)
+//! runs its steps in lane groups built from these helpers, with per-item
+//! remainder loops for the tail past the last full group. The helpers are
+//! *portable-SIMD-shaped* — fixed-width `[u64; LANES]` groups that a
+//! vectorising backend maps onto 256-bit registers — and compile on every
+//! target. `tests/lane_equivalence.rs` checks pool sizes with and without a
+//! tail against the scalar [`crate::reference::ReferenceBulkCounter`] bit
+//! for bit.
 //!
 //! # Bit-identity contract
 //!
 //! [`lemire4`] replicates the vendored `rand` crate's bounded-draw formula
 //! — `(raw as u128 * span as u128) >> 64`, one raw `u64` per draw — over a
-//! lane group, so a kernel that draws a group at a time consumes the RNG
-//! stream in exactly the order the scalar loop does. Everything else in
-//! this module is memory schedule (whole-word bitset masks in
-//! [`crate::pool`], probe-start prefetching for [`crate::fastmap::FastMap`])
-//! and cannot change results by construction.
+//! lane group, so drawing a group at a time consumes the RNG stream in
+//! exactly the order a per-item loop does. Everything else in this module
+//! is memory schedule (whole-word bitset masks in [`crate::pool`],
+//! probe-start prefetching for [`crate::fastmap::FastMap`]) and cannot
+//! change results by construction.
 
-/// Lane width of the hand-unrolled kernels: four `u64`s — one 256-bit
+/// Lane width of the hand-unrolled hot path: four `u64`s — one 256-bit
 /// vector register on AVX2-class hardware, two on 128-bit NEON/SSE.
 pub const LANES: usize = 4;
 

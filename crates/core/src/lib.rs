@@ -67,7 +67,7 @@ pub mod theory;
 pub mod traits;
 pub mod transitivity;
 
-pub use bulk::{BulkKernel, BulkTriangleCounter, Level1Strategy};
+pub use bulk::{BulkTriangleCounter, Level1Strategy};
 pub use clique::FourCliqueCounter;
 pub use counter::{Aggregation, TriangleCounter};
 pub use engine::ShardedEngine;

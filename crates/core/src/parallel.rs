@@ -46,8 +46,8 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
 /// Builds the shard pool behind a [`ParallelBulkTriangleCounter`]:
 /// `ceil(r / shards)` estimators per shard, shard `i` seeded
 /// `seed + i * `[`SHARD_SEED_STRIDE`]. This *is* the counter's seeding
-/// contract — exposed so reference implementations (e.g. the
-/// spawn-per-batch benchmark baseline) stay estimate-for-estimate
+/// contract — exposed so the same shards run another way (sequentially,
+/// or on threads of the caller's own) stay estimate-for-estimate
 /// comparable by construction rather than by copying the recipe.
 ///
 /// # Panics

@@ -207,7 +207,7 @@ impl EstimatorPool {
         self.closer_set.clear(i);
     }
 
-    /// Column-only half of [`take_r1`](Self::take_r1) for the lane kernels:
+    /// Column-only half of [`take_r1`](Self::take_r1) for the Step-1 lane groups:
     /// writes the level-1 endpoint/position columns and zeroes the counter
     /// but leaves the presence bitsets untouched — the caller accumulates a
     /// per-word replacement mask and applies it once through

@@ -16,9 +16,7 @@
 //!   * `SEC_META`: kind `u8`, `r u64`, construction seed `u64`,
 //!     `edges_seen u64`, aggregation tag `u8` (0 mean, 1 median-of-means)
 //!     plus group count `u64`, and a level-1 strategy tag `u8`
-//!     (0 per-estimator, 1 geometric-skip). The hot-path kernel is
-//!     deliberately absent: both kernels are bit-identical, so a snapshot
-//!     restores under whichever kernel the receiving build prefers.
+//!     (0 per-estimator, 1 geometric-skip).
 //!   * [`SEC_COLUMNS`]: the ten pool columns, `10 × r` little-endian
 //!     `u64`s in [`crate::pool::EstimatorPool`] declaration order.
 //!   * [`SEC_BITSETS`]: the three presence bitsets (`r1`, `r2`, `closer`),

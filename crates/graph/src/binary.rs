@@ -49,7 +49,7 @@ pub const TSB_VERSION: u16 = 1;
 const FLAG_TIMESTAMPS: u16 = 1;
 
 /// Size of the fixed header in bytes.
-pub(crate) const HEADER_LEN: u64 = 16;
+const HEADER_LEN: u64 = 16;
 
 /// The parsed fixed header of a `.tsb` stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +81,7 @@ pub fn is_tsb_path<P: AsRef<Path>>(path: P) -> bool {
         .is_some_and(|ext| ext.eq_ignore_ascii_case("tsb"))
 }
 
-pub(crate) fn binary_error(offset: u64, reason: &'static str) -> GraphError {
+fn binary_error(offset: u64, reason: &'static str) -> GraphError {
     GraphError::Binary { offset, reason }
 }
 
@@ -89,12 +89,28 @@ pub(crate) fn binary_error(offset: u64, reason: &'static str) -> GraphError {
 /// stream is truncated (corruption); any other kind is a real I/O failure
 /// and must surface as such, so a transient disk error is never
 /// misdiagnosed as a malformed file.
-pub(crate) fn read_failed(e: std::io::Error, offset: u64, reason: &'static str) -> GraphError {
+fn read_failed(e: std::io::Error, offset: u64, reason: &'static str) -> GraphError {
     if e.kind() == std::io::ErrorKind::UnexpectedEof {
         binary_error(offset, reason)
     } else {
         GraphError::Io(e)
     }
+}
+
+/// Reads until `buf` is full or the stream ends and returns the number of
+/// bytes read. Unlike `read_exact`, a short stream says how far it got, so
+/// a truncation is located at its record rather than at the block start.
+fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<usize, GraphError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(GraphError::Io(e)),
+        }
+    }
+    Ok(filled)
 }
 
 /// Reads and validates the 16-byte header, leaving the reader positioned at
@@ -178,7 +194,7 @@ pub fn write_edges_binary_timestamped_file<P: AsRef<Path>>(
 }
 
 /// Decodes one record. `offset` is the record's byte offset, for errors.
-pub(crate) fn decode_edge(raw: &[u8], offset: u64) -> Result<Edge, GraphError> {
+fn decode_edge(raw: &[u8], offset: u64) -> Result<Edge, GraphError> {
     #[allow(clippy::expect_used)]
     // analyze: allow(P1, reason = "infallible: callers hand decode_edge chunks_exact(record_len >= 16) slices, so the constant-width subslice always converts")
     let u = u64::from_le_bytes(raw[0..8].try_into().expect("8-byte slice"));
@@ -224,6 +240,12 @@ impl<R: Read> RecordReader<R> {
 
     /// Reads and decodes up to `max` records into `out` (and their
     /// timestamps into `timestamps`, when requested and present).
+    ///
+    /// Errors come in stream order at the offset of the record they concern,
+    /// whatever `max` is: a stream that ends mid-block first has its whole
+    /// records decoded (so an earlier self-loop wins), then reports the
+    /// first incomplete record. The whole-stream and batched readers
+    /// therefore fail identically on the same bytes.
     fn read_records(
         &mut self,
         max: usize,
@@ -233,12 +255,10 @@ impl<R: Read> RecordReader<R> {
         let rec = self.header.record_len();
         let count = (self.remaining().min(max as u64)) as usize;
         self.block.resize(count * rec, 0);
-        self.reader
-            .read_exact(&mut self.block)
-            .map_err(|e| read_failed(e, self.offset(), "truncated record data"))?;
+        let whole = read_full(&mut self.reader, &mut self.block)? / rec;
         // Split the immutable view off before mutating `decoded`, so record
         // offsets in errors stay accurate per record.
-        for (i, raw) in self.block.chunks_exact(rec).enumerate() {
+        for (i, raw) in self.block[..whole * rec].chunks_exact(rec).enumerate() {
             let offset = self.offset() + (i * rec) as u64;
             out.push(decode_edge(raw, offset)?);
             if let Some(ts) = timestamps.as_deref_mut() {
@@ -254,6 +274,10 @@ impl<R: Read> RecordReader<R> {
                 };
                 ts.push(value);
             }
+        }
+        if whole < count {
+            let offset = self.offset() + (whole * rec) as u64;
+            return Err(binary_error(offset, "truncated record data"));
         }
         self.decoded += count as u64;
         Ok(())
@@ -514,6 +538,58 @@ mod tests {
             }
             other => panic!("expected a binary error, got {other}"),
         }
+    }
+
+    /// The first error of `buf` as the batched reader reports it.
+    fn first_batched_error(buf: &[u8], batch: usize) -> GraphError {
+        read_edges_binary_batched(buf, batch)
+            .unwrap()
+            .find_map(Result::err)
+            .expect("the stream is malformed")
+    }
+
+    #[test]
+    fn errors_are_located_the_same_whatever_the_block_size() {
+        let mut truncated = encode(&path_edges(40));
+        truncated.truncate(HEADER_LEN as usize + 25 * 16 + 5);
+        let mut self_loop = Vec::new();
+        write_header(&mut self_loop, false, 40).unwrap();
+        for i in 0..40u64 {
+            let v = if i == 25 { i } else { i + 1 };
+            self_loop.extend_from_slice(&i.to_le_bytes());
+            self_loop.extend_from_slice(&v.to_le_bytes());
+        }
+        let expected = HEADER_LEN + 25 * 16;
+        for (buf, reason) in [
+            (truncated, "truncated record data"),
+            (self_loop, "self-loop record (u == v)"),
+        ] {
+            let whole = read_edges_binary(buf.as_slice()).unwrap_err();
+            assert!(
+                matches!(whole, GraphError::Binary { offset, reason: r } if offset == expected && r == reason),
+                "{whole}"
+            );
+            for batch in [1, 3, 16, 26, 64] {
+                let batched = first_batched_error(&buf, batch);
+                assert_eq!(batched.to_string(), whole.to_string(), "batch {batch}");
+            }
+        }
+        // A self-loop before a truncation in the same block wins.
+        let mut both = encode(&path_edges(40));
+        both[HEADER_LEN as usize + 3 * 16 + 8..HEADER_LEN as usize + 4 * 16]
+            .copy_from_slice(&3u64.to_le_bytes());
+        both.truncate(HEADER_LEN as usize + 25 * 16 + 5);
+        for batch in [1, 16, 64] {
+            let err = first_batched_error(&both, batch);
+            assert!(
+                err.to_string().contains("self-loop"),
+                "batch {batch}: {err}"
+            );
+        }
+        assert!(read_edges_binary(both.as_slice())
+            .unwrap_err()
+            .to_string()
+            .contains(&format!("byte {}", HEADER_LEN + 3 * 16)));
     }
 
     #[test]

@@ -23,9 +23,6 @@
 //! * [`binary`] — the compact `.tsb` binary edge-stream codec (fixed-width
 //!   little-endian records, optional timestamp column) that the batched
 //!   readers decode at memcpy speed.
-//! * [`pipeline`] — pipelined multi-threaded `.tsb` decoding: a reader
-//!   thread plus a decode-worker pool behind bounded channels, yielding
-//!   byte-identical batches to the single-threaded reader.
 //! * [`frame`] — length-prefixed frame transport over any `Read`/`Write`
 //!   pair, the wire substrate of the `tristream serve` protocol
 //!   (`docs/PROTOCOL.md`).
@@ -46,8 +43,6 @@ pub mod exact;
 pub mod fault;
 pub mod frame;
 pub mod io;
-pub mod pipeline;
-mod ring;
 pub mod snapshot;
 pub mod stats;
 pub mod stream;

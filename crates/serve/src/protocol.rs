@@ -15,8 +15,7 @@
 //! can answer with — never a panic.
 
 use std::fmt;
-use tristream_graph::binary::write_edges_binary;
-use tristream_graph::pipeline::read_edges_binary_parallel;
+use tristream_graph::binary::{read_edges_binary, write_edges_binary};
 use tristream_graph::{Edge, GraphError};
 
 /// The four magic bytes opening every connection's HELLO payload —
@@ -412,18 +411,6 @@ impl Request {
         Ok(out)
     }
 
-    /// Decode workers for `EDGES` payloads: the machine's parallelism,
-    /// capped low — frame decoding shares the box with every session's
-    /// estimation shards, and the parallel decoder only engages above its
-    /// own size threshold anyway (see `docs/OPERATIONS.md` on thread
-    /// budgeting).
-    fn edge_decode_workers() -> usize {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(4)
-    }
-
     /// Decodes a request from its frame type byte and payload.
     pub fn decode(frame_type: u8, payload: &[u8]) -> Result<Request, WireError> {
         let frame_type = FrameType::from_byte(frame_type)
@@ -460,10 +447,9 @@ impl Request {
             },
             FrameType::Edges => {
                 let name = cur.string()?;
-                // The payload is already resident, so large frames decode
-                // on scoped worker threads (small ones fall through to the
-                // sequential reader inside `read_edges_binary_parallel`).
-                let edges = read_edges_binary_parallel(cur.rest(), Self::edge_decode_workers())
+                // Decoded on the connection's own thread: the `.tsb` block
+                // decoder runs far ahead of the estimation shards.
+                let edges = read_edges_binary(cur.rest())
                     .map_err(|e| WireError::new(ErrorCode::BadEdgePayload, e.to_string()))?;
                 return Ok(Request::Edges {
                     name,

@@ -1,21 +1,15 @@
-//! Zero-allocation steady state of the bulk hot path and the pipelined
-//! `.tsb` decode pipeline.
+//! Zero-allocation steady state of the bulk hot path.
 //!
 //! The SoA rewrite's pitch is that per-batch working state is *cleared,
 //! not reallocated*: after the scratch has grown to the high-water mark of
 //! the batch size in use, `process_batch` must never touch the heap again.
-//! The pipelined binary reader makes the same claim one layer down: with a
-//! recycling consumer, raw block buffers and decoded batch buffers
-//! circulate through bounded channels (which are ring buffers, not
-//! linked queues) and the steady state performs zero allocations per
-//! batch, worker threads included. This test pins both with a counting
-//! global allocator — not a profiler claim, an asserted invariant.
+//! This test pins that with a counting global allocator — not a profiler
+//! claim, an asserted invariant.
 //!
 //! This file must stay a dedicated integration-test binary with exactly
-//! one `#[test]` (both properties measured phase by phase inside it): a
-//! process has a single `#[global_allocator]`, and any sibling test
-//! running on another thread would count its own allocations into the
-//! measurement window.
+//! one `#[test]`: a process has a single `#[global_allocator]`, and any
+//! sibling test running on another thread would count its own allocations
+//! into the measurement window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,56 +88,4 @@ fn bulk_batches_do_not_allocate_in_the_steady_state() {
             "{strategy:?}: every replayed batch was ingested"
         );
     }
-
-    pipelined_decode_steady_state();
-}
-
-/// Phase two: the pipelined `.tsb` reader with a recycling consumer must
-/// be allocation-free per batch once every buffer is in circulation.
-#[allow(clippy::unwrap_used)] // test helper — same exemption as #[test] fns
-fn pipelined_decode_steady_state() {
-    use tristream::graph::binary::write_edges_binary;
-    use tristream::graph::pipeline::read_edges_binary_pipelined;
-
-    let stream = tristream::gen::holme_kim(600, 4, 0.4, 9);
-    let mut encoded = Vec::new();
-    write_edges_binary(stream.edges(), &mut encoded).unwrap();
-    const BATCH: usize = 64;
-    let total_batches = stream.len().div_ceil(BATCH);
-    assert!(
-        total_batches >= 24,
-        "need a long run to warm the pipeline and then measure"
-    );
-
-    let mut reader = read_edges_binary_pipelined(std::io::Cursor::new(encoded), BATCH, 2).unwrap();
-    let mut consumed = 0usize;
-    let mut edges = 0u64;
-    let mut window_allocs = 0u64;
-    let mut window_start = 0u64;
-    // Warm-up: the first half of the stream puts every raw block buffer
-    // and batch buffer into circulation (the reader runs several blocks
-    // ahead of the consumer, so its warm-up allocations can land a few
-    // batches late — half the stream is far past all of them). Then the
-    // measured window must be allocation-free end to end: reader thread,
-    // decode workers, channel sends, consumer.
-    while let Some(batch) = reader.next() {
-        let batch = batch.unwrap();
-        edges += batch.len() as u64;
-        reader.recycle(batch);
-        consumed += 1;
-        if consumed == total_batches / 2 {
-            window_start = ALLOCATIONS.load(Ordering::Relaxed);
-        } else if consumed == total_batches - 2 {
-            // Stop measuring just before the tail: the final short batch
-            // legitimately resizes a recycled buffer downward (len, not
-            // capacity) and the iterator's end-of-stream teardown frees
-            // channels — neither is per-batch work.
-            window_allocs = ALLOCATIONS.load(Ordering::Relaxed) - window_start;
-        }
-    }
-    assert_eq!(edges, stream.len() as u64, "every record was decoded");
-    assert_eq!(
-        window_allocs, 0,
-        "steady-state pipelined decoding must not allocate"
-    );
 }

@@ -1,9 +1,10 @@
-//! Equivalence of the lane kernel with the scalar kernel, and of the
-//! pipelined `.tsb` reader with the single-threaded one.
+//! Equivalence of the lane kernel with the scalar reference kernel.
 //!
-//! The SIMD-shaped hot path ([`BulkKernel::Lanes`]) processes estimators
-//! in groups of four with hand-unrolled lane loops and precomputed probe
-//! starts; the scalar kernel is the straight-line loop. They must be
+//! The SIMD-shaped hot path ([`BulkTriangleCounter::process_batch`])
+//! processes estimators in groups of four with hand-unrolled lane loops and
+//! precomputed probe starts, and runs the pool tail past the last full
+//! group one estimator at a time. The scalar kernel is the straight-line
+//! per-estimator loop of [`ReferenceBulkCounter`]. They must be
 //! **bit-identical** — same RNG consumption order, same estimator states
 //! after every batch, same estimate bits — for *any* pool size, which is
 //! only interesting at the remainder: pools of `r = 1` and `r = 3` never
@@ -11,16 +12,10 @@
 //! plus a one-estimator tail. Proptest drives those shapes (plus random
 //! `r`) over random streams, random batch splits and both level-1
 //! strategies.
-//!
-//! The decode-pipeline property is the ingestion-side mirror: for any
-//! stream, any batch size and any worker count, the pipelined reader must
-//! reproduce the single-threaded reader's batches — same boundaries, same
-//! contents, same order.
 
 use proptest::prelude::*;
-use tristream::core::{BulkKernel, Level1Strategy};
-use tristream::graph::binary::{read_edges_binary_batched, write_edges_binary};
-use tristream::graph::pipeline::read_edges_binary_pipelined;
+use tristream::core::reference::ReferenceBulkCounter;
+use tristream::core::Level1Strategy;
 use tristream::prelude::*;
 
 /// Strategy: a random small simple graph given as deduplicated endpoint
@@ -64,12 +59,8 @@ proptest! {
         } else {
             Level1Strategy::PerEstimator
         };
-        let mut lanes = BulkTriangleCounter::new(r, seed)
-            .with_level1_strategy(strategy)
-            .with_kernel(BulkKernel::Lanes);
-        let mut scalar = BulkTriangleCounter::new(r, seed)
-            .with_level1_strategy(strategy)
-            .with_kernel(BulkKernel::Scalar);
+        let mut lanes = BulkTriangleCounter::new(r, seed).with_level1_strategy(strategy);
+        let mut scalar = ReferenceBulkCounter::new(r, seed).with_level1_strategy(strategy);
         let mut start = 0;
         let mut cut = 0;
         while start < stream.len() {
@@ -88,33 +79,7 @@ proptest! {
         prop_assert_eq!(lanes.raw_estimates(), scalar.raw_estimates());
         prop_assert_eq!(
             TriangleEstimator::estimate(&lanes).to_bits(),
-            TriangleEstimator::estimate(&scalar).to_bits()
+            scalar.estimate().to_bits()
         );
-    }
-
-    #[test]
-    fn pipelined_reader_reproduces_single_threaded_batches(
-        pairs in random_edge_pairs(48, 120),
-        batch_size in 1usize..50,
-        workers in 1usize..5,
-    ) {
-        let stream = EdgeStream::from_pairs_dedup(pairs);
-        prop_assume!(!stream.is_empty());
-        let mut encoded = Vec::new();
-        write_edges_binary(stream.edges(), &mut encoded).unwrap();
-
-        let reference: Vec<Vec<Edge>> =
-            read_edges_binary_batched(encoded.as_slice(), batch_size)
-                .unwrap()
-                .map(|b| b.unwrap())
-                .collect();
-        let pipelined: Vec<Vec<Edge>> =
-            read_edges_binary_pipelined(std::io::Cursor::new(encoded), batch_size, workers)
-                .unwrap()
-                .map(|b| b.unwrap())
-                .collect();
-        // Same batch boundaries, same contents, same order — not merely
-        // the same concatenation.
-        prop_assert_eq!(pipelined, reference);
     }
 }

@@ -7,7 +7,7 @@
 //!    restoring into a fresh instance, and continuing produces `estimate()`
 //!    bits equal to the uninterrupted run, at every batch boundary after
 //!    the restore. Holds for the sequential bulk counter (both level-1
-//!    strategies and both hot-path kernels) and for the sharded wrapper.
+//!    strategies) and for the sharded wrapper.
 //! 2. **Merge equivalence** — `N` *independent* single-process counters
 //!    seeded `shard_seed(seed, i)` over the same batches are exactly the
 //!    shards of one `N`-shard run: merging their snapshots reproduces the
@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use tristream::core::snapshot::SnapshotError;
-use tristream::core::{shard_seed, BulkKernel, Level1Strategy};
+use tristream::core::{shard_seed, Level1Strategy};
 use tristream::prelude::*;
 
 /// Strategy: a random small simple graph given as deduplicated endpoint
@@ -177,26 +177,6 @@ proptest! {
         flipped[byte] ^= 1 << bit;
         prop_assert!(BulkTriangleCounter::from_snapshot(&flipped).is_err());
     }
-}
-
-#[test]
-fn snapshot_restores_across_kernels_bit_identically() {
-    let edges: Vec<Edge> = (0..60u64)
-        .flat_map(|i| [Edge::new(i, i + 1), Edge::new(i, i + 2)])
-        .collect();
-    let mut lanes = BulkTriangleCounter::new(48, 11).with_kernel(BulkKernel::Lanes);
-    lanes.process_batch(&edges[..70]);
-    let bytes = lanes.to_snapshot().expect("snapshot");
-    let mut scalar = BulkTriangleCounter::new(48, 11).with_kernel(BulkKernel::Scalar);
-    TriangleEstimator::restore(&mut scalar, &bytes).expect("restore");
-    assert_eq!(
-        scalar.kernel(),
-        BulkKernel::Scalar,
-        "receiver keeps its kernel"
-    );
-    lanes.process_batch(&edges[70..]);
-    scalar.process_batch(&edges[70..]);
-    assert_eq!(scalar.estimate().to_bits(), lanes.estimate().to_bits());
 }
 
 #[test]
