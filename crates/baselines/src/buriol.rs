@@ -19,7 +19,8 @@
 //! vertices are discovered as edges arrive, so the third vertex is
 //! maintained as a uniform reservoir sample over the vertices *discovered so
 //! far*. This preserves the algorithm's character (blind third vertex) and
-//! its failure mode; the deviation is recorded in DESIGN.md.
+//! its failure mode; the deviation is recorded in ARCHITECTURE.md
+//! (§ Baseline adaptations).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -230,6 +231,10 @@ impl TriangleEstimator for BuriolCounter {
     fn memory_words(&self) -> usize {
         self.estimators.len() * Self::words_per_estimator()
             + self.vertices.len() * tristream_core::words_for_bytes(std::mem::size_of::<VertexId>())
+    }
+
+    fn estimators_with_triangle(&self) -> Option<usize> {
+        Some(BuriolCounter::estimators_with_triangle(self))
     }
 }
 

@@ -3,10 +3,12 @@
 //! behind one name-indexed table of [`AlgoSpec`]s.
 //!
 //! The registry is what makes the layers above algorithm-generic:
-//! `tristream-cli count --algo <name>` resolves its flag here, the bench
-//! suite's equal-memory `accuracy-<algo>` workload family iterates over
-//! [`registry()`], and the sharded engine runs any entry via the boxed
-//! [`TriangleEstimator`] the constructors return. Each spec carries:
+//! `tristream-cli count` resolves its `--algo` flag here (`neighborhood-bulk`
+//! when absent), the bench suite's equal-memory `accuracy-<algo>` workload
+//! family iterates over [`registry()`], and the serve daemon builds every
+//! CREATEd stream here. Every estimator those layers run comes from
+//! [`AlgoSpec::build`] or, sharded, [`AlgoSpec::build_sharded`] — the one
+//! sharded recipe. Each spec carries:
 //!
 //! * a stable **name** (the CLI flag value and the BENCH.json `algo` field),
 //! * what its **space parameter** means (`r` estimators, `N` colors, …),
@@ -19,7 +21,8 @@
 
 use crate::{BuriolCounter, ColorfulTriangleCounter, ExactStreamingCounter, JowhariGhodsiCounter};
 use tristream_core::{
-    BulkTriangleCounter, SlidingWindowTriangleCounter, TriangleCounter, TriangleEstimator,
+    BulkTriangleCounter, ShardedEstimator, SlidingWindowTriangleCounter, TriangleCounter,
+    TriangleEstimator,
 };
 
 /// Window size used for `sliding` when the caller does not supply one:
@@ -72,11 +75,11 @@ pub struct AlgoSpec {
     pub reference: &'static str,
     /// Space parameter used when the caller does not pick one.
     pub default_space: usize,
-    /// Whether [`AlgoParams::space`] is a *pool size* that sharded
-    /// execution should split across shards (`ceil(space / shards)` per
-    /// shard, the `ParallelBulkTriangleCounter` contract, keeping total
-    /// space roughly constant), as opposed to a per-instance parameter —
-    /// like `pagh-tsourakakis`' color count — every shard needs in full.
+    /// Whether [`AlgoParams::space`] is a *pool size* that
+    /// [`build_sharded`](Self::build_sharded) splits across shards
+    /// (`ceil(space / shards)` per shard, keeping total space roughly
+    /// constant), as opposed to a per-instance parameter — like
+    /// `pagh-tsourakakis`' color count — every shard needs in full.
     pub splits_across_shards: bool,
     /// Whether the built estimator implements
     /// [`TriangleEstimator::snapshot`]/`restore` (the `TSS\0` checkpoint
@@ -104,6 +107,39 @@ impl AlgoSpec {
     /// Constructs a fresh estimator with the given parameters.
     pub fn build(&self, params: &AlgoParams) -> Box<dyn TriangleEstimator + Send> {
         (self.build)(params)
+    }
+
+    /// The sharded recipe every entry point shares — `count --parallel`
+    /// (with or without `--algo`), a served stream's CREATE, and the
+    /// offline twins the parity tests compare against: `shards`
+    /// estimators built by [`build`](Self::build) on persistent worker
+    /// threads. A pool-type space parameter
+    /// ([`splits_across_shards`](Self::splits_across_shards)) is split
+    /// `ceil(space / shards)` per shard; any other goes to every shard
+    /// whole. Shard `i` is seeded `shard_seed(params.seed, i)` by
+    /// [`ShardedEstimator::from_factory`], so one shard is bit-identical
+    /// to `build(params)` fed the same batches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    pub fn build_sharded(
+        &self,
+        params: &AlgoParams,
+        shards: usize,
+    ) -> ShardedEstimator<Box<dyn TriangleEstimator + Send>> {
+        let space = if self.splits_across_shards {
+            params.space.div_ceil(shards)
+        } else {
+            params.space
+        };
+        ShardedEstimator::from_factory(shards, params.seed, |seed| {
+            self.build(&AlgoParams {
+                space,
+                seed,
+                ..*params
+            })
+        })
     }
 
     /// The space parameter expected to land near `budget_words` of
@@ -492,6 +528,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn build_sharded_splits_pool_sizes_across_shards() {
+        // Pool-type spaces split `ceil(space / shards)` per shard (34 over
+        // 3 shards is 12 each); per-instance spaces, like the colors of
+        // `pagh-tsourakakis`, go to every shard whole. The recipe spelled
+        // out by hand — split, window and `from_factory`'s shard seeds —
+        // must give the same bits as `build_sharded` for every algorithm.
+        let stream = tristream_gen::planted_triangles(20, 60, 5);
+        let params = AlgoParams {
+            space: 34,
+            seed: 4,
+            window: Some(50),
+        };
+        for spec in registry() {
+            let mut sharded = spec.build_sharded(&params, 3);
+            let space = if spec.splits_across_shards { 12 } else { 34 };
+            let mut by_hand = ShardedEstimator::from_factory(3, 4, |seed| {
+                spec.build(&AlgoParams {
+                    space,
+                    seed,
+                    ..params
+                })
+            });
+            for batch in stream.batches(16) {
+                sharded.process_batch(batch);
+                by_hand.process_batch(batch);
+            }
+            assert_eq!(sharded.num_shards(), 3, "{}", spec.name);
+            let bits = |s: &ShardedEstimator<_>| -> Vec<u64> {
+                s.shard_estimates().iter().map(|e| e.to_bits()).collect()
+            };
+            assert_eq!(bits(&sharded), bits(&by_hand), "{}", spec.name);
+            assert_eq!(
+                sharded.memory_words(),
+                by_hand.memory_words(),
+                "{}",
+                spec.name
+            );
+        }
+        assert!(!find_algo("pagh-tsourakakis").unwrap().splits_across_shards);
+        // The pool really is split: r = 1,000 over 4 shards costs the words
+        // of 4 pools of 250, not 4 of 1,000.
+        let bulk = find_algo("neighborhood-bulk").unwrap();
+        assert_eq!(
+            bulk.build_sharded(&AlgoParams::new(1_000, 1), 4)
+                .memory_words(),
+            4 * bulk.build(&AlgoParams::new(250, 1)).memory_words()
+        );
     }
 
     #[test]

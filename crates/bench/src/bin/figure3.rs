@@ -1,6 +1,7 @@
 //! Regenerates Figure 3 of the paper: the dataset summary table (left panel)
 //! and log-binned degree-frequency histograms (right panel) for every
-//! dataset stand-in. See DESIGN.md §3 for how stand-ins replace SNAP data.
+//! dataset stand-in. See README.md § Datasets for how stand-ins replace
+//! SNAP data.
 
 use tristream_bench::experiments::{figure3_degree_histograms, figure3_summary};
 use tristream_bench::write_csv;

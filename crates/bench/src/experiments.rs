@@ -20,8 +20,8 @@ use tristream_graph::{DegreeHistogram, DegreeTable};
 /// Default estimator-pool sizes for the Table 3 / Figure 4 experiments.
 ///
 /// The paper uses 1K / 128K / 1M on the full-scale datasets; the stand-ins
-/// are scaled down (DESIGN.md §3), so the default pool sizes are scaled down
-/// with them while keeping the 1 : 128 : 1024 ratio.
+/// are scaled down (README.md § Datasets), so the default pool sizes are
+/// scaled down with them while keeping the 1 : 128 : 1024 ratio.
 pub const TABLE3_ESTIMATORS: [usize; 3] = [1_024, 16_384, 131_072];
 
 /// Estimator counts used by the baseline study (Tables 1–2), matching the

@@ -1,5 +1,6 @@
 //! Experiment harness for reproducing every table and figure of the paper's
-//! evaluation (§4), plus Criterion micro-benchmarks and ablations.
+//! evaluation (§4), plus the named workload suite behind `BENCH.json`
+//! ([`run_suite`]).
 //!
 //! Each table/figure has a dedicated binary (`table1`, `table2`, `table3`,
 //! `figure3`, `figure4`, `figure5`, `figure6`; `run_all` chains them). Every

@@ -53,8 +53,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 use tristream_baselines::registry::{find_algo, AlgoParams, StreamHint};
 use tristream_core::{
-    BulkTriangleCounter, Level1Strategy, ParallelBulkTriangleCounter, ReferenceBulkCounter,
-    ShardedEstimator, TriangleEstimator,
+    BulkTriangleCounter, ReferenceBulkCounter, ShardedEstimator, TriangleEstimator,
 };
 use tristream_gen::DatasetKind;
 use tristream_graph::binary::{read_edges_binary_batched_file, write_edges_binary_file};
@@ -296,8 +295,8 @@ fn ingest_workloads_in(
 
 /// The `hot-path` family: the pre-pool reference bulk counter vs the
 /// SoA-pool counter, same stream, same seeds, same batch boundaries,
-/// sequential on one thread (no engine in the way). Both run the
-/// production `GeometricSkip` level-1 strategy. Estimates are asserted
+/// sequential on one thread (no engine in the way). Both run the §4
+/// geometric-skip level-1 walk. Estimates are asserted
 /// bit-identical — the two implementations share one RNG-consumption
 /// contract — so the rows measure pure hot-path throughput.
 fn hot_path_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<WorkloadResult> {
@@ -310,8 +309,7 @@ fn hot_path_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<Workload
         for t in 0..config.trials {
             let trial_seed = config.seed.wrapping_add(t as u64);
             let run_reference = |latencies: &mut Vec<f64>| {
-                let mut counter = ReferenceBulkCounter::new(r, trial_seed)
-                    .with_level1_strategy(Level1Strategy::GeometricSkip);
+                let mut counter = ReferenceBulkCounter::new(r, trial_seed);
                 let start = Instant::now();
                 counter.process_stream(edges, w);
                 let estimate = counter.estimate();
@@ -319,8 +317,7 @@ fn hot_path_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<Workload
                 estimate
             };
             let run_pooled = |latencies: &mut Vec<f64>| {
-                let mut counter = BulkTriangleCounter::new(r, trial_seed)
-                    .with_level1_strategy(Level1Strategy::GeometricSkip);
+                let mut counter = BulkTriangleCounter::new(r, trial_seed);
                 let start = Instant::now();
                 counter.process_stream(edges, w);
                 let estimate = counter.estimate();
@@ -392,13 +389,17 @@ fn accuracy_workloads(config: &BenchConfig) -> Vec<WorkloadResult> {
         Some((summary.mean_deviation_pct / 100.0, BOUND_BULK_SYN3REG)),
     ));
 
-    // Parallel sharded counter on a planted-triangle graph (exact truth by
-    // construction).
+    // The sharded `count --parallel` recipe on a planted-triangle graph
+    // (exact truth by construction).
     let planted = tristream_gen::planted_triangles(400, 1_200, config.seed);
     let truth = 400.0;
+    let bulk = find_algo("neighborhood-bulk")
+        .unwrap_or_else(|| panic!("neighborhood-bulk is not in the registry"));
     let summary = run_trials(truth, config.trials, config.seed, |sd| {
-        let mut counter = ParallelBulkTriangleCounter::new(r, config.shards, sd);
-        counter.process_stream(planted.edges(), 8 * r);
+        let mut counter = bulk.build_sharded(&AlgoParams::new(r, sd), config.shards);
+        for batch in planted.edges().chunks(8 * r) {
+            counter.process_batch(batch);
+        }
         counter.estimate()
     });
     let latencies: Vec<f64> = summary
@@ -699,9 +700,9 @@ fn snapshot_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<Workload
 }
 
 /// Builds the serve engine recipe `docs/PROTOCOL.md` documents for CREATE
-/// (`space_for_budget` under [`SERVE_STREAM_HINT`], ceil split across
-/// shards, shard-salted seeds) — the estimator a CREATE frame with these
-/// parameters stands up.
+/// (`space_for_budget` under [`SERVE_STREAM_HINT`], then the registry's
+/// `build_sharded`) — the estimator a CREATE frame with these parameters
+/// stands up.
 fn serve_recipe_engine(
     algo: &str,
     seed: u64,
@@ -712,18 +713,7 @@ fn serve_recipe_engine(
         find_algo(algo).unwrap_or_else(|| panic!("algorithm {algo:?} is not in the registry"));
     let budget = usize::try_from(budget_words).unwrap_or(usize::MAX);
     let space = spec.space_for_budget(budget, &SERVE_STREAM_HINT);
-    let shard_space = if spec.splits_across_shards {
-        space.div_ceil(shards)
-    } else {
-        space
-    };
-    ShardedEstimator::from_factory(shards, seed, |shard_seed| {
-        spec.build(&AlgoParams {
-            space: shard_space,
-            seed: shard_seed,
-            window: None,
-        })
-    })
+    spec.build_sharded(&AlgoParams::new(space, seed), shards)
 }
 
 /// The offline twin of a served stream: the [`serve_recipe_engine`], fed

@@ -73,7 +73,8 @@ pub enum Command {
         /// color count for `pagh-tsourakakis`. `None` means "the
         /// algorithm's default" (100 000 for the default counter).
         estimators: Option<usize>,
-        /// Batch size (defaults to 8 × estimators when `None`).
+        /// Batch size (`None`: 8 × the space parameter, clamped to
+        /// 4,096..=1,048,576).
         batch: Option<usize>,
         /// RNG seed.
         seed: u64,
@@ -85,9 +86,9 @@ pub enum Command {
         /// Number of shards for `--parallel` (defaults to the number of
         /// available CPUs when `None`).
         shards: Option<usize>,
-        /// Which registered algorithm to run (`None`: the default
-        /// neighborhood-sampling bulk counter). Validated against the
-        /// registry at parse time.
+        /// Which registered algorithm to run (`None`: `neighborhood-bulk`,
+        /// exactly as if it were named). Validated against the registry at
+        /// parse time.
         algo: Option<String>,
         /// Sliding-window size; only valid with `--algo sliding`.
         window: Option<u64>,
@@ -278,16 +279,24 @@ USAGE:
   tristream-cli help
 
 `count --algo NAME` selects the counting algorithm from the registry:
-neighborhood, neighborhood-bulk (the default), sliding, exact, buriol,
-jowhari-ghodsi, pagh-tsourakakis. `--estimators` sets the algorithm's
-space parameter (estimator count; color count N for pagh-tsourakakis),
-and `--window` sets the sliding-window size for `--algo sliding`. Every
-algorithm works over text and .tsb inputs, sequentially or sharded with
-`--parallel`.
+neighborhood, neighborhood-bulk (the default: `count` without `--algo` is
+`count --algo neighborhood-bulk`), sliding, exact, buriol, jowhari-ghodsi,
+pagh-tsourakakis. `--estimators` sets the algorithm's space parameter
+(estimator count; color count N for pagh-tsourakakis; default: the
+algorithm's own), `--batch` defaults to 8 × that, clamped to
+4096..1048576, and `--window` sets the sliding-window size for `--algo
+sliding`. Every algorithm works over text and .tsb inputs, sequentially
+or sharded with `--parallel`. The report gives the estimate, the resident
+memory in words and, for the neighborhood-sampling pools, how many
+estimators hold a triangle (a handful means the estimate rests on very
+few samples).
 
-`count --parallel` shards the estimator pool across K persistent worker
-threads (default: available CPUs) and streams the file batch by batch
-instead of loading it whole (duplicate edges are then kept as-is).
+`count --parallel` runs K shards on persistent worker threads (default
+K: available CPUs) and streams the file batch by batch instead of loading
+it whole (duplicate edges are then kept as-is). An estimator pool is
+split ceil(N/K) per shard and the estimate is the mean over shards; a
+served stream's CREATE builds the same way, so the same seed gives the
+same bits. With one shard it prints exactly what `count` prints.
 
 Edge lists are SNAP-style text files: one `u v` pair per line, `#` comments.
 Files with the `.tsb` extension use the tristream binary edge-stream format

@@ -16,10 +16,7 @@ use tristream_baselines::registry::{find_algo, AlgoParams};
 use tristream_baselines::ExactStreamingCounter;
 use tristream_bench::{run_suite, BenchConfig};
 use tristream_core::engine::drain_batch_source;
-use tristream_core::{
-    BulkTriangleCounter, ParallelBulkTriangleCounter, ShardedEstimator, TransitivityEstimator,
-    TriangleEstimator, TriangleSampler,
-};
+use tristream_core::{TransitivityEstimator, TriangleEstimator, TriangleSampler};
 use tristream_gen::{DatasetKind, StandIn};
 use tristream_graph::binary::{
     is_tsb_path, read_edges_binary_batched_file, read_edges_binary_file, write_edges_binary_file,
@@ -41,8 +38,8 @@ fn read_stream_auto<P: AsRef<Path>>(path: P) -> Result<EdgeStream, GraphError> {
     }
 }
 
-/// A boxed *batch source* — the shape `ParallelBulkTriangleCounter::
-/// process_source` ingests.
+/// A boxed *batch source* — the shape `ShardedEstimator::process_source`
+/// ingests.
 type BatchSource = Box<dyn Iterator<Item = Result<Vec<Edge>, GraphError>>>;
 
 /// Opens a file as a [batch source](BatchSource) (the engine-side ingestion
@@ -111,85 +108,27 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             algo,
             window,
         } => {
-            if let Some(name) = algo {
+            if !exact {
+                let name = algo.as_deref().unwrap_or(DEFAULT_COUNT_ALGO);
                 return run_count_algo(
-                    &input, &name, estimators, batch, seed, parallel, shards, window,
+                    &input, name, estimators, batch, seed, parallel, shards, window,
                 );
-            }
-            // Default pool size comes from the registry's entry for the
-            // algorithm this path runs, so the two stay in sync.
-            let estimators = estimators.unwrap_or_else(|| {
-                find_algo("neighborhood-bulk")
-                    .expect("the default algorithm is registered")
-                    .default_space
-            });
-            let batch = batch.unwrap_or_else(|| estimators.saturating_mul(8).max(1));
-            if parallel && !exact {
-                // Streaming path: the file is consumed batch by batch and
-                // never materialised whole; each batch is fed to the
-                // persistent sharded worker pool.
-                let shards = shards.unwrap_or_else(default_shards).max(1);
-                let start = Instant::now();
-                let mut counter = ParallelBulkTriangleCounter::new(estimators.max(1), shards, seed);
-                let decode_secs = Rc::new(Cell::new(0.0));
-                let source = TimedBatches {
-                    inner: open_batched_auto(&input, batch)?,
-                    decode_secs: Rc::clone(&decode_secs),
-                };
-                let edges = counter.process_source(source)?;
-                // `estimate()` synchronises with the workers, so the elapsed
-                // time (and the throughput derived from it) covers actual
-                // processing, not just enqueueing.
-                let estimate = counter.estimate();
-                let elapsed = start.elapsed().as_secs_f64();
-                return Ok(format!(
-                    "estimated triangle count: {:.0} (r = {}, shards = {}, batch = {}, {} edges \
-                     in {:.3} s, {} estimators hold a triangle)\n{}{}",
-                    estimate,
-                    counter.num_estimators(),
-                    shards,
-                    batch,
-                    edges,
-                    elapsed,
-                    counter.estimators_with_triangle(),
-                    throughput_line(edges, elapsed),
-                    split_line(decode_secs.get(), elapsed)
-                ));
             }
             let read_start = Instant::now();
             let stream = read_stream_auto(&input)?;
             let decode_secs = read_start.elapsed().as_secs_f64();
-            if exact {
-                let start = Instant::now();
-                let mut counter = ExactStreamingCounter::new();
-                counter.process_edges(stream.edges());
-                let elapsed = start.elapsed().as_secs_f64();
-                Ok(format!(
-                    "exact triangle count: {} ({} edges in {:.3} s)\n{}{}",
-                    counter.triangles(),
-                    stream.len(),
-                    elapsed,
-                    throughput_line(stream.len() as u64, elapsed),
-                    split_line(decode_secs, decode_secs + elapsed)
-                ))
-            } else {
-                let start = Instant::now();
-                let mut counter = BulkTriangleCounter::new(estimators.max(1), seed);
-                counter.process_stream(stream.edges(), batch);
-                let elapsed = start.elapsed().as_secs_f64();
-                Ok(format!(
-                    "estimated triangle count: {:.0} (r = {}, batch = {}, {} edges in {:.3} s, \
-                     {} estimators hold a triangle)\n{}{}",
-                    counter.estimate(),
-                    estimators,
-                    batch,
-                    stream.len(),
-                    elapsed,
-                    counter.estimators_with_triangle(),
-                    throughput_line(stream.len() as u64, elapsed),
-                    split_line(decode_secs, decode_secs + elapsed)
-                ))
-            }
+            let start = Instant::now();
+            let mut counter = ExactStreamingCounter::new();
+            counter.process_edges(stream.edges());
+            let elapsed = start.elapsed().as_secs_f64();
+            Ok(format!(
+                "exact triangle count: {} ({} edges in {:.3} s)\n{}{}",
+                counter.triangles(),
+                stream.len(),
+                elapsed,
+                throughput_line(stream.len() as u64, elapsed),
+                split_line(decode_secs, decode_secs + elapsed)
+            ))
         }
         Command::Transitivity {
             input,
@@ -451,8 +390,16 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
     }
 }
 
-/// `count --algo <name>`: runs any registry algorithm over the input —
-/// text or `.tsb`, sequential or sharded across the generic engine.
+/// The registry algorithm `count` runs when no `--algo` is given.
+const DEFAULT_COUNT_ALGO: &str = "neighborhood-bulk";
+
+/// `count [--algo <name>]`: runs a registry algorithm over the input — text
+/// or `.tsb`, sequentially through [`AlgoSpec::build`] or sharded across
+/// the generic engine through [`AlgoSpec::build_sharded`], the recipe the
+/// serve daemon's CREATE uses too.
+///
+/// [`AlgoSpec::build`]: tristream_baselines::registry::AlgoSpec::build
+/// [`AlgoSpec::build_sharded`]: tristream_baselines::registry::AlgoSpec::build_sharded
 #[allow(clippy::too_many_arguments)]
 fn run_count_algo(
     input: &Path,
@@ -470,87 +417,65 @@ fn run_count_algo(
     // Sampling pools want the paper's w ≈ 8r; small-space algorithms
     // (e.g. a handful of colors) still deserve real batches.
     let batch = batch.unwrap_or_else(|| space.saturating_mul(8).clamp(4_096, 1 << 20));
+    let params = AlgoParams {
+        space,
+        seed,
+        window,
+    };
     let start = Instant::now();
-    if parallel {
+    let decode_secs = Rc::new(Cell::new(0.0));
+    let (counter, edges, shards_note): (Box<dyn TriangleEstimator>, u64, String) = if parallel {
         let shards = shards.unwrap_or_else(default_shards).max(1);
-        // Pool sizes split across shards exactly as the non-algo
-        // `--parallel` path does (`ceil(r / shards)` per shard), so
-        // `--estimators` keeps one meaning and total space stays roughly
-        // constant; per-instance parameters (colors) go to every shard
-        // whole.
-        let shard_space = if spec.splits_across_shards {
-            space.div_ceil(shards)
-        } else {
-            space
-        };
-        let mut counter = ShardedEstimator::from_factory(shards, seed, |shard_seed| {
-            spec.build(&AlgoParams {
-                space: shard_space,
-                seed: shard_seed,
-                window,
-            })
-        });
-        let decode_secs = Rc::new(Cell::new(0.0));
+        let mut counter = spec.build_sharded(&params, shards);
         let source = TimedBatches {
             inner: open_batched_auto(input, batch)?,
             decode_secs: Rc::clone(&decode_secs),
         };
         let edges = counter.process_source(source)?;
-        // As in the default parallel path: `estimate()` synchronises, so
-        // the measured wall clock covers processing.
-        let estimate = counter.estimate();
-        let elapsed = start.elapsed().as_secs_f64();
-        return Ok(format!(
-            "estimated triangle count: {:.0} (algo = {}, space = {}, shards = {}, batch = {}, \
-             {} edges in {:.3} s, memory = {} words)\n{}{}",
-            estimate,
-            spec.name,
-            space,
-            shards,
-            batch,
-            edges,
-            elapsed,
-            counter.memory_words(),
-            throughput_line(edges, elapsed),
-            split_line(decode_secs.get(), elapsed)
-        ));
-    }
-    let mut counter = spec.build(&AlgoParams {
-        space,
-        seed,
-        window,
-    });
-    // `.tsb` inputs stream batch by batch (the batched and whole-file
-    // binary readers produce identical streams, so this changes peak
-    // memory, not results); text inputs go through the whole-file reader
-    // to keep its deduplicating semantics.
-    let decode_secs = Rc::new(Cell::new(0.0));
-    let edges = if is_tsb_path(input) {
-        let source = TimedBatches {
-            inner: open_batched_auto(input, batch)?,
-            decode_secs: Rc::clone(&decode_secs),
-        };
-        drain_batch_source(source, |chunk| counter.process_edges(chunk))?
+        (Box::new(counter), edges, format!("shards = {shards}, "))
     } else {
-        let read_start = Instant::now();
-        let stream = read_stream_auto(input)?;
-        decode_secs.set(read_start.elapsed().as_secs_f64());
-        for chunk in stream.edges().chunks(batch) {
-            counter.process_edges(chunk);
-        }
-        stream.len() as u64
+        let mut counter = spec.build(&params);
+        // `.tsb` inputs stream batch by batch (the batched and whole-file
+        // binary readers produce identical streams, so this changes peak
+        // memory, not results); text inputs go through the whole-file
+        // reader to keep its deduplicating semantics.
+        let edges = if is_tsb_path(input) {
+            let source = TimedBatches {
+                inner: open_batched_auto(input, batch)?,
+                decode_secs: Rc::clone(&decode_secs),
+            };
+            drain_batch_source(source, |chunk| counter.process_edges(chunk))?
+        } else {
+            let read_start = Instant::now();
+            let stream = read_stream_auto(input)?;
+            decode_secs.set(read_start.elapsed().as_secs_f64());
+            for chunk in stream.edges().chunks(batch) {
+                counter.process_edges(chunk);
+            }
+            stream.len() as u64
+        };
+        (counter, edges, String::new())
     };
+    // A sharded `estimate()` synchronises with the workers, so the wall
+    // clock measured after it covers processing, not just enqueueing.
+    let estimate = counter.estimate();
     let elapsed = start.elapsed().as_secs_f64();
+    let held = counter
+        .estimators_with_triangle()
+        .map(|k| format!(", {k} estimators hold a triangle"))
+        .unwrap_or_default();
     Ok(format!(
-        "estimated triangle count: {:.0} (algo = {}, space = {}, batch = {}, {} edges in \
-         {:.3} s, memory = {} words)\n{}{}",
-        counter.estimate(),
+        "estimated triangle count: {:.0} (algo = {}, space = {}, {}batch = {}, {} edges in \
+         {:.3} s, memory = {} words{})\n{}{}",
+        estimate,
         spec.name,
         space,
+        shards_note,
         batch,
         edges,
         elapsed,
         counter.memory_words(),
+        held,
         throughput_line(edges, elapsed),
         split_line(decode_secs.get(), elapsed)
     ))

@@ -377,6 +377,102 @@ fn malformed_tsb_fails_identically_on_every_count_path() {
     }
 }
 
+/// The parts of a `count` report that depend only on the estimator state:
+/// the rounded estimate, then the resident words and the estimators
+/// holding a triangle when the report has them (everything but the
+/// timings and the shard count).
+fn count_answer(output: &Output) -> (String, Option<String>, Option<String>) {
+    assert!(output.status.success(), "{output:?}");
+    let text = stdout(output);
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix("estimated triangle count: "))
+        .unwrap_or_else(|| panic!("no estimate in {text}"));
+    let after = |key: &str| {
+        let rest = line.split(key).nth(1)?;
+        Some(rest.split([',', ')']).next()?.to_string())
+    };
+    let estimate = line.split_whitespace().next().unwrap().to_string();
+    (estimate, after("memory = "), after("words, "))
+}
+
+#[test]
+fn every_count_form_runs_the_one_registry_recipe() {
+    // A skewed stream (the YouTube stand-in at 1/1024: 3,303 edges, max
+    // degree 73) cut into 7 batches. Without `--algo`, `count` is `count
+    // --algo neighborhood-bulk`, sequential or sharded: the two sequential
+    // forms print one answer, the two forms at K shards print one answer,
+    // and at K = 1 all four agree.
+    let text_list = temp_path("parity.txt");
+    let tsb = temp_path("parity.tsb");
+    let generate = run(&[
+        "generate",
+        "youtube",
+        "--scale",
+        "64",
+        "--seed",
+        "3",
+        "--output",
+        text_list.to_str().unwrap(),
+    ]);
+    assert!(generate.status.success(), "{generate:?}");
+    let convert = run(&[
+        "convert",
+        text_list.to_str().unwrap(),
+        "--output",
+        tsb.to_str().unwrap(),
+    ]);
+    assert!(convert.status.success(), "{convert:?}");
+    let file = tsb.to_str().unwrap();
+    for seed in ["1", "2"] {
+        let answer = |extra: &[&str]| {
+            let mut args = vec![
+                "count",
+                file,
+                "--estimators",
+                "4000",
+                "--batch",
+                "512",
+                "--seed",
+                seed,
+            ];
+            args.extend(extra);
+            count_answer(&run(&args))
+        };
+        let algo = ["--algo", "neighborhood-bulk"];
+        let sharded = |shards: &str| {
+            let flags = ["--parallel", "--shards", shards];
+            (answer(&flags), answer(&[&algo[..], &flags[..]].concat()))
+        };
+        let sequential = (answer(&[]), answer(&algo));
+        let (one, two) = (sharded("1"), sharded("2"));
+        let pairs = [
+            ("sequential", &sequential),
+            ("one shard", &one),
+            (
+                "one shard against none",
+                &(one.0.clone(), sequential.0.clone()),
+            ),
+            ("two shards", &two),
+        ];
+        // Every estimate first, so a parity break reads as one; then the
+        // rest of each answer.
+        for (what, (a, b)) in pairs {
+            assert_eq!(a.0, b.0, "seed {seed}, {what}: estimates differ");
+        }
+        for (what, (a, b)) in pairs {
+            assert_eq!(a, b, "seed {seed}, {what}");
+        }
+        let held = sequential.0 .2.clone().unwrap_or_default();
+        assert!(
+            held.ends_with("estimators hold a triangle") && !held.starts_with('0'),
+            "seed {seed}: some estimator must hold a triangle: {sequential:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&text_list);
+    let _ = std::fs::remove_file(&tsb);
+}
+
 #[test]
 fn convert_and_binary_count_end_to_end() {
     let text_list = temp_path("convert.txt");

@@ -7,8 +7,12 @@
 //! batch one edge at a time, in only `O(r + w)` time and `O(r + w)` working
 //! space:
 //!
-//! 1. **Level-1 resampling** — one reservoir draw per estimator over
-//!    "old stream vs. this batch".
+//! 1. **Level-1 resampling** — every estimator independently replaces its
+//!    level-1 edge with a uniform batch edge with probability `w/(m+w)`
+//!    (the reservoir step over "old stream vs. this batch"). Following §4,
+//!    the step draws the geometric gaps between the estimators that do
+//!    replace and skips the rest, so its expected cost is
+//!    `O(r·w/(m+w) + 1)` draws rather than one draw per estimator.
 //! 2. **Level-2 candidate tracking** — the candidate set `N(r₁) ∩ B` is
 //!    characterised implicitly by vertex degrees within the batch
 //!    (Observation 3.6). A first pass of the degree-keeping edge iterator
@@ -70,20 +74,11 @@ use tristream_graph::snapshot::{put_u64s, SnapshotError, SnapshotReader, Snapsho
 use tristream_graph::Edge;
 use tristream_sample::{mean, median_of_means, salted_seed, splitmix64, GeometricSkip};
 
-/// How Step 1 (level-1 resampling) walks over the estimator pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Level1Strategy {
-    /// One reservoir draw per estimator per batch — the straightforward
-    /// `O(r)` implementation of the conceptual algorithm.
-    #[default]
-    PerEstimator,
-    /// The §4 optimisation: as the stream grows, the per-estimator
-    /// replacement probability `w/(m+w)` shrinks, so instead of touching all
-    /// `r` estimators the implementation draws geometric gaps between the
-    /// estimators that actually replace their level-1 edge and skips the
-    /// rest. Expected work per batch is `O(r·w/(m+w) + w)`.
-    GeometricSkip,
-}
+/// Level-1 tag written into every snapshot's meta section: the geometric
+/// skip walk of Step 1. Snapshots written before the per-estimator walk was
+/// removed may carry tag 0; restore accepts both, because the tag never
+/// described saved state, only how later batches draw.
+const LEVEL1_TAG_GEOMETRIC_SKIP: u8 = 1;
 
 /// Chain terminator for the per-estimator `next` columns in
 /// [`BatchScratch`].
@@ -417,7 +412,6 @@ pub struct BulkTriangleCounter {
     /// hash seeds (a pure SplitMix64 derivation of it) on restore.
     seed: u64,
     aggregation: Aggregation,
-    level1_strategy: Level1Strategy,
 }
 
 impl BulkTriangleCounter {
@@ -454,7 +448,6 @@ impl BulkTriangleCounter {
             rng: BufferedRng::seed_from_u64(seed),
             seed,
             aggregation,
-            level1_strategy: Level1Strategy::default(),
         }
     }
 
@@ -462,18 +455,6 @@ impl BulkTriangleCounter {
     /// construction seed, shared by the constructor and snapshot restore.
     fn hash_seed(seed: u64) -> u64 {
         splitmix64(salted_seed(seed, 0xB0_1D_FA_CE_0F_F1_CE_5E))
-    }
-
-    /// Selects how level-1 resampling iterates over the pool (see
-    /// [`Level1Strategy`]); returns `self` for builder-style chaining.
-    pub fn with_level1_strategy(mut self, strategy: Level1Strategy) -> Self {
-        self.level1_strategy = strategy;
-        self
-    }
-
-    /// The level-1 resampling strategy in use.
-    pub fn level1_strategy(&self) -> Level1Strategy {
-        self.level1_strategy
     }
 
     /// Resident memory of the estimator pool in bytes — ten `u64` columns
@@ -536,10 +517,9 @@ impl BulkTriangleCounter {
     /// The steps run in u64×4 lane groups ([`crate::lanes`]), with per-item
     /// remainder loops for the tail past the last full group. RNG draws come
     /// in [`LANES`]-wide groups in the *same order* a per-item loop consumes
-    /// them, Step-1 presence bits are written as whole-word masks, and every
-    /// [`FastMap`] access in the edge scans probes from a start index hashed
-    /// one lane group ahead and prefetched — a memory schedule only, so the
-    /// results stay bit-identical to
+    /// them, and every [`FastMap`] access in the edge scans probes from a
+    /// start index hashed one lane group ahead and prefetched — a memory
+    /// schedule only, so the results stay bit-identical to
     /// [`crate::reference::ReferenceBulkCounter`].
     ///
     /// Allocation-free in the steady state: all working memory comes from
@@ -559,85 +539,39 @@ impl BulkTriangleCounter {
         scratch.prepare(w);
 
         // ---- Step 1: level-1 reservoir over (old stream) ++ (batch). ------
-        match self.level1_strategy {
-            Level1Strategy::PerEstimator => {
-                let total = m + w as u64;
-                // Draw a lane group of reservoir positions at a time and
-                // accumulate each 64-estimator word's replacement mask, so
-                // the three presence bitsets are updated with three word
-                // operations instead of three bit operations per replaced
-                // estimator.
-                let mut idx = 0usize;
-                for word_idx in 0..pool.r1_set.words().len() {
-                    let word_end = ((word_idx + 1) * 64).min(r);
-                    let mut mask = 0u64;
-                    while idx + LANES <= word_end {
-                        let draws = lemire4(self.rng.next_lane(), total);
-                        for (lane, draw) in draws.into_iter().enumerate() {
-                            if draw >= m {
-                                let i = idx + lane;
-                                let k = (draw - m) as usize;
-                                pool.set_r1_columns(i, batch[k], m + k as u64 + 1);
-                                mask |= 1u64 << (i % 64);
-                                scratch.replaced.push((i as u32, k as u32));
-                            }
-                        }
-                        idx += LANES;
-                    }
-                    // Per-item remainder: the tail of the final word.
-                    while idx < word_end {
-                        let draw = self.rng.gen_range(0..total);
-                        if draw >= m {
-                            let k = (draw - m) as usize;
-                            pool.set_r1_columns(idx, batch[k], m + k as u64 + 1);
-                            mask |= 1u64 << (idx % 64);
-                            scratch.replaced.push((idx as u32, k as u32));
-                        }
-                        idx += 1;
-                    }
-                    if mask != 0 {
-                        pool.apply_r1_word(word_idx, mask);
-                    }
-                }
+        // Each estimator replaces independently with probability w/(m+w);
+        // enumerate only the successes via geometric gaps (the §4
+        // optimisation). Two phases, reusing the `replaced` list instead of
+        // collecting a fresh Vec: first every gap is drawn (including the
+        // final out-of-range gap `GeometricSkip::successes_up_to` parks and
+        // drops), then every success draws its batch edge — the exact draw
+        // order of the reference implementation. The gap walk is inherently
+        // sequential (each gap feeds the next cursor), but the per-success
+        // draws are independent and run in lane groups.
+        let p = w as f64 / (m + w as u64) as f64;
+        let mut skip = GeometricSkip::new(p);
+        while let Some(pos) = skip.next_success(&mut self.rng) {
+            if pos > r as u64 {
+                break;
             }
-            Level1Strategy::GeometricSkip => {
-                // Each estimator replaces independently with probability
-                // w/(m+w); enumerate only the successes via geometric gaps
-                // (the §4 optimisation). Two phases, reusing the `replaced`
-                // list instead of collecting a fresh Vec: first every gap is
-                // drawn (including the final out-of-range gap
-                // `GeometricSkip::successes_up_to` parks and drops), then
-                // every success draws its batch edge — the exact draw order
-                // of the reference implementation. The gap walk is
-                // inherently sequential (each gap feeds the next cursor),
-                // but the per-success draws are independent and run in lane
-                // groups.
-                let p = w as f64 / (m + w as u64) as f64;
-                let mut skip = GeometricSkip::new(p);
-                while let Some(pos) = skip.next_success(&mut self.rng) {
-                    if pos > r as u64 {
-                        break;
-                    }
-                    scratch.replaced.push(((pos - 1) as u32, 0));
-                }
-                let n = scratch.replaced.len();
-                let mut i = 0usize;
-                while i + LANES <= n {
-                    let ks = lemire4(self.rng.next_lane(), w as u64);
-                    for (lane, k) in ks.into_iter().enumerate() {
-                        let entry = &mut scratch.replaced[i + lane];
-                        let k = k as usize;
-                        entry.1 = k as u32;
-                        pool.take_r1(entry.0 as usize, batch[k], m + k as u64 + 1);
-                    }
-                    i += LANES;
-                }
-                for entry in &mut scratch.replaced[i..] {
-                    let k = self.rng.gen_range(0..w);
-                    entry.1 = k as u32;
-                    pool.take_r1(entry.0 as usize, batch[k], m + k as u64 + 1);
-                }
+            scratch.replaced.push(((pos - 1) as u32, 0));
+        }
+        let n = scratch.replaced.len();
+        let mut i = 0usize;
+        while i + LANES <= n {
+            let ks = lemire4(self.rng.next_lane(), w as u64);
+            for (lane, k) in ks.into_iter().enumerate() {
+                let entry = &mut scratch.replaced[i + lane];
+                let k = k as usize;
+                entry.1 = k as u32;
+                pool.take_r1(entry.0 as usize, batch[k], m + k as u64 + 1);
             }
+            i += LANES;
+        }
+        for entry in &mut scratch.replaced[i..] {
+            let k = self.rng.gen_range(0..w);
+            entry.1 = k as u32;
+            pool.take_r1(entry.0 as usize, batch[k], m + k as u64 + 1);
         }
 
         // ---- Step 2a: first edgeIter pass — record β values and degB. -----
@@ -928,10 +862,7 @@ impl BulkTriangleCounter {
                 put_u64s(&mut meta, &[groups as u64]);
             }
         }
-        meta.push(match self.level1_strategy {
-            Level1Strategy::PerEstimator => 0,
-            Level1Strategy::GeometricSkip => 1,
-        });
+        meta.push(LEVEL1_TAG_GEOMETRIC_SKIP);
 
         let mut columns = Vec::with_capacity(POOL_COLUMNS * r * 8);
         for col in self.pool.snapshot_columns() {
@@ -1004,15 +935,11 @@ impl BulkTriangleCounter {
             }
             other => return Err(incompatible(format!("unknown aggregation tag {other}"))),
         };
-        let level1_strategy = match strategy_tag {
-            0 => Level1Strategy::PerEstimator,
-            1 => Level1Strategy::GeometricSkip,
-            other => {
-                return Err(incompatible(format!(
-                    "unknown level-1 strategy tag {other}"
-                )))
-            }
-        };
+        if strategy_tag > LEVEL1_TAG_GEOMETRIC_SKIP {
+            return Err(incompatible(format!(
+                "unknown level-1 strategy tag {strategy_tag}"
+            )));
+        }
 
         let mut columns_section = reader.section(crate::snapshot::SEC_COLUMNS)?;
         let mut columns: [Vec<u64>; POOL_COLUMNS] = Default::default();
@@ -1053,7 +980,6 @@ impl BulkTriangleCounter {
             rng,
             seed,
             aggregation,
-            level1_strategy,
         })
     }
 }
@@ -1086,6 +1012,10 @@ impl crate::traits::TriangleEstimator for BulkTriangleCounter {
     /// maps.
     fn memory_words(&self) -> usize {
         crate::traits::words_for_bytes(self.estimator_memory_bytes())
+    }
+
+    fn estimators_with_triangle(&self) -> Option<usize> {
+        Some(BulkTriangleCounter::estimators_with_triangle(self))
     }
 
     fn supports_snapshot(&self) -> bool {
@@ -1288,31 +1218,28 @@ mod tests {
     fn pooled_counter_is_bit_identical_to_the_reference() {
         // The strongest equivalence level: same seed, same batch boundaries
         // ⇒ the SoA pipeline and the retained pre-pool implementation agree
-        // estimator by estimator, state field by state field, under both
-        // level-1 strategies. (tests/pool_equivalence.rs extends this to
-        // randomised streams and batch splits via proptest.)
+        // estimator by estimator, state field by state field.
+        // (tests/pool_equivalence.rs extends this to randomised streams and
+        // batch splits via proptest.)
         let stream = tristream_gen::holme_kim(250, 3, 0.5, 31);
-        for strategy in [Level1Strategy::PerEstimator, Level1Strategy::GeometricSkip] {
-            for &batch_size in &[1usize, 7, 64, 977] {
-                let mut pooled = BulkTriangleCounter::new(192, 17).with_level1_strategy(strategy);
-                let mut reference =
-                    ReferenceBulkCounter::new(192, 17).with_level1_strategy(strategy);
-                for chunk in stream.edges().chunks(batch_size) {
-                    pooled.process_batch(chunk);
-                    reference.process_batch(chunk);
-                    assert_eq!(
-                        pooled.estimators(),
-                        reference.estimators(),
-                        "{strategy:?}, w = {batch_size}: states diverged mid-stream"
-                    );
-                }
-                assert_eq!(pooled.raw_estimates(), reference.raw_estimates());
+        for &batch_size in &[1usize, 7, 64, 977] {
+            let mut pooled = BulkTriangleCounter::new(192, 17);
+            let mut reference = ReferenceBulkCounter::new(192, 17);
+            for chunk in stream.edges().chunks(batch_size) {
+                pooled.process_batch(chunk);
+                reference.process_batch(chunk);
                 assert_eq!(
-                    pooled.estimate().to_bits(),
-                    reference.estimate().to_bits(),
-                    "{strategy:?}, w = {batch_size}"
+                    pooled.estimators(),
+                    reference.estimators(),
+                    "w = {batch_size}: states diverged mid-stream"
                 );
             }
+            assert_eq!(pooled.raw_estimates(), reference.raw_estimates());
+            assert_eq!(
+                pooled.estimate().to_bits(),
+                reference.estimate().to_bits(),
+                "w = {batch_size}"
+            );
         }
     }
 
@@ -1320,9 +1247,7 @@ mod tests {
     fn geometric_skip_strategy_preserves_invariants_and_accuracy() {
         let stream = tristream_gen::planted_triangles(30, 80, 13);
         for &batch_size in &[3usize, 17, 256] {
-            let mut counter =
-                BulkTriangleCounter::new(96, 7).with_level1_strategy(Level1Strategy::GeometricSkip);
-            assert_eq!(counter.level1_strategy(), Level1Strategy::GeometricSkip);
+            let mut counter = BulkTriangleCounter::new(96, 7);
             counter.process_stream(stream.edges(), batch_size);
             assert_invariants(&counter, &stream);
         }
@@ -1331,8 +1256,7 @@ mod tests {
         let runs = 40u64;
         let mut sum = 0.0;
         for seed in 0..runs {
-            let mut counter = BulkTriangleCounter::new(256, seed)
-                .with_level1_strategy(Level1Strategy::GeometricSkip);
+            let mut counter = BulkTriangleCounter::new(256, seed);
             counter.process_stream(stream.edges(), 64);
             sum += counter.estimate();
         }

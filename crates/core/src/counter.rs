@@ -175,6 +175,10 @@ impl crate::traits::TriangleEstimator for TriangleCounter {
     fn memory_words(&self) -> usize {
         self.estimators.len() * Self::words_per_estimator()
     }
+
+    fn estimators_with_triangle(&self) -> Option<usize> {
+        Some(TriangleCounter::estimators_with_triangle(self))
+    }
 }
 
 #[cfg(test)]

@@ -14,10 +14,9 @@
 //!
 //! * **One worker thread per shard, created once.** Each worker owns (via a
 //!   mutex it holds only while processing) an independent estimator — any
-//!   [`TriangleEstimator`] `+ Send`, by default a [`BulkTriangleCounter`];
-//!   shards never exchange data, so the sharded pool computes exactly the
-//!   same *distribution* of estimates as a sequential pool of the same
-//!   size and seeds.
+//!   [`TriangleEstimator`] `+ Send`; shards never exchange data, so the
+//!   sharded pool computes exactly the same *distribution* of estimates as
+//!   a sequential pool of the same size and seeds.
 //! * **Batches travel over channels.** [`ShardedEngine::submit`] copies the
 //!   batch once into an `Arc<[Edge]>` and sends the (cheap) `Arc` clone to
 //!   every shard — `O(w)` work, no thread spawn, no join.
@@ -26,10 +25,9 @@
 //!   the next batch with processing the current one. Queues are bounded
 //!   (a few batches deep), so a producer that outruns the workers blocks
 //!   instead of accumulating the whole stream in memory. Any state read
-//!   ([`ShardedEngine::map_shards`], [`ShardedEngine::snapshot`]) first
-//!   waits — on a condvar, not by spinning — until every shard has drained
-//!   its queue, so observed results are identical to fully synchronous
-//!   processing.
+//!   ([`ShardedEngine::map_shards`]) first waits — on a condvar, not by
+//!   spinning — until every shard has drained its queue, so observed
+//!   results are identical to fully synchronous processing.
 //! * **Workers are joined on drop.** Dropping the engine closes the
 //!   channels; each worker exits its receive loop and is joined, so no
 //!   thread outlives the engine.
@@ -39,7 +37,6 @@
 //! callers never deadlock; the panic then resurfaces on the caller's thread
 //! as a poisoned-shard error on the next query or submission.
 
-use crate::bulk::BulkTriangleCounter;
 use crate::traits::TriangleEstimator;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -51,11 +48,8 @@ use tristream_graph::Edge;
 /// edges handed over. Stops at (and propagates) the source's first error;
 /// batches sunk before the error stay sunk, matching the semantics of
 /// feeding the stream by hand. The single implementation behind
-/// [`ShardedEngine::consume`],
-/// [`ParallelBulkTriangleCounter::process_source`] and
-/// [`ShardedEstimator::process_source`].
+/// [`ShardedEstimator::process_source`] and the CLI's sequential `count`.
 ///
-/// [`ParallelBulkTriangleCounter::process_source`]: crate::ParallelBulkTriangleCounter::process_source
 /// [`ShardedEstimator::process_source`]: crate::ShardedEstimator::process_source
 pub fn drain_batch_source<E>(
     source: impl IntoIterator<Item = Result<Vec<Edge>, E>>,
@@ -144,11 +138,8 @@ fn worker_loop<C: TriangleEstimator + Send>(
 ///
 /// The engine is generic over the per-shard estimator `C` — any
 /// `TriangleEstimator + Send` works, including boxed trait objects from
-/// the algorithm registry — and defaults to [`BulkTriangleCounter`], the
-/// substrate of
-/// [`ParallelBulkTriangleCounter`](crate::ParallelBulkTriangleCounter).
-/// It can also be used directly when the caller wants to manage shard
-/// seeding or aggregation itself; for the common
+/// the algorithm registry. It can also be used directly when the caller
+/// wants to manage shard seeding or aggregation itself; for the common
 /// "same algorithm per shard, decorrelated seeds" case see
 /// [`ShardedEstimator`](crate::ShardedEstimator).
 ///
@@ -166,7 +157,7 @@ fn worker_loop<C: TriangleEstimator + Send>(
 /// assert_eq!(estimates.len(), 4);
 /// // Workers are joined when `engine` goes out of scope.
 /// ```
-pub struct ShardedEngine<C: TriangleEstimator + Send + 'static = BulkTriangleCounter> {
+pub struct ShardedEngine<C: TriangleEstimator + Send + 'static> {
     shared: Arc<Shared<C>>,
     /// One batch channel per shard. Dropped (closed) before joining, which
     /// is what tells each worker to exit its receive loop.
@@ -256,23 +247,6 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEngine<C> {
         self.batches_submitted += 1;
     }
 
-    /// Drains a *batch source* — any fallible iterator of edge batches,
-    /// e.g. the text reader's `EdgeListBatches` or the binary reader's
-    /// `TsbBatches` — submitting every batch in order, and returns the
-    /// total number of edges submitted. Stops at (and propagates) the
-    /// source's first error; batches submitted before the error stay
-    /// submitted, matching the semantics of feeding the stream by hand.
-    ///
-    /// This is the ingestion boundary: producers only need to speak
-    /// `Result<Vec<Edge>, E>`, and the engine overlaps their I/O with
-    /// processing via its bounded queues.
-    pub fn consume<E>(
-        &mut self,
-        source: impl IntoIterator<Item = Result<Vec<Edge>, E>>,
-    ) -> Result<u64, E> {
-        drain_batch_source(source, |batch| self.submit(batch))
-    }
-
     /// Blocks until every shard has processed every submitted batch.
     pub fn sync(&self) {
         let target = self.batches_submitted;
@@ -326,24 +300,6 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEngine<C> {
     }
 }
 
-impl<C: TriangleEstimator + Send + Clone + 'static> ShardedEngine<C> {
-    /// Synchronises and clones every shard's counter — the building block
-    /// for cloning or re-configuring a running engine. Only available when
-    /// the shard estimator is `Clone` (boxed trait objects are not).
-    pub fn snapshot(&self) -> Vec<C> {
-        self.map_shards(|shard| shard.clone())
-    }
-}
-
-impl<C: TriangleEstimator + Send + Clone + 'static> Clone for ShardedEngine<C> {
-    /// Clones the engine by snapshotting shard state into a fresh worker
-    /// pool. The clone starts with its own threads and an independent
-    /// progress count, but identical counter state.
-    fn clone(&self) -> Self {
-        ShardedEngine::new(self.snapshot())
-    }
-}
-
 impl<C: TriangleEstimator + Send + 'static> Drop for ShardedEngine<C> {
     fn drop(&mut self) {
         // Closing the channels ends each worker's receive loop.
@@ -359,6 +315,7 @@ impl<C: TriangleEstimator + Send + 'static> Drop for ShardedEngine<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bulk::BulkTriangleCounter;
     use std::sync::Weak;
 
     fn shard_counters(r_per_shard: usize, shards: usize, seed: u64) -> Vec<BulkTriangleCounter> {
@@ -370,7 +327,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_shards_panics() {
-        let _: ShardedEngine = ShardedEngine::new(Vec::new());
+        let _ = ShardedEngine::<BulkTriangleCounter>::new(Vec::new());
     }
 
     #[test]
@@ -400,7 +357,7 @@ mod tests {
             .batches(64)
             .map(|b| Ok::<_, std::io::Error>(b.to_vec()));
         let mut fed = ShardedEngine::new(shard_counters(32, 2, 9));
-        let edges = fed.consume(source).unwrap();
+        let edges = drain_batch_source(source, |batch| fed.submit(batch)).unwrap();
         assert_eq!(edges, stream.len() as u64);
 
         let mut manual = ShardedEngine::new(shard_counters(32, 2, 9));
@@ -422,7 +379,10 @@ mod tests {
             Ok(good.clone()), // must never be submitted
         ];
         let mut engine = ShardedEngine::new(shard_counters(8, 2, 1));
-        assert_eq!(engine.consume(source), Err("disk on fire"));
+        assert_eq!(
+            drain_batch_source(source, |batch| engine.submit(batch)),
+            Err("disk on fire")
+        );
         assert_eq!(engine.map_shards(|shard| shard.edges_seen()), vec![10, 10]);
     }
 
@@ -493,26 +453,6 @@ mod tests {
         assert_eq!(engine_bits, reference_bits);
         assert_eq!(
             engine.map_shards(|shard| shard.edges_seen()),
-            vec![stream.len() as u64; 2]
-        );
-    }
-
-    #[test]
-    fn clone_snapshots_state_into_an_independent_pool() {
-        let stream = tristream_gen::planted_triangles(15, 40, 8);
-        let mut engine = ShardedEngine::new(shard_counters(32, 2, 4));
-        for batch in stream.batches(32) {
-            engine.submit(batch);
-        }
-        let cloned = engine.clone();
-        assert_eq!(
-            engine.map_shards(|shard| shard.raw_estimates()),
-            cloned.map_shards(|shard| shard.raw_estimates()),
-        );
-        // Advancing the original must not touch the clone.
-        engine.submit(stream.edges());
-        assert_eq!(
-            cloned.map_shards(|shard| shard.edges_seen()),
             vec![stream.len() as u64; 2]
         );
     }

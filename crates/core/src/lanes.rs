@@ -15,9 +15,8 @@
 //! — `(raw as u128 * span as u128) >> 64`, one raw `u64` per draw — over a
 //! lane group, so drawing a group at a time consumes the RNG stream in
 //! exactly the order a per-item loop does. Everything else in this module
-//! is memory schedule (whole-word bitset masks in [`crate::pool`],
-//! probe-start prefetching for [`crate::fastmap::FastMap`]) and cannot
-//! change results by construction.
+//! is memory schedule (probe-start prefetching for
+//! [`crate::fastmap::FastMap`]) and cannot change results by construction.
 
 /// Lane width of the hand-unrolled hot path: four `u64`s — one 256-bit
 /// vector register on AVX2-class hardware, two on 128-bit NEON/SSE.

@@ -21,13 +21,13 @@
 //! |---|---|
 //! | §3.1 Algorithm 1 (neighborhood sampling) | [`estimator`] |
 //! | §3.2 Theorems 3.3 & 3.4 (counting, tangle-aware aggregation) | [`counter`], [`theory`] |
-//! | §3.3 Theorem 3.5 (bulk processing) | [`bulk`] (SoA hot path: [`pool`], [`fastmap`]; pre-pool reference: [`reference`](mod@reference)) |
+//! | §3.3 Theorem 3.5 (bulk processing) | [`bulk`] (SoA hot path: [`pool`], [`lanes`], [`fastmap`]; pre-pool reference: [`reference`](mod@reference)) |
 //! | §3.4 `unifTri` (uniform triangle sampling) | [`sampler`] |
 //! | §3.5 transitivity coefficient | [`transitivity`] |
 //! | §5.1 4-clique counting (Type I / Type II) | [`clique`] |
 //! | §5.2 sliding windows | [`sliding`] |
-//! | §4 geometric-skip level-1 optimisation | [`bulk::Level1Strategy`] |
-//! | §6 follow-up: multi-core sharded counting | [`parallel`], [`engine`] |
+//! | §4 geometric-skip level-1 optimisation | Step 1 of [`BulkTriangleCounter::process_batch`] (gaps from `tristream_sample::GeometricSkip`) |
+//! | §6 follow-up: multi-core sharded counting | [`ShardedEstimator`] in [`parallel`], on [`engine`] |
 //!
 //! # Quick example
 //!
@@ -67,15 +67,13 @@ pub mod theory;
 pub mod traits;
 pub mod transitivity;
 
-pub use bulk::{BulkTriangleCounter, Level1Strategy};
+pub use bulk::BulkTriangleCounter;
 pub use clique::FourCliqueCounter;
 pub use counter::{Aggregation, TriangleCounter};
 pub use engine::ShardedEngine;
 pub use estimator::{EstimatorState, NeighborhoodSampler, PositionedEdge};
 pub use fastmap::FastMap;
-pub use parallel::{
-    shard_counters, shard_seed, ParallelBulkTriangleCounter, ShardedEstimator, SHARD_SEED_STRIDE,
-};
+pub use parallel::{shard_seed, ShardedEstimator, SHARD_SEED_STRIDE};
 pub use pool::{BitSet, BufferedRng, EstimatorPool};
 pub use reference::ReferenceBulkCounter;
 pub use sampler::TriangleSampler;

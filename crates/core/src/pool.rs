@@ -207,30 +207,6 @@ impl EstimatorPool {
         self.closer_set.clear(i);
     }
 
-    /// Column-only half of [`take_r1`](Self::take_r1) for the Step-1 lane groups:
-    /// writes the level-1 endpoint/position columns and zeroes the counter
-    /// but leaves the presence bitsets untouched — the caller accumulates a
-    /// per-word replacement mask and applies it once through
-    /// [`apply_r1_word`](Self::apply_r1_word).
-    #[inline]
-    pub(crate) fn set_r1_columns(&mut self, i: usize, edge: Edge, position: u64) {
-        self.r1_u[i] = edge.u().raw();
-        self.r1_v[i] = edge.v().raw();
-        self.r1_pos[i] = position;
-        self.c[i] = 0;
-    }
-
-    /// Applies one word of Step-1 replacements: every estimator whose bit is
-    /// set in `mask` flips its presence bits exactly as
-    /// [`take_r1`](Self::take_r1) would, but for up to 64 estimators in
-    /// three word operations instead of three bit operations each.
-    #[inline]
-    pub(crate) fn apply_r1_word(&mut self, word_idx: usize, mask: u64) {
-        self.r1_set.words[word_idx] |= mask;
-        self.r2_set.words[word_idx] &= !mask;
-        self.closer_set.words[word_idx] &= !mask;
-    }
-
     /// Takes `edge` as estimator `i`'s new level-2 edge, invalidating any
     /// held closing edge.
     #[inline]
@@ -727,28 +703,5 @@ mod tests {
             }
             assert_eq!(direct.next_u64(), buffered.next_u64());
         }
-    }
-
-    #[test]
-    fn lane_column_writes_plus_word_mask_match_take_r1() {
-        let mut a = EstimatorPool::new(70);
-        let mut b = EstimatorPool::new(70);
-        let edges = [Edge::new(1u64, 2u64), Edge::new(3u64, 4u64)];
-        // Give estimator 65 downstream state so the mask clears it.
-        for pool in [&mut a, &mut b] {
-            pool.take_r1(65, edges[0], 1);
-            pool.c[65] = 1;
-            pool.take_r2(65, edges[1], 2);
-        }
-        for (i, pos) in [(0usize, 10u64), (63, 11), (65, 12)] {
-            a.take_r1(i, edges[1], pos);
-            b.set_r1_columns(i, edges[1], pos);
-        }
-        b.apply_r1_word(0, (1 << 0) | (1 << 63));
-        b.apply_r1_word(1, 1 << 1);
-        for i in 0..70 {
-            assert_eq!(a.state(i), b.state(i), "estimator {i}");
-        }
-        assert!(b.validate());
     }
 }

@@ -21,7 +21,6 @@
 //! this file intentionally preserves the old control flow (including its
 //! per-batch `HashMap` allocations) without restating the rationale.
 
-use crate::bulk::Level1Strategy;
 use crate::counter::Aggregation;
 use crate::estimator::{EstimatorState, PositionedEdge};
 use rand::rngs::SmallRng;
@@ -37,7 +36,6 @@ pub struct ReferenceBulkCounter {
     estimators: Vec<EstimatorState>,
     edges_seen: u64,
     rng: SmallRng,
-    level1_strategy: Level1Strategy,
 }
 
 impl ReferenceBulkCounter {
@@ -53,14 +51,7 @@ impl ReferenceBulkCounter {
             estimators: vec![EstimatorState::new(); r],
             edges_seen: 0,
             rng: SmallRng::seed_from_u64(seed),
-            level1_strategy: Level1Strategy::default(),
         }
-    }
-
-    /// Selects the level-1 resampling strategy, as the pooled counter does.
-    pub fn with_level1_strategy(mut self, strategy: Level1Strategy) -> Self {
-        self.level1_strategy = strategy;
-        self
     }
 
     /// Number of estimators `r`.
@@ -102,35 +93,17 @@ impl ReferenceBulkCounter {
 
         // ---- Step 1: level-1 reservoir over (old stream) ++ (batch). ------
         let mut replaced_at: Vec<Option<usize>> = vec![None; r];
-        match self.level1_strategy {
-            Level1Strategy::PerEstimator => {
-                for (idx, est) in self.estimators.iter_mut().enumerate() {
-                    let total = m + w as u64;
-                    let draw = self.rng.gen_range(0..total);
-                    if draw >= m {
-                        let k = (draw - m) as usize;
-                        est.r1 = Some(PositionedEdge::new(batch[k], m + k as u64 + 1));
-                        est.r2 = None;
-                        est.c = 0;
-                        est.closer = None;
-                        replaced_at[idx] = Some(k);
-                    }
-                }
-            }
-            Level1Strategy::GeometricSkip => {
-                let p = w as f64 / (m + w as u64) as f64;
-                let mut skip = GeometricSkip::new(p);
-                for idx in skip.successes_up_to(&mut self.rng, r as u64) {
-                    let idx = (idx - 1) as usize;
-                    let k = self.rng.gen_range(0..w);
-                    let est = &mut self.estimators[idx];
-                    est.r1 = Some(PositionedEdge::new(batch[k], m + k as u64 + 1));
-                    est.r2 = None;
-                    est.c = 0;
-                    est.closer = None;
-                    replaced_at[idx] = Some(k);
-                }
-            }
+        let p = w as f64 / (m + w as u64) as f64;
+        let mut skip = GeometricSkip::new(p);
+        for idx in skip.successes_up_to(&mut self.rng, r as u64) {
+            let idx = (idx - 1) as usize;
+            let k = self.rng.gen_range(0..w);
+            let est = &mut self.estimators[idx];
+            est.r1 = Some(PositionedEdge::new(batch[k], m + k as u64 + 1));
+            est.r2 = None;
+            est.c = 0;
+            est.closer = None;
+            replaced_at[idx] = Some(k);
         }
 
         // ---- Step 2a: first edgeIter pass — record β values and degB. -----
@@ -359,8 +332,7 @@ mod tests {
     fn reference_is_deterministic_per_seed() {
         let stream = tristream_gen::planted_triangles(20, 50, 3);
         let run = || {
-            let mut c = ReferenceBulkCounter::new(128, 9)
-                .with_level1_strategy(Level1Strategy::GeometricSkip);
+            let mut c = ReferenceBulkCounter::new(128, 9);
             c.process_stream(stream.edges(), 17);
             c.raw_estimates()
         };

@@ -15,8 +15,13 @@
 //! * [`KIND_BULK`] — [`crate::BulkTriangleCounter`]. Sections:
 //!   * `SEC_META`: kind `u8`, `r u64`, construction seed `u64`,
 //!     `edges_seen u64`, aggregation tag `u8` (0 mean, 1 median-of-means)
-//!     plus group count `u64`, and a level-1 strategy tag `u8`
-//!     (0 per-estimator, 1 geometric-skip).
+//!     plus group count `u64`, and a level-1 tag `u8`. Writers always
+//!     put 1, the §4 geometric-skip walk, the only Step-1 walk left.
+//!     Readers accept 0 as well: snapshots from builds that still had a
+//!     per-estimator walk, which `neighborhood-bulk` used, carry it. The
+//!     tag never described saved state, only how later batches draw, so a
+//!     tag-0 and a tag-1 snapshot of the same state restore to the same
+//!     counter. Any other value is [`SnapshotError::Incompatible`].
 //!   * [`SEC_COLUMNS`]: the ten pool columns, `10 × r` little-endian
 //!     `u64`s in [`crate::pool::EstimatorPool`] declaration order.
 //!   * [`SEC_BITSETS`]: the three presence bitsets (`r1`, `r2`, `closer`),

@@ -92,6 +92,14 @@ pub trait TriangleEstimator {
     /// documented at [module level](self).
     fn memory_words(&self) -> usize;
 
+    /// How many estimators currently hold a closed triangle, for the
+    /// neighborhood-sampling pools that have such a count (`None`
+    /// otherwise). A handful out of `r` warns that the estimate rests on
+    /// very few samples.
+    fn estimators_with_triangle(&self) -> Option<usize> {
+        None
+    }
+
     /// Whether [`snapshot`](Self::snapshot) / [`restore`](Self::restore)
     /// are implemented. Defaults to `false`; the algorithm registry's
     /// `snapshotable` capability flag must agree with this answer (pinned
@@ -146,6 +154,10 @@ impl<T: TriangleEstimator + ?Sized> TriangleEstimator for Box<T> {
         (**self).memory_words()
     }
 
+    fn estimators_with_triangle(&self) -> Option<usize> {
+        (**self).estimators_with_triangle()
+    }
+
     fn supports_snapshot(&self) -> bool {
         (**self).supports_snapshot()
     }
@@ -194,6 +206,14 @@ mod tests {
         assert_eq!(
             TriangleEstimator::memory_words(&concrete),
             boxed.memory_words()
+        );
+        assert_eq!(
+            TriangleEstimator::estimators_with_triangle(&concrete),
+            boxed.estimators_with_triangle()
+        );
+        assert_eq!(
+            boxed.estimators_with_triangle(),
+            Some(concrete.estimators_with_triangle())
         );
     }
 }

@@ -18,7 +18,7 @@
 //! * [`datasets`] — *calibrated stand-ins* for the paper's datasets, built
 //!   from the families above with parameters chosen so the key accuracy
 //!   predictor `mΔ/τ(G)` is ordered the same way as in the paper's Figure 3
-//!   (see DESIGN.md §3 for the substitution rationale).
+//!   (see README.md § Datasets for why stand-ins replace the SNAP graphs).
 //!
 //! All generators are deterministic given a seed, emit simple graphs (no
 //! self-loops or parallel edges), and return a

@@ -135,16 +135,15 @@ impl StreamEntry {
     }
 }
 
-/// Builds the engine for a CREATE request, mirroring the offline
-/// `count --algo --parallel` path exactly: the space parameter comes from
-/// [`AlgoSpec::space_for_budget`] under [`SERVE_STREAM_HINT`], pool-type
-/// spaces split `ceil(space / shards)` across shards, per-instance spaces
-/// replicate whole, and shard `i` is seeded `shard_seed(seed, i)` by
-/// [`ShardedEstimator::from_factory`].
+/// Builds the engine for a CREATE request through the recipe the offline
+/// `count --parallel` path uses: the space parameter comes from
+/// [`AlgoSpec::space_for_budget`] under [`SERVE_STREAM_HINT`], and
+/// [`AlgoSpec::build_sharded`] splits it across shards and seeds them.
 ///
 /// Returns the engine and the resolved space parameter.
 ///
 /// [`AlgoSpec::space_for_budget`]: tristream_baselines::registry::AlgoSpec::space_for_budget
+/// [`AlgoSpec::build_sharded`]: tristream_baselines::registry::AlgoSpec::build_sharded
 pub fn build_stream_engine(
     algo: &str,
     seed: u64,
@@ -164,19 +163,12 @@ pub fn build_stream_engine(
     let shards = shards.max(1);
     let budget = usize::try_from(budget_words).unwrap_or(usize::MAX);
     let space = spec.space_for_budget(budget, &SERVE_STREAM_HINT);
-    let shard_space = if spec.splits_across_shards {
-        space.div_ceil(shards)
-    } else {
-        space
+    let params = AlgoParams {
+        space,
+        seed,
+        window,
     };
-    let engine = ShardedEstimator::from_factory(shards, seed, |shard_seed| {
-        spec.build(&AlgoParams {
-            space: shard_space,
-            seed: shard_seed,
-            window,
-        })
-    });
-    Ok((engine, space))
+    Ok((spec.build_sharded(&params, shards), space))
 }
 
 /// The server's stream table. Backed by a `Vec`, not a map: the tenant
@@ -438,7 +430,6 @@ pub fn checkpoint_stream(entry: &StreamEntry) -> Result<StreamCheckpoint, WireEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tristream_core::parallel::shard_seed;
 
     fn batch(n: u64) -> Vec<Edge> {
         (0..n).map(|i| Edge::new(i, i + 1)).collect()
@@ -482,9 +473,8 @@ mod tests {
     #[test]
     fn served_engine_matches_the_offline_factory_recipe_bit_for_bit() {
         // The parity contract, in miniature: a table-created stream fed
-        // batches must equal a hand-built ShardedEstimator using the
-        // documented recipe (space_for_budget under SERVE_STREAM_HINT,
-        // div_ceil split, shard_seed seeding).
+        // batches must equal the documented recipe built offline
+        // (space_for_budget under SERVE_STREAM_HINT, then build_sharded).
         let (seed, budget, shards) = (99u64, 1u64 << 14, 3u16);
         let table = StreamTable::new();
         table
@@ -498,22 +488,13 @@ mod tests {
 
         let spec = find_algo("neighborhood-bulk").unwrap();
         let space = spec.space_for_budget(budget as usize, &SERVE_STREAM_HINT);
-        let shard_space = space.div_ceil(shards as usize);
         let mut offline: StreamEngine =
-            ShardedEstimator::from_factory(shards as usize, seed, |shard_seed| {
-                spec.build(&AlgoParams {
-                    space: shard_space,
-                    seed: shard_seed,
-                    window: None,
-                })
-            });
+            spec.build_sharded(&AlgoParams::new(space, seed), shards as usize);
         for chunk in batch(500).chunks(64) {
             offline.process_batch(chunk);
         }
         assert_eq!(edges, 500);
         assert_eq!(served.to_bits(), offline.estimate().to_bits());
-        // The factory really does use the workspace seeding contract.
-        let _ = shard_seed(seed, 1);
     }
 
     #[test]

@@ -60,18 +60,7 @@ fn offline_engine(
 ) -> ShardedEstimator<Box<dyn TriangleEstimator + Send>> {
     let spec = find_algo(algo).expect("registry algorithm");
     let space = spec.space_for_budget(budget_words as usize, &SERVE_STREAM_HINT);
-    let shard_space = if spec.splits_across_shards {
-        space.div_ceil(shards)
-    } else {
-        space
-    };
-    ShardedEstimator::from_factory(shards, seed, |shard_seed| {
-        spec.build(&AlgoParams {
-            space: shard_space,
-            seed: shard_seed,
-            window: None,
-        })
-    })
+    spec.build_sharded(&AlgoParams::new(space, seed), shards)
 }
 
 #[test]

@@ -33,8 +33,7 @@ fn test_edges() -> Vec<Edge> {
 
 /// Builds the offline twin of a served stream: the same engine recipe the
 /// server documents in `docs/PROTOCOL.md` — `space_for_budget` under
-/// `SERVE_STREAM_HINT`, `div_ceil` pool split, `shard_seed` seeding via
-/// `from_factory`.
+/// `SERVE_STREAM_HINT`, then the registry's `build_sharded`.
 fn offline_engine(
     algo: &str,
     seed: u64,
@@ -43,18 +42,7 @@ fn offline_engine(
 ) -> ShardedEstimator<Box<dyn TriangleEstimator + Send>> {
     let spec = find_algo(algo).expect("registry algorithm");
     let space = spec.space_for_budget(budget_words as usize, &SERVE_STREAM_HINT);
-    let shard_space = if spec.splits_across_shards {
-        space.div_ceil(shards)
-    } else {
-        space
-    };
-    ShardedEstimator::from_factory(shards, seed, |shard_seed| {
-        spec.build(&AlgoParams {
-            space: shard_space,
-            seed: shard_seed,
-            window: None,
-        })
-    })
+    spec.build_sharded(&AlgoParams::new(space, seed), shards)
 }
 
 #[test]

@@ -14,7 +14,7 @@ use tristream::prelude::*;
 
 fn main() {
     // A DBLP-like collaboration network (scaled down so the example runs in
-    // seconds; see DESIGN.md section 3 for the stand-in rationale).
+    // seconds; see README.md § Datasets for the stand-in rationale).
     let stand_in = StandIn::generate_scaled(DatasetKind::Dblp, 32, 2024);
     let stream = &stand_in.stream;
     println!(
@@ -64,7 +64,7 @@ fn main() {
 
     // The quantity the paper argues drives accuracy.
     println!(
-        "accuracy predictor m*Delta/tau = {:.1}; tangle-aware bound would need gamma (see DESIGN.md)",
+        "accuracy predictor m*Delta/tau = {:.1}; tangle-aware bound would need gamma (see core::theory)",
         summary.m_delta_over_tau
     );
 }

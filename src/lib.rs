@@ -52,9 +52,8 @@ pub mod prelude {
     pub use tristream_baselines::ExactStreamingCounter;
     pub use tristream_core::counter::Aggregation;
     pub use tristream_core::{
-        BulkTriangleCounter, FourCliqueCounter, ParallelBulkTriangleCounter, ShardedEstimator,
-        SlidingWindowTriangleCounter, TransitivityEstimator, TriangleCounter, TriangleEstimator,
-        TriangleSampler,
+        BulkTriangleCounter, FourCliqueCounter, ShardedEstimator, SlidingWindowTriangleCounter,
+        TransitivityEstimator, TriangleCounter, TriangleEstimator, TriangleSampler,
     };
     pub use tristream_gen::{DatasetKind, StandIn};
     pub use tristream_graph::{Adjacency, Edge, EdgeStream, GraphSummary, StreamOrder, VertexId};

@@ -13,7 +13,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tristream::core::Level1Strategy;
 use tristream::prelude::*;
 
 /// Forwards to the system allocator, counting every allocation path that
@@ -57,35 +56,30 @@ fn bulk_batches_do_not_allocate_in_the_steady_state() {
         "need several batches to warm and measure"
     );
 
-    for strategy in [Level1Strategy::PerEstimator, Level1Strategy::GeometricSkip] {
-        let mut counter = BulkTriangleCounter::new(256, 7).with_level1_strategy(strategy);
-        // Warm-up: the first pass over the batches grows the scratch (the
-        // degree table to the batch's vertex count, the subscription and
-        // closing-edge tables to their r-bounded capacity).
+    let mut counter = BulkTriangleCounter::new(256, 7);
+    // Warm-up: the first pass over the batches grows the scratch (the
+    // degree table to the batch's vertex count, the subscription and
+    // closing-edge tables to their r-bounded capacity).
+    for batch in &batches {
+        counter.process_batch(batch);
+    }
+    // Steady state: replaying the same batches — same batch size, same
+    // vertex universe — must perform zero heap allocations.
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..3 {
         for batch in &batches {
             counter.process_batch(batch);
         }
-        // Steady state: replaying the same batches — same batch size, same
-        // vertex universe — must perform zero heap allocations.
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for _ in 0..3 {
-            for batch in &batches {
-                counter.process_batch(batch);
-            }
-        }
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(
-            allocations, 0,
-            "{strategy:?}: steady-state batches must not allocate"
-        );
-        // The counter still works after the measurement window (and this
-        // estimate call MAY allocate — it materialises the estimate vector,
-        // which is a query, not the per-edge hot path).
-        assert!(counter.estimate().is_finite());
-        assert_eq!(
-            counter.edges_seen(),
-            4 * stream.len() as u64,
-            "{strategy:?}: every replayed batch was ingested"
-        );
     }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(allocations, 0, "steady-state batches must not allocate");
+    // The counter still works after the measurement window (and this
+    // estimate call MAY allocate — it materialises the estimate vector,
+    // which is a query, not the per-edge hot path).
+    assert!(counter.estimate().is_finite());
+    assert_eq!(
+        counter.edges_seen(),
+        4 * stream.len() as u64,
+        "every replayed batch was ingested"
+    );
 }

@@ -1,11 +1,11 @@
 //! Cross-crate integration tests for the `TriangleEstimator` abstraction:
 //! every registry algorithm must run unchanged through the generic
 //! sharded engine, with the single-shard configuration bit-identical to
-//! sequential processing — the guarantee that makes `count --parallel
-//! --algo <name>` trustworthy for all of them.
+//! sequential processing — the guarantee that makes `count --parallel`
+//! trustworthy for all of them, with or without `--algo`.
 
 use tristream::baselines::registry::{registry, AlgoParams};
-use tristream::core::{ShardedEstimator, TriangleEstimator};
+use tristream::core::TriangleEstimator;
 
 const SPACE: usize = 96;
 const SEED: u64 = 23;
@@ -13,12 +13,12 @@ const BATCH: usize = 41;
 
 #[test]
 fn single_shard_generic_engine_matches_sequential_processing_for_every_algorithm() {
+    // `build_sharded(params, 1)` is what `count --parallel --shards 1` and a
+    // one-shard CREATE run; `build(params)` is what `count` runs.
     let stream = tristream::gen::planted_triangles(30, 80, 7);
     for spec in registry() {
         let params = AlgoParams::new(SPACE, SEED);
-        let mut sharded = ShardedEstimator::from_factory(1, SEED, |seed| {
-            spec.build(&AlgoParams::new(SPACE, seed))
-        });
+        let mut sharded = spec.build_sharded(&params, 1);
         let mut sequential = spec.build(&params);
         for batch in stream.batches(BATCH) {
             sharded.process_batch(batch);
@@ -42,6 +42,20 @@ fn single_shard_generic_engine_matches_sequential_processing_for_every_algorithm
             "{}: transport must not change the space accounting",
             spec.name
         );
+        assert_eq!(
+            TriangleEstimator::estimators_with_triangle(&sharded),
+            sequential.estimators_with_triangle(),
+            "{}",
+            spec.name
+        );
+        if spec.snapshotable {
+            assert_eq!(
+                sharded.shard_snapshots().expect("shard snapshot"),
+                vec![sequential.snapshot().expect("snapshot")],
+                "{}: one shard holds exactly the sequential state",
+                spec.name
+            );
+        }
     }
 }
 
@@ -50,9 +64,7 @@ fn multi_shard_generic_engine_is_deterministic_and_finite_for_every_algorithm() 
     let stream = tristream::gen::planted_triangles(30, 80, 7);
     for spec in registry() {
         let run = || {
-            let mut sharded = ShardedEstimator::from_factory(3, SEED, |seed| {
-                spec.build(&AlgoParams::new(SPACE, seed))
-            });
+            let mut sharded = spec.build_sharded(&AlgoParams::new(SPACE, SEED), 3);
             for batch in stream.batches(BATCH) {
                 sharded.process_batch(batch);
             }

@@ -1,10 +1,7 @@
 //! Integration tests for the extensions beyond the paper's core algorithms:
-//! the geometric-skip level-1 optimisation (§4), the multi-core sharded
-//! counter (§6 follow-up), the shared-pool transitivity estimator, and the
-//! command-line front end.
+//! the multi-core sharded counter (§6 follow-up), the shared-pool
+//! transitivity estimator, and the command-line front end.
 
-use tristream::core::parallel::ParallelBulkTriangleCounter;
-use tristream::core::Level1Strategy;
 use tristream::graph::exact;
 use tristream::prelude::*;
 
@@ -13,37 +10,21 @@ fn workload() -> EdgeStream {
 }
 
 #[test]
-fn geometric_skip_and_per_estimator_strategies_agree() {
-    let stream = workload();
-    let truth = exact::count_triangles(&Adjacency::from_stream(&stream)) as f64;
-
-    let mut per_estimator =
-        BulkTriangleCounter::new(20_000, 3).with_level1_strategy(Level1Strategy::PerEstimator);
-    per_estimator.process_stream(stream.edges(), 16_384);
-
-    let mut geometric =
-        BulkTriangleCounter::new(20_000, 3).with_level1_strategy(Level1Strategy::GeometricSkip);
-    geometric.process_stream(stream.edges(), 16_384);
-
-    for (name, est) in [
-        ("per-estimator", per_estimator.estimate()),
-        ("geometric-skip", geometric.estimate()),
-    ] {
-        assert!(
-            (est - truth).abs() < 0.25 * truth,
-            "{name}: estimate {est} vs truth {truth}"
-        );
-    }
-}
-
-#[test]
 fn parallel_counter_matches_truth_and_uses_all_shards() {
     let stream = workload();
     let truth = exact::count_triangles(&Adjacency::from_stream(&stream)) as f64;
-    let mut counter = ParallelBulkTriangleCounter::new(24_000, 6, 7);
+    let bulk = find_algo("neighborhood-bulk").expect("registered");
+    let mut counter = bulk.build_sharded(&AlgoParams::new(24_000, 7), 6);
     assert_eq!(counter.num_shards(), 6);
-    assert_eq!(counter.num_estimators(), 24_000);
-    counter.process_stream(stream.edges(), 8_192);
+    assert_eq!(
+        counter.memory_words(),
+        6 * BulkTriangleCounter::new(4_000, 7).memory_words(),
+        "24,000 estimators, 4,000 per shard"
+    );
+    for batch in stream.batches(8_192) {
+        counter.process_batch(batch);
+    }
+    assert_eq!(counter.shard_estimates().len(), 6);
     let est = counter.estimate();
     assert!(
         (est - truth).abs() < 0.25 * truth,

@@ -10,12 +10,10 @@
 //! only interesting at the remainder: pools of `r = 1` and `r = 3` never
 //! fill a lane group, `r = 4` is exactly one group, `r = 5` is one group
 //! plus a one-estimator tail. Proptest drives those shapes (plus random
-//! `r`) over random streams, random batch splits and both level-1
-//! strategies.
+//! `r`) over random streams and random batch splits.
 
 use proptest::prelude::*;
 use tristream::core::reference::ReferenceBulkCounter;
-use tristream::core::Level1Strategy;
 use tristream::prelude::*;
 
 /// Strategy: a random small simple graph given as deduplicated endpoint
@@ -49,18 +47,12 @@ proptest! {
         pairs in random_edge_pairs(24, 80),
         seed in 0u64..1_000,
         cuts in prop::collection::vec(1usize..12, 1..6),
-        geometric in 0u8..2,
     ) {
         let r = lane_remainder_pool_size(shape, random_r);
         let stream = EdgeStream::from_pairs_dedup(pairs);
         prop_assume!(!stream.is_empty());
-        let strategy = if geometric == 1 {
-            Level1Strategy::GeometricSkip
-        } else {
-            Level1Strategy::PerEstimator
-        };
-        let mut lanes = BulkTriangleCounter::new(r, seed).with_level1_strategy(strategy);
-        let mut scalar = ReferenceBulkCounter::new(r, seed).with_level1_strategy(strategy);
+        let mut lanes = BulkTriangleCounter::new(r, seed);
+        let mut scalar = ReferenceBulkCounter::new(r, seed);
         let mut start = 0;
         let mut cut = 0;
         while start < stream.len() {

@@ -22,7 +22,6 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use tristream::core::reference::ReferenceBulkCounter;
-use tristream::core::Level1Strategy;
 use tristream::graph::exact::edge_neighborhood_sizes;
 use tristream::prelude::*;
 
@@ -65,17 +64,11 @@ proptest! {
         pairs in random_edge_pairs(24, 80),
         seed in 0u64..1_000,
         cuts in prop::collection::vec(0usize..12, 1..6),
-        geometric in 0u8..2,
     ) {
         let stream = EdgeStream::from_pairs_dedup(pairs);
         prop_assume!(!stream.is_empty());
-        let strategy = if geometric == 1 {
-            Level1Strategy::GeometricSkip
-        } else {
-            Level1Strategy::PerEstimator
-        };
-        let mut pooled = BulkTriangleCounter::new(16, seed).with_level1_strategy(strategy);
-        let mut reference = ReferenceBulkCounter::new(16, seed).with_level1_strategy(strategy);
+        let mut pooled = BulkTriangleCounter::new(16, seed);
+        let mut reference = ReferenceBulkCounter::new(16, seed);
         for batch in batched(stream.edges(), &cuts) {
             pooled.process_batch(batch);
             reference.process_batch(batch);

@@ -6,8 +6,9 @@
 //! 1. **Round-trip bit-identity** — snapshotting a counter mid-stream,
 //!    restoring into a fresh instance, and continuing produces `estimate()`
 //!    bits equal to the uninterrupted run, at every batch boundary after
-//!    the restore. Holds for the sequential bulk counter (both level-1
-//!    strategies) and for the sharded wrapper.
+//!    the restore. Holds for the sequential bulk counter and for the
+//!    sharded wrapper, and for bulk snapshots written with the retired
+//!    level-1 tag 0 as well as the current tag 1.
 //! 2. **Merge equivalence** — `N` *independent* single-process counters
 //!    seeded `shard_seed(seed, i)` over the same batches are exactly the
 //!    shards of one `N`-shard run: merging their snapshots reproduces the
@@ -18,8 +19,9 @@
 //!    receiver's state untouched.
 
 use proptest::prelude::*;
+use tristream::core::shard_seed;
 use tristream::core::snapshot::SnapshotError;
-use tristream::core::{shard_seed, Level1Strategy};
+use tristream::graph::snapshot::{SnapshotReader, SnapshotWriter};
 use tristream::prelude::*;
 
 /// Strategy: a random small simple graph given as deduplicated endpoint
@@ -64,22 +66,14 @@ proptest! {
         cut_a in 1usize..9,
         cut_b in 0usize..7,
         split in 0usize..6,
-        strategy_bit in 0u8..2,
     ) {
         prop_assume!(!pairs.is_empty());
         let edges = edges_of(&pairs);
-        let strategy = if strategy_bit == 0 {
-            Level1Strategy::PerEstimator
-        } else {
-            Level1Strategy::GeometricSkip
-        };
         let batches = batched(&edges, &[cut_a, cut_b]);
         let split = split.min(batches.len());
 
-        let mut uninterrupted =
-            BulkTriangleCounter::new(64, seed).with_level1_strategy(strategy);
-        let mut snapshotted =
-            BulkTriangleCounter::new(64, seed).with_level1_strategy(strategy);
+        let mut uninterrupted = BulkTriangleCounter::new(64, seed);
+        let mut snapshotted = BulkTriangleCounter::new(64, seed);
         for batch in &batches[..split] {
             uninterrupted.process_batch(batch);
             snapshotted.process_batch(batch);
@@ -176,6 +170,73 @@ proptest! {
         let bit = flip_site % 8;
         flipped[byte] ^= 1 << bit;
         prop_assert!(BulkTriangleCounter::from_snapshot(&flipped).is_err());
+    }
+}
+
+/// Rewrites a bulk snapshot's level-1 tag — the last byte of its meta
+/// section — and re-frames the container, so the checksums stay valid.
+fn with_level1_tag(bytes: &[u8], tag: u8) -> Result<Vec<u8>, SnapshotError> {
+    let reader = SnapshotReader::parse(bytes)?;
+    let mut writer = SnapshotWriter::new();
+    for (id, payload) in reader.iter() {
+        let mut payload = payload.to_vec();
+        if let (tristream::core::snapshot::SEC_META, Some(last)) = (id, payload.last_mut()) {
+            *last = tag;
+        }
+        writer.section(id, &payload)?;
+    }
+    Ok(writer.finish())
+}
+
+#[test]
+fn level1_tags_0_and_1_restore_and_ingest_bit_identically_and_others_are_refused() {
+    // Builds that still had a per-estimator level-1 walk wrote tag 0 for
+    // `neighborhood-bulk`, and `serve --state-dir` checkpoints hold such
+    // snapshots. The tag never described the saved state, so both tags
+    // must restore to one counter that draws its later batches the same
+    // way.
+    let stream = tristream::gen::holme_kim(200, 3, 0.5, 4);
+    let (head, tail) = stream.edges().split_at(stream.len() / 2);
+    let mut counter = BulkTriangleCounter::new(96, 31);
+    for batch in head.chunks(64) {
+        counter.process_batch(batch);
+    }
+    let tag1 = counter.to_snapshot().expect("snapshot");
+    let tag0 = with_level1_tag(&tag1, 0).expect("re-framed");
+    assert_ne!(tag0, tag1);
+    assert_eq!(
+        with_level1_tag(&tag1, 1).expect("re-framed"),
+        tag1,
+        "writers put tag 1"
+    );
+
+    let mut from_tag0 = BulkTriangleCounter::from_snapshot(&tag0).expect("tag 0 restores");
+    let mut from_tag1 = BulkTriangleCounter::from_snapshot(&tag1).expect("tag 1 restores");
+    for batch in tail.chunks(64) {
+        from_tag0.process_batch(batch);
+        from_tag1.process_batch(batch);
+        counter.process_batch(batch);
+        assert_eq!(from_tag0.estimators(), from_tag1.estimators());
+        assert_eq!(from_tag0.estimators(), counter.estimators());
+    }
+    assert_eq!(
+        from_tag0.estimate().to_bits(),
+        from_tag1.estimate().to_bits()
+    );
+    assert_eq!(
+        from_tag0.to_snapshot().expect("snapshot"),
+        counter.to_snapshot().expect("snapshot"),
+        "a restored tag-0 snapshot is written back as tag 1"
+    );
+    // Any other tag is a snapshot this build does not understand.
+    for tag in [2u8, u8::MAX] {
+        let retagged = with_level1_tag(&tag1, tag).expect("re-framed");
+        match BulkTriangleCounter::from_snapshot(&retagged) {
+            Err(SnapshotError::Incompatible { reason }) => {
+                assert!(reason.contains("level-1"), "tag {tag}: {reason}");
+            }
+            other => panic!("tag {tag}: expected Incompatible, got {other:?}"),
+        }
     }
 }
 
