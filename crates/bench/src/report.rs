@@ -364,6 +364,16 @@ pub const BENCH_SCHEMA_VERSION: u32 = 7;
 /// half of the gate is fully deterministic.
 pub const HOT_PATH_TOLERANCE: f64 = 1.5;
 
+/// Bound of the serve stall gate: the `serve-query` row's p50 — one QUERY
+/// round trip to the loopback daemon — must not exceed 10 ms.
+///
+/// A frame held back by Nagle's algorithm waits for the peer's delayed ACK,
+/// and Linux's minimum delayed-ACK timer is 40 ms, so a stalled transport
+/// lands far above the bound. A transport that sends each frame at once
+/// answers in well under a millisecond, so the bound is equally far from
+/// the operating point on a slow runner.
+pub const SERVE_QUERY_P50_BOUND_SECS: f64 = 0.010;
+
 impl BenchReport {
     /// Looks up a workload by name.
     pub fn workload(&self, name: &str) -> Option<&WorkloadResult> {
@@ -422,6 +432,22 @@ impl BenchReport {
                 };
                 (!ok).then(|| w.name.clone())
             })
+            .collect()
+    }
+
+    /// Names of `serve-query` rows whose p50 exceeds
+    /// [`SERVE_QUERY_P50_BOUND_SECS`] — the CI stall gate fails when
+    /// non-empty. A non-finite p50 fails too. A report without the row has
+    /// nothing to gate and passes, like the other latency gate.
+    pub fn serve_stall_regressions(&self) -> Vec<String> {
+        self.workloads
+            .iter()
+            .filter(|w| w.name == "serve-query")
+            .filter(|w| {
+                !(w.p50_latency_secs.is_finite()
+                    && w.p50_latency_secs <= SERVE_QUERY_P50_BOUND_SECS)
+            })
+            .map(|w| w.name.clone())
             .collect()
     }
 
@@ -910,6 +936,32 @@ mod tests {
         assert!(report
             .hot_path_regressions()
             .contains(&"hot-path-pooled-w512".to_string()));
+    }
+
+    #[test]
+    fn serve_stall_gate_fails_a_delayed_ack_round_trip() {
+        let mut report = sample_report();
+        assert!(
+            report.serve_stall_regressions().is_empty(),
+            "no row, no gate"
+        );
+        report.workloads.push(summarize_workload(
+            "serve-query",
+            WorkloadKind::Serve,
+            10_000,
+            &[0.085],
+            Some(1_024),
+            Some(2),
+            None,
+            None,
+        ));
+        // 85 ms: a round trip that waited out a delayed ACK.
+        assert_eq!(report.serve_stall_regressions(), vec!["serve-query"]);
+        // 0.07 ms: a frame sent at once.
+        report.workloads.last_mut().unwrap().p50_latency_secs = 0.000_07;
+        assert!(report.serve_stall_regressions().is_empty());
+        report.workloads.last_mut().unwrap().p50_latency_secs = f64::NAN;
+        assert_eq!(report.serve_stall_regressions(), vec!["serve-query"]);
     }
 
     #[test]

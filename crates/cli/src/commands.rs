@@ -250,31 +250,46 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                     .into());
                 }
             }
-            // The hot-path gate: pooled rows must not be slower than their
-            // reference rows beyond the documented HOT_PATH_TOLERANCE.
-            // (The correctness half — bit-identical estimates — is asserted
-            // inside the workload itself, so reaching this point already
-            // proves it.) The latency half only means something for
-            // optimised code: in a debug build the reference path leans on
-            // the pre-optimised libstd HashMap while the pooled path's maps
-            // compile without optimisation, so the ratio is noise — the
-            // gate is enforced in release builds (what the CI perf-smoke
-            // job runs) and skipped, visibly, otherwise.
+            // The latency gates, both release-only:
+            // - hot-path: pooled rows must not be slower than their
+            //   reference rows beyond the documented HOT_PATH_TOLERANCE.
+            //   (The correctness half — bit-identical estimates — is
+            //   asserted inside the workload itself, so reaching this point
+            //   already proves it.)
+            // - serve stall: one QUERY round trip must stay below
+            //   SERVE_QUERY_P50_BOUND_SECS, under the 40 ms delayed-ACK
+            //   timer a Nagle stall waits on.
+            // Latency only means something for optimised code: in a debug
+            // build the reference path leans on the pre-optimised libstd
+            // HashMap while the pooled path's maps compile without
+            // optimisation, so the ratio is noise — the gates are enforced
+            // in release builds (what the CI perf-smoke job runs) and
+            // skipped, visibly, otherwise.
             if cfg!(debug_assertions) {
                 out.push_str("hot-path gate: skipped (unoptimised build)\n");
+                out.push_str("serve stall gate: skipped (unoptimised build)\n");
             } else {
-                let regressions = report.hot_path_regressions();
-                if regressions.is_empty() {
-                    out.push_str("hot-path gate: ok\n");
-                } else {
-                    out.push_str(&format!("hot-path gate: FAILED for {regressions:?}\n"));
+                let gates = [
+                    (
+                        "hot-path",
+                        report.hot_path_regressions(),
+                        "slower than the reference path beyond the documented tolerance",
+                    ),
+                    (
+                        "serve stall",
+                        report.serve_stall_regressions(),
+                        "p50 above the documented round-trip bound",
+                    ),
+                ];
+                for (gate, failures, why) in gates {
+                    if failures.is_empty() {
+                        out.push_str(&format!("{gate} gate: ok\n"));
+                        continue;
+                    }
+                    out.push_str(&format!("{gate} gate: FAILED for {failures:?}\n"));
                     if check {
                         print!("{out}");
-                        return Err(format!(
-                            "hot-path gate failed: {regressions:?} slower than the reference \
-                             path beyond the documented tolerance"
-                        )
-                        .into());
+                        return Err(format!("{gate} gate failed: {failures:?} {why}").into());
                     }
                 }
             }

@@ -49,10 +49,12 @@
 //!   reallocated**, between batches — the steady state performs zero heap
 //!   allocations per batch (pinned by `tests/alloc_steady_state.rs`);
 //! * the degree/subscription/closing tables are [`FastMap`]s — deterministic
-//!   open addressing over packed `(u64, u64)` keys with a multiply-shift
-//!   hash seeded from the counter's construction seed, so runs stay
-//!   reproducible; multi-subscriber events chain through per-estimator
-//!   `next` columns instead of per-key `Vec`s;
+//!   open addressing with a multiply-shift hash seeded from the counter's
+//!   construction seed, so runs stay reproducible. The subscription and
+//!   closing tables key on packed `(u64, u64)` pairs; the degree table
+//!   keys on the bare vertex id and counts in a `u32`, so its slots are
+//!   16 bytes; multi-subscriber events chain through
+//!   per-estimator `next` columns instead of per-key `Vec`s;
 //! * RNG draws go through the [`BufferedRng`] — one buffer refill per
 //!   couple hundred draws, consumed strictly in order.
 //!
@@ -105,9 +107,12 @@ struct BatchScratch {
     /// replaying the batch through a second degree-table pass.
     edge_du: Vec<u64>,
     edge_dv: Vec<u64>,
-    /// Batch-degree table, keyed `(vertex, 0)`; reused by both `edgeIter`
-    /// passes.
-    deg: FastMap<u64>,
+    /// Batch-degree table: vertex id → degree within the batch, in 16-byte
+    /// slots (8-byte key, 4-byte generation, 4-byte count). A degree within
+    /// a batch is at most `w`, and batch indices are already `u32`, so the
+    /// count fits. `prepare` reserves `2w` endpoints, i.e. `4w` slots:
+    /// `64w` bytes per shard.
+    deg: FastMap<u32, u64>,
     /// EVENT_B subscriptions: `(vertex, target degree)` → chain head, with
     /// the chain threaded through `sub_next`.
     subs: FastMap<u32>,
@@ -165,18 +170,18 @@ impl BatchScratch {
 
 /// Increments the batch degree of `vertex`, returning the new value.
 #[inline]
-fn bump_degree(deg: &mut FastMap<u64>, vertex: u64) -> u64 {
-    let d = deg.get_mut_or_insert((vertex, 0), 0);
+fn bump_degree(deg: &mut FastMap<u32, u64>, vertex: u64) -> u64 {
+    let d = deg.get_mut_or_insert(vertex, 0);
     *d += 1;
-    *d
+    u64::from(*d)
 }
 
 /// [`bump_degree`] probing from a precomputed start index.
 #[inline]
-fn bump_degree_from(deg: &mut FastMap<u64>, start: usize, vertex: u64) -> u64 {
-    let d = deg.get_mut_or_insert_from(start, (vertex, 0), 0);
+fn bump_degree_from(deg: &mut FastMap<u32, u64>, start: usize, vertex: u64) -> u64 {
+    let d = deg.get_mut_or_insert_from(start, vertex, 0);
     *d += 1;
-    *d
+    u64::from(*d)
 }
 
 /// The Step-2a merge body: stores edge `i`'s endpoint occurrence numbers
@@ -312,12 +317,12 @@ fn close_wedges(
     }
 }
 
-/// Probe starts for the `(endpoint, 0)` degree keys of the edge lane group
+/// Probe starts for the endpoint degree keys of the edge lane group
 /// starting at `base`, prefetched so the upserts one group later hit warm
 /// cache lines. Requires `base + LANES <= batch.len()`.
 #[inline]
 fn hash_edge_group(
-    deg: &FastMap<u64>,
+    deg: &FastMap<u32, u64>,
     batch: &[Edge],
     base: usize,
 ) -> ([usize; LANES], [usize; LANES]) {
@@ -327,8 +332,8 @@ fn hash_edge_group(
         us[lane] = e.u().raw();
         vs[lane] = e.v().raw();
     }
-    let su = deg.probe_start4(us, [0; LANES]);
-    let sv = deg.probe_start4(vs, [0; LANES]);
+    let su = deg.probe_start4(us);
+    let sv = deg.probe_start4(vs);
     for lane in 0..LANES {
         deg.prefetch_slot(su[lane]);
         deg.prefetch_slot(sv[lane]);
@@ -342,7 +347,7 @@ fn hash_edge_group(
 /// lookup is skipped for them.
 #[inline]
 fn hash_r1_group(
-    deg: &FastMap<u64>,
+    deg: &FastMap<u32, u64>,
     pool: &EstimatorPool,
     base: usize,
 ) -> ([usize; LANES], [usize; LANES]) {
@@ -350,8 +355,8 @@ fn hash_r1_group(
     let mut ys = [0u64; LANES];
     xs.copy_from_slice(&pool.r1_u[base..base + LANES]);
     ys.copy_from_slice(&pool.r1_v[base..base + LANES]);
-    let sx = deg.probe_start4(xs, [0; LANES]);
-    let sy = deg.probe_start4(ys, [0; LANES]);
+    let sx = deg.probe_start4(xs);
+    let sy = deg.probe_start4(ys);
     for lane in 0..LANES {
         deg.prefetch_slot(sx[lane]);
         deg.prefetch_slot(sy[lane]);
@@ -369,18 +374,14 @@ fn hash_sub_group(
     batch: &[Edge],
     base: usize,
 ) -> ([usize; LANES], [usize; LANES]) {
-    let mut us = [0u64; LANES];
-    let mut vs = [0u64; LANES];
-    let mut dus = [0u64; LANES];
-    let mut dvs = [0u64; LANES];
+    let mut us = [(0u64, 0u64); LANES];
+    let mut vs = [(0u64, 0u64); LANES];
     for (lane, e) in batch[base..base + LANES].iter().enumerate() {
-        us[lane] = e.u().raw();
-        vs[lane] = e.v().raw();
-        dus[lane] = scratch.edge_du[base + lane];
-        dvs[lane] = scratch.edge_dv[base + lane];
+        us[lane] = (e.u().raw(), scratch.edge_du[base + lane]);
+        vs[lane] = (e.v().raw(), scratch.edge_dv[base + lane]);
     }
-    let su = scratch.subs.probe_start4(us, dus);
-    let sv = scratch.subs.probe_start4(vs, dvs);
+    let su = scratch.subs.probe_start4(us);
+    let sv = scratch.subs.probe_start4(vs);
     (su, sv)
 }
 
@@ -389,13 +390,11 @@ fn hash_sub_group(
 /// (`u < v`), matching the `(min, max)` keys the wedge scan inserts.
 #[inline]
 fn hash_pair_group(waiting: &FastMap<u32>, batch: &[Edge], base: usize) -> [usize; LANES] {
-    let mut us = [0u64; LANES];
-    let mut vs = [0u64; LANES];
+    let mut pairs = [(0u64, 0u64); LANES];
     for (lane, e) in batch[base..base + LANES].iter().enumerate() {
-        us[lane] = e.u().raw();
-        vs[lane] = e.v().raw();
+        pairs[lane] = (e.u().raw(), e.v().raw());
     }
-    waiting.probe_start4(us, vs)
+    waiting.probe_start4(pairs)
 }
 // analyze: endregion
 
@@ -635,12 +634,12 @@ impl BulkTriangleCounter {
                 }
                 let deg_x = scratch
                     .deg
-                    .get_from(starts.0[lane], (pool.r1_u[idx], 0))
-                    .unwrap_or(0);
+                    .get_from(starts.0[lane], pool.r1_u[idx])
+                    .map_or(0, u64::from);
                 let deg_y = scratch
                     .deg
-                    .get_from(starts.1[lane], (pool.r1_v[idx], 0))
-                    .unwrap_or(0);
+                    .get_from(starts.1[lane], pool.r1_v[idx])
+                    .map_or(0, u64::from);
                 if step2b_estimator(pool, scratch, &mut self.rng, idx, deg_x, deg_y) {
                     pending_subs += 1;
                 }
@@ -654,8 +653,8 @@ impl BulkTriangleCounter {
             if !pool.r1_set.get(idx) {
                 continue;
             }
-            let deg_x = scratch.deg.get((pool.r1_u[idx], 0)).unwrap_or(0);
-            let deg_y = scratch.deg.get((pool.r1_v[idx], 0)).unwrap_or(0);
+            let deg_x = scratch.deg.get(pool.r1_u[idx]).map_or(0, u64::from);
+            let deg_y = scratch.deg.get(pool.r1_v[idx]).map_or(0, u64::from);
             if step2b_estimator(pool, scratch, &mut self.rng, idx, deg_x, deg_y) {
                 pending_subs += 1;
             }

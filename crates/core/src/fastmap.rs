@@ -9,10 +9,13 @@
 //!
 //! [`FastMap`] replaces it where profiles say it matters:
 //!
-//! * **Keys are a packed `(u64, u64)` pair** — two endpoints, a
-//!   `(vertex, degree)` event, or a single vertex padded with zero.
-//! * **Multiply-shift hashing** (two odd-constant multiplies and an
-//!   xor-fold) — a handful of cycles, seeded so table layout is a pure
+//! * **Keys are one or two `u64` words** ([`FastKey`]). The default is a
+//!   packed `(u64, u64)` pair — two endpoints, or a `(vertex, degree)`
+//!   event. A bare `u64` vertex id is the other key type: it halves the
+//!   slot of the bulk counter's batch-degree table (see
+//!   [`crate::bulk`]), where a pair key would only carry a zero.
+//! * **Multiply-shift hashing** (one odd-constant multiply per key word and
+//!   an xor-fold) — a handful of cycles, seeded so table layout is a pure
 //!   function of the owner's construction seed. Seeding is *for
 //!   reproducibility and layout decorrelation*, not DoS resistance; these
 //!   maps only ever hold trusted intermediate state.
@@ -34,21 +37,53 @@ use crate::lanes::LANES;
 /// have no seed of their own to derive from).
 pub const DEFAULT_FASTMAP_SEED: u64 = 0x5EED_FA57_0000_0001;
 
+// The key hashes run on every probe; they must stay free of allocating
+// tokens like the probe loop below.
+// analyze: region(no-alloc)
+
+/// A key a [`FastMap`] can hold: one or two `u64` words with a seeded
+/// multiply-shift hash. `Default` is the filler key of never-used slots.
+pub trait FastKey: Copy + Eq + Default {
+    /// The unmasked hash of `self` under the table's mixed `seed`.
+    fn hash_with(self, seed: u64) -> u64;
+}
+
+/// The packed pair: both words feed the hash through their own multiply.
+impl FastKey for (u64, u64) {
+    #[inline]
+    fn hash_with(self, seed: u64) -> u64 {
+        let a = (self.0 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let b = (self.1 ^ seed.rotate_left(31)).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+        a ^ b.rotate_left(29)
+    }
+}
+
+/// A single word: the pair hash without the second multiply.
+impl FastKey for u64 {
+    #[inline]
+    fn hash_with(self, seed: u64) -> u64 {
+        (self ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+// analyze: endregion
+
 /// One slot of the table. `gen == FastMap::live_gen` marks the slot live;
-/// any other value means empty (either never used or cleared).
+/// any other value means empty (either never used or cleared). A `u64` key
+/// with a `u32` value packs into 16 bytes; a pair key with a `u64` value
+/// takes 32.
 #[derive(Debug, Clone, Copy)]
-struct Slot<V> {
-    k0: u64,
-    k1: u64,
+struct Slot<K, V> {
+    key: K,
     gen: u32,
     val: V,
 }
 
-/// A deterministic open-addressing map from packed `(u64, u64)` keys to
-/// `Copy` values. See the [module docs](self) for the design rationale.
+/// A deterministic open-addressing map from [`FastKey`] keys — packed
+/// `(u64, u64)` pairs unless `K` says otherwise — to `Copy` values. See the
+/// [module docs](self) for the design rationale.
 #[derive(Debug, Clone)]
-pub struct FastMap<V> {
-    slots: Vec<Slot<V>>,
+pub struct FastMap<V, K = (u64, u64)> {
+    slots: Vec<Slot<K, V>>,
     /// `slots.len() - 1`; the table length is always a power of two.
     mask: usize,
     /// Generation stamp marking live slots.
@@ -59,18 +94,18 @@ pub struct FastMap<V> {
     /// One bit per slot: set when some live key's probe *start* (its hash)
     /// is that index. A clear bit proves the probed key absent without
     /// touching the slot array — for the miss-heavy per-batch scans this
-    /// turns a random ~32-byte slot load into an L1-resident bitmap test.
+    /// turns a random slot load into an L1-resident bitmap test.
     /// Rebuilt on growth, zeroed by [`FastMap::clear`].
     start_bits: Vec<u64>,
 }
 
-impl<V: Copy + Default> Default for FastMap<V> {
+impl<V: Copy + Default, K: FastKey> Default for FastMap<V, K> {
     fn default() -> Self {
         Self::with_seed(DEFAULT_FASTMAP_SEED)
     }
 }
 
-impl<V: Copy + Default> FastMap<V> {
+impl<V: Copy + Default, K: FastKey> FastMap<V, K> {
     /// An empty map whose layout is a pure function of `seed`. No memory is
     /// allocated until the first insertion.
     pub fn with_seed(seed: u64) -> Self {
@@ -114,13 +149,11 @@ impl<V: Copy + Default> FastMap<V> {
         }
     }
 
-    /// Multiply-shift hash of a packed key, folded so both halves of the
-    /// product influence the table index.
+    /// Multiply-shift hash of a key, folded so both halves of the product
+    /// influence the table index.
     #[inline]
-    fn hash(&self, k0: u64, k1: u64) -> usize {
-        let a = (k0 ^ self.seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let b = (k1 ^ self.seed.rotate_left(31)).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        let h = a ^ b.rotate_left(29);
+    fn hash(&self, key: K) -> usize {
+        let h = key.hash_with(self.seed);
         ((h ^ (h >> 32)) as usize) & self.mask
     }
 
@@ -139,8 +172,7 @@ impl<V: Copy + Default> FastMap<V> {
             &mut self.slots,
             vec![
                 Slot {
-                    k0: 0,
-                    k1: 0,
+                    key: K::default(),
                     gen: 0,
                     val: V::default(),
                 };
@@ -156,7 +188,7 @@ impl<V: Copy + Default> FastMap<V> {
         self.len = 0;
         for slot in old {
             if slot.gen == old_gen {
-                self.insert((slot.k0, slot.k1), slot.val);
+                self.insert(slot.key, slot.val);
             }
         }
         debug_assert_eq!(self.len, live, "rehash must preserve every entry");
@@ -169,17 +201,17 @@ impl<V: Copy + Default> FastMap<V> {
 
     /// Index of the slot holding `key`, or of the empty slot where it would
     /// be inserted, probing from a precomputed start index (`start` must
-    /// equal `hash(k0, k1)` for the current table size). The table is never
+    /// equal `hash(key)` for the current table size). The table is never
     /// full (≤ 50 % load), so the probe always terminates.
     #[inline]
-    fn probe_from(&self, start: usize, k0: u64, k1: u64) -> (bool, usize) {
+    fn probe_from(&self, start: usize, key: K) -> (bool, usize) {
         let mut idx = start;
         loop {
             let slot = &self.slots[idx];
             if slot.gen != self.live_gen {
                 return (false, idx);
             }
-            if slot.k0 == k0 && slot.k1 == k1 {
+            if slot.key == key {
                 return (true, idx);
             }
             idx = (idx + 1) & self.mask;
@@ -208,10 +240,10 @@ impl<V: Copy + Default> FastMap<V> {
     /// the seed and the table size, so it stays valid until the next
     /// growth.
     #[inline]
-    pub(crate) fn probe_start4(&self, k0: [u64; LANES], k1: [u64; LANES]) -> [usize; LANES] {
+    pub(crate) fn probe_start4(&self, keys: [K; LANES]) -> [usize; LANES] {
         let mut out = [0usize; LANES];
-        for (lane, slot) in out.iter_mut().enumerate() {
-            *slot = self.hash(k0[lane], k1[lane]);
+        for (slot, key) in out.iter_mut().zip(keys) {
+            *slot = self.hash(key);
         }
         out
     }
@@ -227,15 +259,15 @@ impl<V: Copy + Default> FastMap<V> {
     /// the multiply-shift hash of `key` for the current table size
     /// (debug-asserted), as produced by [`probe_start4`](Self::probe_start4).
     #[inline]
-    pub(crate) fn get_from(&self, start: usize, key: (u64, u64)) -> Option<V> {
+    pub(crate) fn get_from(&self, start: usize, key: K) -> Option<V> {
         if self.len == 0 {
             return None;
         }
-        debug_assert_eq!(start, self.hash(key.0, key.1), "stale probe start");
+        debug_assert_eq!(start, self.hash(key), "stale probe start");
         if !self.start_hit(start) {
             return None;
         }
-        let (found, idx) = self.probe_from(start, key.0, key.1);
+        let (found, idx) = self.probe_from(start, key);
         found.then(|| self.slots[idx].val)
     }
 
@@ -244,31 +276,25 @@ impl<V: Copy + Default> FastMap<V> {
     /// except the hash is only recomputed on the cold growth path, where
     /// precomputed starts go stale.
     #[inline]
-    pub(crate) fn get_mut_or_insert_from(
-        &mut self,
-        start: usize,
-        key: (u64, u64),
-        default: V,
-    ) -> &mut V {
+    pub(crate) fn get_mut_or_insert_from(&mut self, start: usize, key: K, default: V) -> &mut V {
         let cap_before = self.slots.len();
         self.reserve(1);
         let start = if self.slots.len() == cap_before {
-            debug_assert_eq!(start, self.hash(key.0, key.1), "stale probe start");
+            debug_assert_eq!(start, self.hash(key), "stale probe start");
             start
         } else {
-            self.hash(key.0, key.1)
+            self.hash(key)
         };
         self.get_mut_or_insert_at(start, key, default)
     }
 
     /// Shared upsert tail: `start` is the (fresh) hash of `key`.
     #[inline]
-    fn get_mut_or_insert_at(&mut self, start: usize, key: (u64, u64), default: V) -> &mut V {
-        let (found, idx) = self.probe_from(start, key.0, key.1);
+    fn get_mut_or_insert_at(&mut self, start: usize, key: K, default: V) -> &mut V {
+        let (found, idx) = self.probe_from(start, key);
         if !found {
             self.slots[idx] = Slot {
-                k0: key.0,
-                k1: key.1,
+                key,
                 gen: self.live_gen,
                 val: default,
             };
@@ -280,35 +306,35 @@ impl<V: Copy + Default> FastMap<V> {
 
     /// Looks up a key, returning a copy of its value.
     #[inline]
-    pub fn get(&self, key: (u64, u64)) -> Option<V> {
+    pub fn get(&self, key: K) -> Option<V> {
         if self.len == 0 {
             return None;
         }
-        let start = self.hash(key.0, key.1);
+        let start = self.hash(key);
         if !self.start_hit(start) {
             return None;
         }
-        let (found, idx) = self.probe_from(start, key.0, key.1);
+        let (found, idx) = self.probe_from(start, key);
         found.then(|| self.slots[idx].val)
     }
 
     /// Whether a key is present.
     #[inline]
-    pub fn contains_key(&self, key: (u64, u64)) -> bool {
+    pub fn contains_key(&self, key: K) -> bool {
         if self.len == 0 {
             return false;
         }
-        let start = self.hash(key.0, key.1);
-        self.start_hit(start) && self.probe_from(start, key.0, key.1).0
+        let start = self.hash(key);
+        self.start_hit(start) && self.probe_from(start, key).0
     }
 
     /// Inserts or overwrites, returning the previous value if the key was
     /// already present.
     #[inline]
-    pub fn insert(&mut self, key: (u64, u64), val: V) -> Option<V> {
+    pub fn insert(&mut self, key: K, val: V) -> Option<V> {
         self.reserve(1);
-        let start = self.hash(key.0, key.1);
-        let (found, idx) = self.probe_from(start, key.0, key.1);
+        let start = self.hash(key);
+        let (found, idx) = self.probe_from(start, key);
         let slot = &mut self.slots[idx];
         if found {
             let old = slot.val;
@@ -316,8 +342,7 @@ impl<V: Copy + Default> FastMap<V> {
             Some(old)
         } else {
             *slot = Slot {
-                k0: key.0,
-                k1: key.1,
+                key,
                 gen: self.live_gen,
                 val,
             };
@@ -330,16 +355,15 @@ impl<V: Copy + Default> FastMap<V> {
     /// Inserts `val` only when the key is absent; returns whether an
     /// insertion happened.
     #[inline]
-    pub fn insert_if_absent(&mut self, key: (u64, u64), val: V) -> bool {
+    pub fn insert_if_absent(&mut self, key: K, val: V) -> bool {
         self.reserve(1);
-        let start = self.hash(key.0, key.1);
-        let (found, idx) = self.probe_from(start, key.0, key.1);
+        let start = self.hash(key);
+        let (found, idx) = self.probe_from(start, key);
         if found {
             return false;
         }
         self.slots[idx] = Slot {
-            k0: key.0,
-            k1: key.1,
+            key,
             gen: self.live_gen,
             val,
         };
@@ -351,20 +375,20 @@ impl<V: Copy + Default> FastMap<V> {
     /// Mutable access to the value for `key`, inserting `default` first
     /// when absent — the `entry(..).or_insert(..)` of this map.
     #[inline]
-    pub fn get_mut_or_insert(&mut self, key: (u64, u64), default: V) -> &mut V {
+    pub fn get_mut_or_insert(&mut self, key: K, default: V) -> &mut V {
         self.reserve(1);
-        let start = self.hash(key.0, key.1);
+        let start = self.hash(key);
         self.get_mut_or_insert_at(start, key, default)
     }
     // analyze: endregion
 
     /// Iterates over live `(key, value)` pairs in slot order — a
     /// deterministic function of the seed and the insertion history.
-    pub fn iter(&self) -> impl Iterator<Item = ((u64, u64), V)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (K, V)> + '_ {
         self.slots
             .iter()
             .filter(move |slot| slot.gen == self.live_gen)
-            .map(|slot| ((slot.k0, slot.k1), slot.val))
+            .map(|slot| (slot.key, slot.val))
     }
 
     /// Allocated table capacity in slots (exposed for space accounting and
@@ -384,198 +408,261 @@ fn mix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
-    #[test]
-    fn empty_map_behaves() {
-        let map: FastMap<u64> = FastMap::with_seed(1);
-        assert_eq!(map.len(), 0);
-        assert!(map.is_empty());
-        assert_eq!(map.get((1, 2)), None);
-        assert!(!map.contains_key((0, 0)));
-        assert_eq!(map.capacity(), 0, "no allocation before the first insert");
-    }
-
-    #[test]
-    fn insert_get_overwrite() {
-        let mut map = FastMap::with_seed(7);
-        assert_eq!(map.insert((1, 2), 10u64), None);
-        assert_eq!(map.insert((2, 1), 20), None, "keys are ordered pairs");
-        assert_eq!(map.get((1, 2)), Some(10));
-        assert_eq!(map.get((2, 1)), Some(20));
-        assert_eq!(map.insert((1, 2), 11), Some(10));
-        assert_eq!(map.get((1, 2)), Some(11));
-        assert_eq!(map.len(), 2);
-    }
-
-    #[test]
-    fn get_mut_or_insert_counts_like_entry_or_insert() {
-        let mut map = FastMap::with_seed(3);
-        for _ in 0..5 {
-            *map.get_mut_or_insert((42, 0), 0u64) += 1;
-        }
-        assert_eq!(map.get((42, 0)), Some(5));
-        assert_eq!(map.len(), 1);
-    }
-
-    #[test]
-    fn insert_if_absent_only_inserts_once() {
-        let mut map = FastMap::with_seed(3);
-        assert!(map.insert_if_absent((5, 5), 1u32));
-        assert!(!map.insert_if_absent((5, 5), 2));
-        assert_eq!(map.get((5, 5)), Some(1));
-    }
-
-    #[test]
-    fn clear_is_constant_time_and_retains_capacity() {
-        let mut map = FastMap::with_seed(9);
-        for i in 0..1_000u64 {
-            map.insert((i, i * 3), i);
-        }
-        let cap = map.capacity();
-        assert!(cap >= 2_000, "≤ 50 % load factor");
-        map.clear();
-        assert!(map.is_empty());
-        assert_eq!(map.capacity(), cap, "clear must not shrink the table");
-        assert_eq!(map.get((1, 3)), None);
-        map.insert((1, 3), 77);
-        assert_eq!(map.get((1, 3)), Some(77));
-        assert_eq!(map.len(), 1);
-    }
-
-    #[test]
-    fn generation_wraparound_resets_stamps() {
-        let mut map = FastMap::with_seed(4);
-        map.insert((1, 1), 1u64);
-        map.live_gen = u32::MAX - 1;
-        // Force the live entry's stamp to match so it is still visible.
-        for slot in &mut map.slots {
-            if slot.k0 == 1 && slot.k1 == 1 {
-                slot.gen = u32::MAX - 1;
+    /// Runs each generic test body in [`bodies`] twice: under its own name
+    /// for the default pair key, and again in `single_key` for `u64`.
+    macro_rules! for_both_keys {
+        ($($name:ident),+ $(,)?) => {
+            $(
+                #[test]
+                fn $name() {
+                    bodies::$name::<(u64, u64)>();
+                }
+            )+
+            mod single_key {
+                $(
+                    #[test]
+                    fn $name() {
+                        super::bodies::$name::<u64>();
+                    }
+                )+
             }
-        }
-        assert_eq!(map.get((1, 1)), Some(1));
-        map.clear(); // live_gen -> MAX
-        map.insert((2, 2), 2);
-        map.clear(); // wraparound path: stamps reset to 0, live_gen to 1
-        assert!(map.is_empty());
-        assert_eq!(map.get((2, 2)), None);
-        map.insert((3, 3), 3);
-        assert_eq!(map.get((3, 3)), Some(3));
-        assert_eq!(map.len(), 1);
-    }
-
-    #[test]
-    fn matches_a_std_hashmap_under_random_workload() {
-        // Differential test against std: same inserts/overwrites/lookups.
-        let mut state = 0x0123_4567_89AB_CDEF_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
         };
-        let mut fast = FastMap::with_seed(11);
-        let mut reference: HashMap<(u64, u64), u64> = HashMap::new();
-        for _ in 0..20_000 {
-            let key = (next() % 512, next() % 64);
-            match next() % 3 {
-                0 => {
-                    let val = next();
-                    assert_eq!(fast.insert(key, val), reference.insert(key, val));
-                }
-                1 => {
-                    assert_eq!(fast.get(key), reference.get(&key).copied());
-                }
-                _ => {
-                    let slot = fast.get_mut_or_insert(key, 0);
-                    *slot += 1;
-                    let entry = reference.entry(key).or_insert(0);
-                    *entry += 1;
-                    assert_eq!(*slot, *entry);
+    }
+
+    for_both_keys!(
+        empty_map_behaves,
+        insert_get_overwrite,
+        get_mut_or_insert_counts_like_entry_or_insert,
+        insert_if_absent_only_inserts_once,
+        clear_is_constant_time_and_retains_capacity,
+        generation_wraparound_resets_stamps,
+        matches_a_std_hashmap_under_random_workload,
+        layout_is_deterministic_per_seed,
+        lane_probe_starts_match_the_scalar_hash,
+        get_mut_or_insert_from_matches_get_mut_or_insert,
+        reserve_prevents_mid_batch_growth,
+    );
+
+    #[test]
+    fn slots_pack_to_16_bytes_for_a_u64_key_and_u32_value() {
+        // The bulk counter's batch-degree table: 8-byte key, 4-byte
+        // generation, 4-byte count.
+        assert_eq!(std::mem::size_of::<Slot<u64, u32>>(), 16);
+        // The pair-keyed tables keep their layout.
+        assert_eq!(std::mem::size_of::<Slot<(u64, u64), u64>>(), 32);
+        assert_eq!(std::mem::size_of::<Slot<(u64, u64), u32>>(), 24);
+    }
+
+    mod bodies {
+        use super::super::*;
+        use std::collections::HashMap;
+        use std::fmt::Debug;
+        use std::hash::Hash;
+
+        /// A key type the generic bodies can build from the small
+        /// `(a, b)` coordinates they use.
+        pub(super) trait TestKey: FastKey + Ord + Hash + Debug {
+            /// An injective packing of `(a, b)` for `a, b < 2^32`.
+            fn of(a: u64, b: u64) -> Self;
+        }
+
+        impl TestKey for (u64, u64) {
+            fn of(a: u64, b: u64) -> Self {
+                (a, b)
+            }
+        }
+
+        impl TestKey for u64 {
+            fn of(a: u64, b: u64) -> Self {
+                (a << 32) | b
+            }
+        }
+
+        pub(super) fn empty_map_behaves<K: TestKey>() {
+            let map: FastMap<u64, K> = FastMap::with_seed(1);
+            assert_eq!(map.len(), 0);
+            assert!(map.is_empty());
+            assert_eq!(map.get(K::of(1, 2)), None);
+            assert!(!map.contains_key(K::of(0, 0)));
+            assert_eq!(map.capacity(), 0, "no allocation before the first insert");
+        }
+
+        pub(super) fn insert_get_overwrite<K: TestKey>() {
+            let mut map = FastMap::with_seed(7);
+            assert_eq!(map.insert(K::of(1, 2), 10u64), None);
+            assert_eq!(map.insert(K::of(2, 1), 20), None, "keys are ordered pairs");
+            assert_eq!(map.get(K::of(1, 2)), Some(10));
+            assert_eq!(map.get(K::of(2, 1)), Some(20));
+            assert_eq!(map.insert(K::of(1, 2), 11), Some(10));
+            assert_eq!(map.get(K::of(1, 2)), Some(11));
+            assert_eq!(map.len(), 2);
+        }
+
+        pub(super) fn get_mut_or_insert_counts_like_entry_or_insert<K: TestKey>() {
+            let mut map = FastMap::with_seed(3);
+            for _ in 0..5 {
+                *map.get_mut_or_insert(K::of(42, 0), 0u64) += 1;
+            }
+            assert_eq!(map.get(K::of(42, 0)), Some(5));
+            assert_eq!(map.len(), 1);
+        }
+
+        pub(super) fn insert_if_absent_only_inserts_once<K: TestKey>() {
+            let mut map = FastMap::with_seed(3);
+            assert!(map.insert_if_absent(K::of(5, 5), 1u32));
+            assert!(!map.insert_if_absent(K::of(5, 5), 2));
+            assert_eq!(map.get(K::of(5, 5)), Some(1));
+        }
+
+        pub(super) fn clear_is_constant_time_and_retains_capacity<K: TestKey>() {
+            let mut map = FastMap::with_seed(9);
+            for i in 0..1_000u64 {
+                map.insert(K::of(i, i * 3), i);
+            }
+            let cap = map.capacity();
+            assert!(cap >= 2_000, "≤ 50 % load factor");
+            map.clear();
+            assert!(map.is_empty());
+            assert_eq!(map.capacity(), cap, "clear must not shrink the table");
+            assert_eq!(map.get(K::of(1, 3)), None);
+            map.insert(K::of(1, 3), 77);
+            assert_eq!(map.get(K::of(1, 3)), Some(77));
+            assert_eq!(map.len(), 1);
+        }
+
+        pub(super) fn generation_wraparound_resets_stamps<K: TestKey>() {
+            let mut map = FastMap::with_seed(4);
+            map.insert(K::of(1, 1), 1u64);
+            map.live_gen = u32::MAX - 1;
+            // Force the live entry's stamp to match so it is still visible.
+            for slot in &mut map.slots {
+                if slot.key == K::of(1, 1) {
+                    slot.gen = u32::MAX - 1;
                 }
             }
-            assert_eq!(fast.len(), reference.len());
+            assert_eq!(map.get(K::of(1, 1)), Some(1));
+            map.clear(); // live_gen -> MAX
+            map.insert(K::of(2, 2), 2);
+            map.clear(); // wraparound path: stamps reset to 0, live_gen to 1
+            assert!(map.is_empty());
+            assert_eq!(map.get(K::of(2, 2)), None);
+            map.insert(K::of(3, 3), 3);
+            assert_eq!(map.get(K::of(3, 3)), Some(3));
+            assert_eq!(map.len(), 1);
         }
-        // Full-content comparison via iteration.
-        let mut fast_entries: Vec<_> = fast.iter().collect();
-        fast_entries.sort_unstable();
-        let mut ref_entries: Vec<_> = reference.iter().map(|(&k, &v)| (k, v)).collect();
-        ref_entries.sort_unstable();
-        assert_eq!(fast_entries, ref_entries);
-    }
 
-    #[test]
-    fn layout_is_deterministic_per_seed() {
-        let build = |seed| {
-            let mut map = FastMap::with_seed(seed);
-            for i in 0..100u64 {
-                map.insert((i * 7, i), i);
+        pub(super) fn matches_a_std_hashmap_under_random_workload<K: TestKey>() {
+            // Differential test against std: same inserts/overwrites/lookups.
+            let mut state = 0x0123_4567_89AB_CDEF_u64;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut fast = FastMap::with_seed(11);
+            let mut reference: HashMap<K, u64> = HashMap::new();
+            for _ in 0..20_000 {
+                let key = K::of(next() % 512, next() % 64);
+                match next() % 3 {
+                    0 => {
+                        let val = next();
+                        assert_eq!(fast.insert(key, val), reference.insert(key, val));
+                    }
+                    1 => {
+                        assert_eq!(fast.get(key), reference.get(&key).copied());
+                    }
+                    _ => {
+                        let slot = fast.get_mut_or_insert(key, 0);
+                        *slot += 1;
+                        let entry = reference.entry(key).or_insert(0);
+                        *entry += 1;
+                        assert_eq!(*slot, *entry);
+                    }
+                }
+                assert_eq!(fast.len(), reference.len());
             }
-            map.iter().collect::<Vec<_>>()
-        };
-        assert_eq!(build(5), build(5), "same seed, same iteration order");
-    }
-
-    #[test]
-    fn lane_probe_starts_match_the_scalar_hash() {
-        let mut map = FastMap::with_seed(21);
-        for i in 0..64u64 {
-            map.insert((i, i ^ 5), i);
+            // Full-content comparison via iteration.
+            let mut fast_entries: Vec<_> = fast.iter().collect();
+            fast_entries.sort_unstable();
+            let mut ref_entries: Vec<_> = reference.iter().map(|(&k, &v)| (k, v)).collect();
+            ref_entries.sort_unstable();
+            assert_eq!(fast_entries, ref_entries);
         }
-        let k0 = [3u64, 17, 200, 63];
-        let k1 = [3u64 ^ 5, 17 ^ 5, 0, 63 ^ 5];
-        let starts = map.probe_start4(k0, k1);
-        for lane in 0..LANES {
-            // A splatted group must agree with the mixed group lane-wise —
-            // each lane's start is a pure function of its own key.
-            let splat = map.probe_start4([k0[lane]; LANES], [k1[lane]; LANES]);
-            assert_eq!(splat, [starts[lane]; LANES]);
-            map.prefetch_slot(starts[lane]); // must be a harmless hint
-            assert_eq!(
-                map.get_from(starts[lane], (k0[lane], k1[lane])),
-                map.get((k0[lane], k1[lane])),
-                "lane {lane}"
-            );
-        }
-    }
 
-    #[test]
-    fn get_mut_or_insert_from_matches_get_mut_or_insert() {
-        let mut plain = FastMap::with_seed(33);
-        let mut prehashed = FastMap::with_seed(33);
-        for i in 0..2_000u64 {
-            let key = (i % 311, 0);
-            let a = {
-                let v = plain.get_mut_or_insert(key, 0u64);
-                *v += 1;
-                *v
+        pub(super) fn layout_is_deterministic_per_seed<K: TestKey>() {
+            let build = |seed| {
+                let mut map = FastMap::with_seed(seed);
+                for i in 0..100u64 {
+                    map.insert(K::of(i * 7, i), i);
+                }
+                map.iter().collect::<Vec<_>>()
             };
-            let b = {
-                let start = prehashed.probe_start4([key.0; LANES], [key.1; LANES])[0];
-                let v = prehashed.get_mut_or_insert_from(start, key, 0u64);
-                *v += 1;
-                *v
-            };
-            assert_eq!(a, b, "upsert {i}");
-            assert_eq!(plain.len(), prehashed.len());
-            assert_eq!(plain.capacity(), prehashed.capacity(), "growth parity");
+            assert_eq!(build(5), build(5), "same seed, same iteration order");
         }
-        let mut lhs: Vec<_> = plain.iter().collect();
-        let mut rhs: Vec<_> = prehashed.iter().collect();
-        lhs.sort_unstable();
-        rhs.sort_unstable();
-        assert_eq!(lhs, rhs);
-    }
 
-    #[test]
-    fn reserve_prevents_mid_batch_growth() {
-        let mut map: FastMap<u64> = FastMap::with_seed(2);
-        map.reserve(1_000);
-        let cap = map.capacity();
-        for i in 0..1_000u64 {
-            map.insert((i, 0), i);
+        pub(super) fn lane_probe_starts_match_the_scalar_hash<K: TestKey>() {
+            let mut map = FastMap::with_seed(21);
+            for i in 0..64u64 {
+                map.insert(K::of(i, i ^ 5), i);
+            }
+            let keys = [
+                K::of(3, 3 ^ 5),
+                K::of(17, 17 ^ 5),
+                K::of(200, 0),
+                K::of(63, 63 ^ 5),
+            ];
+            let starts = map.probe_start4(keys);
+            for lane in 0..LANES {
+                // A splatted group must agree with the mixed group lane-wise —
+                // each lane's start is a pure function of its own key.
+                let splat = map.probe_start4([keys[lane]; LANES]);
+                assert_eq!(splat, [starts[lane]; LANES]);
+                map.prefetch_slot(starts[lane]); // must be a harmless hint
+                assert_eq!(
+                    map.get_from(starts[lane], keys[lane]),
+                    map.get(keys[lane]),
+                    "lane {lane}"
+                );
+            }
         }
-        assert_eq!(map.capacity(), cap, "reserved capacity must be enough");
+
+        pub(super) fn get_mut_or_insert_from_matches_get_mut_or_insert<K: TestKey>() {
+            let mut plain = FastMap::with_seed(33);
+            let mut prehashed = FastMap::with_seed(33);
+            for i in 0..2_000u64 {
+                let key = K::of(i % 311, 0);
+                let a = {
+                    let v = plain.get_mut_or_insert(key, 0u64);
+                    *v += 1;
+                    *v
+                };
+                let b = {
+                    let start = prehashed.probe_start4([key; LANES])[0];
+                    let v = prehashed.get_mut_or_insert_from(start, key, 0u64);
+                    *v += 1;
+                    *v
+                };
+                assert_eq!(a, b, "upsert {i}");
+                assert_eq!(plain.len(), prehashed.len());
+                assert_eq!(plain.capacity(), prehashed.capacity(), "growth parity");
+            }
+            let mut lhs: Vec<_> = plain.iter().collect();
+            let mut rhs: Vec<_> = prehashed.iter().collect();
+            lhs.sort_unstable();
+            rhs.sort_unstable();
+            assert_eq!(lhs, rhs);
+        }
+
+        pub(super) fn reserve_prevents_mid_batch_growth<K: TestKey>() {
+            let mut map: FastMap<u64, K> = FastMap::with_seed(2);
+            map.reserve(1_000);
+            let cap = map.capacity();
+            for i in 0..1_000u64 {
+                map.insert(K::of(i, 0), i);
+            }
+            assert_eq!(map.capacity(), cap, "reserved capacity must be enough");
+        }
     }
 }

@@ -256,6 +256,8 @@ impl<R: Read> RecordReader<R> {
         let count = (self.remaining().min(max as u64)) as usize;
         self.block.resize(count * rec, 0);
         let whole = read_full(&mut self.reader, &mut self.block)? / rec;
+        // Room for the records that arrived, not for the header's claim.
+        out.reserve(whole);
         // Split the immutable view off before mutating `decoded`, so record
         // offsets in errors stay accurate per record.
         for (i, raw) in self.block[..whole * rec].chunks_exact(rec).enumerate() {
@@ -304,9 +306,15 @@ const BLOCK_RECORDS: usize = 1 << 16;
 /// if present, is decoded and discarded. No deduplication is performed —
 /// `.tsb` files are machine-written and carry stream semantics, so
 /// duplicates are preserved as-is.
+///
+/// The header's record count sizes nothing up front but one decode block
+/// (65,536 records): the edge vector grows by the records each block
+/// actually delivers. A stream below one block gets a vector of its
+/// own size, and a hostile header (a serve EDGES frame claiming 2^24
+/// records and carrying none) costs one block buffer, not the claim.
 pub fn read_edges_binary<R: Read>(reader: R) -> Result<EdgeStream, GraphError> {
     let mut records = RecordReader::new(reader)?;
-    let mut edges = Vec::with_capacity(records.header.edges.min(1 << 24) as usize);
+    let mut edges = Vec::new();
     while records.remaining() > 0 {
         records.read_records(BLOCK_RECORDS, &mut edges, None)?;
     }
@@ -520,6 +528,22 @@ mod tests {
         padded.extend_from_slice(&[0u8; 3]);
         let err = read_edges_binary(padded.as_slice()).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
+        // A header claiming 2^24 records over the same 4 real ones.
+        let mut hostile = buf.clone();
+        hostile[8..16].copy_from_slice(&(1u64 << 24).to_le_bytes());
+        let err = read_edges_binary(hostile.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn the_edge_buffer_grows_with_the_records_read() {
+        // Below one block the vector is exactly the stream's size.
+        let stream = read_edges_binary(encode(&path_edges(1_000)).as_slice()).unwrap();
+        assert_eq!(stream.into_edges().capacity(), 1_000);
+        // Past one block it grows block by block.
+        let long = path_edges(2 * BLOCK_RECORDS as u64 + 2);
+        let stream = read_edges_binary(encode(&long).as_slice()).unwrap();
+        assert_eq!(stream.edges(), long.as_slice());
     }
 
     #[test]

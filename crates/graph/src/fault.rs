@@ -234,6 +234,14 @@ impl<W: Write> Write for FaultyWriter<W> {
         Ok(n)
     }
 
+    /// A vectored write may end anywhere in any buffer, as a socket's
+    /// does: the buffers are joined and go through [`Write::write`] above,
+    /// so the script caps and fails them exactly like one plain write.
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        let joined: Vec<u8> = bufs.iter().flat_map(|buf| buf.iter().copied()).collect();
+        self.write(&joined)
+    }
+
     fn flush(&mut self) -> io::Result<()> {
         if let Some(kind) = self.flush_error.take() {
             return Err(io::Error::new(kind, "injected flush fault"));
@@ -303,6 +311,21 @@ mod tests {
         let e = w.write(&[5, 6]).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::Interrupted);
         assert_eq!(w.write(&[5, 6]).unwrap(), 2);
+        assert_eq!(w.into_inner(), vec![1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn vectored_writes_follow_the_same_script_across_buffers() {
+        let mut w = FaultyWriter::new(Vec::new())
+            .short_writes(3)
+            .fail_at(5, io::ErrorKind::Interrupted);
+        let bufs = [io::IoSlice::new(&[1, 2]), io::IoSlice::new(&[3, 4, 5, 6])];
+        assert_eq!(w.write_vectored(&bufs).unwrap(), 3, "capped across buffers");
+        let rest = [io::IoSlice::new(&[4, 5, 6])];
+        assert_eq!(w.write_vectored(&rest).unwrap(), 2, "stops at the fault");
+        let e = w.write_vectored(&[io::IoSlice::new(&[6])]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::Interrupted);
+        assert_eq!(w.write_vectored(&[io::IoSlice::new(&[6])]).unwrap(), 1);
         assert_eq!(w.into_inner(), vec![1, 2, 3, 4, 5, 6]);
     }
 

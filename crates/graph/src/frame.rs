@@ -22,7 +22,7 @@
 //! on — pass through as [`GraphError::Io`].
 
 use crate::error::GraphError;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Upper bound on a frame payload, in bytes (64 MiB). A length prefix above
 /// this is treated as corruption: it protects the reader from allocating
@@ -49,6 +49,15 @@ fn read_failed(e: std::io::Error, offset: u64, reason: &'static str) -> GraphErr
 /// immediately by a read of the peer's reply, so flushing is part of the
 /// request/response discipline, not the framing).
 ///
+/// The 5-byte header and the payload go out together through
+/// [`Write::write_vectored`], without copying the payload. On a socket the
+/// kernel then sees the whole frame at once: a frame below one segment
+/// leaves as one segment. Written in pieces, the header would leave alone,
+/// and with Nagle's algorithm on the rest would wait for the peer to ACK
+/// it, which the peer delays (40 ms on Linux). Short writes continue from
+/// where they stopped, `Interrupted` is retried, and a writer that accepts
+/// nothing fails with [`std::io::ErrorKind::WriteZero`].
+///
 /// A payload longer than [`MAX_FRAME_PAYLOAD`] is refused with
 /// [`GraphError::Binary`] before anything is written, so a partial frame
 /// never reaches the wire.
@@ -60,9 +69,23 @@ pub fn write_frame<W: Write>(
     if payload.len() > MAX_FRAME_PAYLOAD as usize {
         return Err(frame_error(1, "frame payload exceeds MAX_FRAME_PAYLOAD"));
     }
-    writer.write_all(&[frame_type])?;
-    writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-    writer.write_all(payload)?;
+    let mut header = [frame_type, 0, 0, 0, 0];
+    header[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match writer.write_vectored(pending) {
+            Ok(0) => {
+                return Err(GraphError::Io(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                )))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(GraphError::Io(e)),
+        }
+    }
     Ok(())
 }
 
@@ -185,10 +208,87 @@ mod tests {
     #[test]
     fn oversized_writes_are_refused_before_touching_the_wire() {
         let payload = vec![0u8; MAX_FRAME_PAYLOAD as usize + 1];
-        let mut out = Vec::new();
+        let mut out = CallRecorder::default();
         let err = write_frame(&mut out, 0x01, &payload).unwrap_err();
         assert!(matches!(err, GraphError::Binary { .. }), "{err}");
-        assert!(out.is_empty(), "no partial frame on the wire");
+        assert!(out.bytes.is_empty(), "no partial frame on the wire");
+        assert_eq!((out.writes, out.vectored), (0, 0), "no write call at all");
+    }
+
+    /// Accepts every byte it is offered and counts the calls by kind.
+    #[derive(Default)]
+    struct CallRecorder {
+        bytes: Vec<u8>,
+        writes: usize,
+        vectored: usize,
+    }
+
+    impl Write for CallRecorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.vectored += 1;
+            let before = self.bytes.len();
+            for buf in bufs {
+                self.bytes.extend_from_slice(buf);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_vectored_write() {
+        let mut out = CallRecorder::default();
+        write_frame(&mut out, 0x01, b"first").unwrap();
+        write_frame(&mut out, 0x02, b"").unwrap();
+        write_frame(&mut out, 0x03, &[7u8; 4096]).unwrap();
+        assert_eq!(out.vectored, 3, "one write_vectored per frame");
+        assert_eq!(out.writes, 0, "no separate header or payload write");
+        let mut expected = encode(0x01, b"first");
+        expected.extend(encode(0x02, b""));
+        expected.extend(encode(0x03, &[7u8; 4096]));
+        assert_eq!(out.bytes, expected);
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_still_deliver_the_whole_frame() {
+        use crate::fault::FaultyWriter;
+        use std::io::ErrorKind;
+        let payload: Vec<u8> = (0..32).collect();
+        // Every call takes at most 3 bytes: the first write stops inside
+        // the 5-byte header, and later ones stop inside the payload (the
+        // second crosses from header into payload). An `Interrupted`
+        // fires at byte 11, inside the payload.
+        let mut out = FaultyWriter::new(Vec::new())
+            .short_writes(3)
+            .fail_at(11, ErrorKind::Interrupted);
+        write_frame(&mut out, 0x09, &payload).unwrap();
+        assert_eq!(out.into_inner(), encode(0x09, &payload));
+    }
+
+    #[test]
+    fn a_writer_that_accepts_nothing_is_a_write_zero_error() {
+        struct Stalled;
+        impl Write for Stalled {
+            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        match write_frame(&mut Stalled, 0x01, b"payload").unwrap_err() {
+            GraphError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::WriteZero),
+            other => panic!("expected Io, got {other}"),
+        }
     }
 
     /// Fails every read with a non-EOF I/O error.

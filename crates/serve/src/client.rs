@@ -148,6 +148,12 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
         let conn =
             TcpStream::connect(addr).map_err(|e| ClientError::Transport(GraphError::Io(e)))?;
+        // The server waits for each request whole. With Nagle on, a request
+        // larger than one segment would keep its last small segment until
+        // the server ACKs the rest, and the server delays that ACK (40 ms
+        // on Linux).
+        conn.set_nodelay(true)
+            .map_err(|e| ClientError::Transport(GraphError::Io(e)))?;
         let peer = conn.peer_addr().ok();
         let mut client = Self { conn, peer };
         client.expect_ok(&Request::Hello {

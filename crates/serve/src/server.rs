@@ -289,6 +289,10 @@ fn drive_connection(
         .map_err(GraphError::Io)?;
     conn.set_write_timeout(shared.write_timeout)
         .map_err(GraphError::Io)?;
+    // The peer waits for each reply whole. With Nagle on, a reply larger
+    // than one segment would keep its last small segment until the peer
+    // ACKs the rest, and the peer delays that ACK (40 ms on Linux).
+    conn.set_nodelay(true).map_err(GraphError::Io)?;
     let mut hello_done = false;
     // Consecutive boundary-poll timeouts with no frame: the idle deadline,
     // measured in polls so the decision is a count, not a clock read.

@@ -1,6 +1,6 @@
 //! Integration tests driving a real daemon over a real TCP socket: offline
 //! parity (bit-identical estimates), multi-tenant isolation, malformed-frame
-//! survival, and graceful drain.
+//! survival, round trips without delayed-ACK stalls, and graceful drain.
 
 // Test harness: helper fns may abort on setup failure (clippy's
 // allow-expect-in-tests only covers `#[test]` bodies, not helpers).
@@ -8,6 +8,7 @@
 
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 use tristream_baselines::registry::{find_algo, AlgoParams};
 use tristream_core::{ShardedEstimator, TriangleEstimator};
 use tristream_graph::Edge;
@@ -230,6 +231,26 @@ fn malformed_frames_get_error_replies_and_the_server_survives() {
     assert_eq!(t, FrameType::Error.byte());
     assert_eq!(payload[0], ErrorCode::BadEdgePayload.byte());
 
+    // EDGES whose embedded header claims 2^24 records and carries none:
+    // the header must not size the decode buffer (the byte bound is
+    // pinned in tests/edges_decode_alloc.rs), and the answer is the same
+    // BAD_EDGE_PAYLOAD as any truncation.
+    let mut hostile = Request::Edges {
+        name: "s".to_string(),
+        edges: Vec::new(),
+    }
+    .encode_payload()
+    .expect("encode");
+    let len = hostile.len();
+    hostile[len - 8..].copy_from_slice(&(1u64 << 24).to_le_bytes());
+    assert_eq!(len, 19, "a 24-byte frame with its header");
+    let (t, payload) = client
+        .raw_roundtrip(FrameType::Edges.byte(), &hostile)
+        .expect("roundtrip")
+        .expect("a reply");
+    assert_eq!(t, FrameType::Error.byte());
+    assert_eq!(payload[0], ErrorCode::BadEdgePayload.byte());
+
     // Requests against missing streams: UNKNOWN_STREAM.
     let err = client.query("missing").expect_err("unknown stream");
     assert_eq!(
@@ -250,6 +271,42 @@ fn malformed_frames_get_error_replies_and_the_server_survives() {
         .expect("edges");
     let reply = client.query("sturdy").expect("query");
     assert_eq!(reply.estimate, 1.0, "exact counter sees the one triangle");
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+}
+
+#[test]
+fn round_trips_do_not_stall_on_delayed_acks() {
+    // A frame held back by Nagle's algorithm until the peer's delayed ACK
+    // costs up to 40 ms per round trip on Linux. 200 round trips of each
+    // kind must finish in under 2 s in total, 10 ms apiece.
+    let (addr, server) = spawn_server();
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .create_stream(&CreateStream::new("ping", "exact"))
+        .expect("create");
+    let budget = Duration::from_secs(2);
+
+    let start = Instant::now();
+    for _ in 0..200 {
+        client.query("ping").expect("query");
+    }
+    let queries = start.elapsed();
+    assert!(queries < budget, "200 QUERY round trips took {queries:?}");
+
+    let start = Instant::now();
+    for i in 0..200u64 {
+        client
+            .send_edges("ping", &[Edge::new(i, i + 1)])
+            .expect("edges");
+    }
+    let ingests = start.elapsed();
+    assert!(
+        ingests < budget,
+        "200 one-edge EDGES round trips took {ingests:?}"
+    );
+    assert_eq!(client.query("ping").expect("query").edges, 200);
 
     client.shutdown().expect("shutdown");
     server.join().expect("join").expect("server run");
