@@ -292,11 +292,12 @@ estimators hold a triangle (a handful means the estimate rests on very
 few samples).
 
 `count --parallel` runs K shards on persistent worker threads (default
-K: available CPUs) and streams the file batch by batch instead of loading
-it whole (duplicate edges are then kept as-is). An estimator pool is
-split ceil(N/K) per shard and the estimate is the mean over shards; a
-served stream's CREATE builds the same way, so the same seed gives the
-same bits. With one shard it prints exactly what `count` prints.
+K: available CPUs). An estimator pool is split ceil(N/K) per shard and
+the estimate is the mean over shards; a served stream's CREATE builds the
+same way, so the same seed gives the same bits. With one shard it prints
+exactly what `count` prints. Every form of `count` reads the same stream:
+a .tsb file streams batch by batch, keeping duplicate edges as written; a
+text file is loaded whole through the deduplicating reader.
 
 Edge lists are SNAP-style text files: one `u v` pair per line, `#` comments.
 Files with the `.tsb` extension use the tristream binary edge-stream format

@@ -22,7 +22,7 @@ use tristream_graph::binary::{
     is_tsb_path, read_edges_binary_batched_file, read_edges_binary_file, write_edges_binary_file,
     write_edges_binary_timestamped_file,
 };
-use tristream_graph::io::{read_edge_list_batched_file, read_edge_list_file, write_edge_list_file};
+use tristream_graph::io::{read_edge_list_file, write_edge_list_file};
 use tristream_graph::{Edge, EdgeStream, GraphError, GraphSummary};
 use tristream_serve::{Client, CreateStream, RetryPolicy, Server, ServerOptions, StreamCheckpoint};
 
@@ -38,34 +38,15 @@ fn read_stream_auto<P: AsRef<Path>>(path: P) -> Result<EdgeStream, GraphError> {
     }
 }
 
-/// A boxed *batch source* — the shape `ShardedEstimator::process_source`
-/// ingests.
-type BatchSource = Box<dyn Iterator<Item = Result<Vec<Edge>, GraphError>>>;
-
-/// Opens a file as a [batch source](BatchSource) (the engine-side ingestion
-/// boundary), picking the codec from the extension. Under `--parallel` the
-/// batches are decoded on the calling thread while the shards work: the
-/// engine's bounded queue lets the caller run up to its depth ahead.
-fn open_batched_auto<P: AsRef<Path>>(
-    path: P,
-    batch_size: usize,
-) -> Result<BatchSource, GraphError> {
-    if is_tsb_path(&path) {
-        Ok(Box::new(read_edges_binary_batched_file(path, batch_size)?))
-    } else {
-        Ok(Box::new(read_edge_list_batched_file(path, batch_size)?))
-    }
-}
-
 /// Wraps a batch source, accumulating the wall clock spent inside
 /// `next()` — file I/O plus record decoding, the decode component of
 /// `count`'s split timing report.
-struct TimedBatches {
-    inner: BatchSource,
+struct TimedBatches<I> {
+    inner: I,
     decode_secs: Rc<Cell<f64>>,
 }
 
-impl Iterator for TimedBatches {
+impl<I: Iterator<Item = Result<Vec<Edge>, GraphError>>> Iterator for TimedBatches<I> {
     type Item = Result<Vec<Edge>, GraphError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -439,37 +420,33 @@ fn run_count_algo(
     };
     let start = Instant::now();
     let decode_secs = Rc::new(Cell::new(0.0));
-    let (counter, edges, shards_note): (Box<dyn TriangleEstimator>, u64, String) = if parallel {
+    let (mut counter, shards_note): (Box<dyn TriangleEstimator>, String) = if parallel {
         let shards = shards.unwrap_or_else(default_shards).max(1);
-        let mut counter = spec.build_sharded(&params, shards);
+        let counter = spec.build_sharded(&params, shards);
+        (Box::new(counter), format!("shards = {shards}, "))
+    } else {
+        (spec.build(&params), String::new())
+    };
+    // `.tsb` inputs stream batch by batch (the batched and whole-file
+    // binary readers produce identical streams, so this changes peak
+    // memory, not results); under `--parallel` the batches are decoded on
+    // the calling thread while the shards work. Text inputs go through the
+    // deduplicating whole-file reader on every path, so every form of
+    // `count` reads the same stream.
+    let edges = if is_tsb_path(input) {
         let source = TimedBatches {
-            inner: open_batched_auto(input, batch)?,
+            inner: read_edges_binary_batched_file(input, batch)?,
             decode_secs: Rc::clone(&decode_secs),
         };
-        let edges = counter.process_source(source)?;
-        (Box::new(counter), edges, format!("shards = {shards}, "))
+        drain_batch_source(source, |chunk| counter.process_edges(chunk))?
     } else {
-        let mut counter = spec.build(&params);
-        // `.tsb` inputs stream batch by batch (the batched and whole-file
-        // binary readers produce identical streams, so this changes peak
-        // memory, not results); text inputs go through the whole-file
-        // reader to keep its deduplicating semantics.
-        let edges = if is_tsb_path(input) {
-            let source = TimedBatches {
-                inner: open_batched_auto(input, batch)?,
-                decode_secs: Rc::clone(&decode_secs),
-            };
-            drain_batch_source(source, |chunk| counter.process_edges(chunk))?
-        } else {
-            let read_start = Instant::now();
-            let stream = read_stream_auto(input)?;
-            decode_secs.set(read_start.elapsed().as_secs_f64());
-            for chunk in stream.edges().chunks(batch) {
-                counter.process_edges(chunk);
-            }
-            stream.len() as u64
-        };
-        (counter, edges, String::new())
+        let read_start = Instant::now();
+        let stream = read_edge_list_file(input)?;
+        decode_secs.set(read_start.elapsed().as_secs_f64());
+        for chunk in stream.edges().chunks(batch) {
+            counter.process_edges(chunk);
+        }
+        stream.len() as u64
     };
     // A sharded `estimate()` synchronises with the workers, so the wall
     // clock measured after it covers processing, not just enqueueing.

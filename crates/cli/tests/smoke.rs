@@ -402,7 +402,9 @@ fn every_count_form_runs_the_one_registry_recipe() {
     // degree 73) cut into 7 batches. Without `--algo`, `count` is `count
     // --algo neighborhood-bulk`, sequential or sharded: the two sequential
     // forms print one answer, the two forms at K shards print one answer,
-    // and at K = 1 all four agree.
+    // and at K = 1 all four agree. Both the `.tsb` file and the text list
+    // are inputs; the text list also repeats some edges in reverse, which
+    // every form must drop alike.
     let text_list = temp_path("parity.txt");
     let tsb = temp_path("parity.tsb");
     let generate = run(&[
@@ -423,8 +425,20 @@ fn every_count_form_runs_the_one_registry_recipe() {
         tsb.to_str().unwrap(),
     ]);
     assert!(convert.status.success(), "{convert:?}");
-    let file = tsb.to_str().unwrap();
-    for seed in ["1", "2"] {
+    let text = std::fs::read_to_string(&text_list).unwrap();
+    let reversed: String = text
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .step_by(50)
+        .map(|line| {
+            let (u, v) = line.split_once(char::is_whitespace).unwrap();
+            format!("{} {}\n", v.trim(), u.trim())
+        })
+        .collect();
+    assert!(reversed.lines().count() >= 50, "{reversed}");
+    std::fs::write(&text_list, text + &reversed).unwrap();
+    let inputs = [tsb.to_str().unwrap(), text_list.to_str().unwrap()];
+    for (file, seed) in inputs.into_iter().flat_map(|f| [(f, "1"), (f, "2")]) {
         let answer = |extra: &[&str]| {
             let mut args = vec![
                 "count",
@@ -458,15 +472,15 @@ fn every_count_form_runs_the_one_registry_recipe() {
         // Every estimate first, so a parity break reads as one; then the
         // rest of each answer.
         for (what, (a, b)) in pairs {
-            assert_eq!(a.0, b.0, "seed {seed}, {what}: estimates differ");
+            assert_eq!(a.0, b.0, "{file}, seed {seed}, {what}: estimates differ");
         }
         for (what, (a, b)) in pairs {
-            assert_eq!(a, b, "seed {seed}, {what}");
+            assert_eq!(a, b, "{file}, seed {seed}, {what}");
         }
         let held = sequential.0 .2.clone().unwrap_or_default();
         assert!(
             held.ends_with("estimators hold a triangle") && !held.starts_with('0'),
-            "seed {seed}: some estimator must hold a triangle: {sequential:?}"
+            "{file}, seed {seed}: some estimator must hold a triangle: {sequential:?}"
         );
     }
     let _ = std::fs::remove_file(&text_list);

@@ -15,13 +15,17 @@
 //!    `O(r·w/(m+w) + 1)` draws rather than one draw per estimator.
 //! 2. **Level-2 candidate tracking** — the candidate set `N(r₁) ∩ B` is
 //!    characterised implicitly by vertex degrees within the batch
-//!    (Observation 3.6). A first pass of the degree-keeping edge iterator
-//!    (`edgeIter`, Algorithm 2) records, for each estimator, the batch
-//!    degrees of `r₁`'s endpoints at the moment `r₁` arrived (β values) and
-//!    at the end of the batch; a single `randInt` per estimator then decides
-//!    whether to keep the current `r₂` or subscribe to the EVENT_B that will
-//!    produce the new one (Algorithm 3), and a second pass resolves those
-//!    subscriptions to concrete edges.
+//!    (Observation 3.6). One indexing pass of the degree-keeping edge
+//!    iterator (`edgeIter`, Algorithm 2) records every edge's endpoint
+//!    occurrence numbers — so each estimator reads the batch degrees of
+//!    `r₁`'s endpoints at the moment `r₁` arrived (β values) off the edge
+//!    it replaced — and lays out every vertex's occurrences in batch order.
+//!    A single `randInt` per estimator then decides whether to keep the
+//!    current `r₂` or take the new one (Algorithm 3): the edge at which
+//!    vertex `x` reaches batch degree `t` (EVENT_B `(x, t)`) is the `t`-th
+//!    entry of `x`'s occurrence list. The draws record their events, and a
+//!    loop over the events takes each edge with one array read — no second
+//!    pass over the batch.
 //! 3. **Wedge closing** — a hash table keyed by the (unique) edge that would
 //!    close each estimator's wedge is consulted while scanning the batch.
 //!
@@ -43,18 +47,20 @@
 //! * the pool is the struct-of-arrays [`EstimatorPool`] — each step streams
 //!   through contiguous columns, and Step 3's "who still awaits a closer"
 //!   scan is a `r2_set & !closer_set` bitset word walk;
-//! * all per-batch scratch (the replaced-estimator list, β columns, the
-//!   batch-degree table, EVENT_B subscriptions and the closing-edge index)
+//! * all per-batch scratch (the replaced-estimator list, the batch vertex
+//!   table, the per-vertex degrees and occurrence lists, the per-edge id
+//!   and occurrence columns, the drawn events, and the closing-edge index)
 //!   lives in a reusable `BatchScratch` that is **cleared, not
 //!   reallocated**, between batches — the steady state performs zero heap
 //!   allocations per batch (pinned by `tests/alloc_steady_state.rs`);
-//! * the degree/subscription/closing tables are [`FastMap`]s — deterministic
+//! * the vertex and closing-edge tables are [`FastMap`]s — deterministic
 //!   open addressing with a multiply-shift hash seeded from the counter's
-//!   construction seed, so runs stay reproducible. The subscription and
-//!   closing tables key on packed `(u64, u64)` pairs; the degree table
-//!   keys on the bare vertex id and counts in a `u32`, so its slots are
-//!   16 bytes; multi-subscriber events chain through
-//!   per-estimator `next` columns instead of per-key `Vec`s;
+//!   construction seed, so runs stay reproducible. The closing-edge table
+//!   keys on packed `(u64, u64)` pairs, and estimators waiting on the same
+//!   edge chain through a per-estimator `next` column instead of per-key
+//!   `Vec`s; the vertex table keys on the bare vertex id and maps it to a
+//!   `u32` dense id, so its slots are 16 bytes, and everything else per
+//!   vertex lives in dense `u32` arrays indexed by that id;
 //! * RNG draws go through the [`BufferedRng`] — one buffer refill per
 //!   couple hundred draws, consumed strictly in order.
 //!
@@ -82,9 +88,14 @@ use tristream_sample::{mean, median_of_means, salted_seed, splitmix64, Geometric
 /// described saved state, only how later batches draw.
 const LEVEL1_TAG_GEOMETRIC_SKIP: u8 = 1;
 
-/// Chain terminator for the per-estimator `next` columns in
+/// Chain terminator for the per-estimator `wait_next` column in
 /// [`BatchScratch`].
 const CHAIN_END: u32 = u32::MAX;
+
+/// The largest batch [`BulkTriangleCounter::process_batch`] accepts: the
+/// scratch stores batch indices, batch degrees and occurrence-list offsets
+/// (up to `2w`) as `u32`s.
+const MAX_BATCH_EDGES: usize = (u32::MAX / 2) as usize;
 
 /// Reusable per-batch working state. Everything here is sized once (to
 /// `O(r)` at construction, to `O(w)` on the first batch of a given size)
@@ -93,30 +104,37 @@ const CHAIN_END: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 struct BatchScratch {
     /// `(estimator, batch index)` pairs replaced in Step 1, in estimator
-    /// order; sorted by batch index for the Step-2a merge.
+    /// order — the order Step 2b visits them in.
     replaced: Vec<(u32, u32)>,
-    /// β values per estimator, in the `(u, v)` order of the level-1 edge.
-    /// All-zero between batches (entries touched this batch are re-zeroed
-    /// at the end, so the reset is `O(|replaced|)`, not `O(r)`).
-    beta_u: Vec<u64>,
-    beta_v: Vec<u64>,
-    /// Per-edge endpoint occurrence numbers, recorded during the Step-2a
-    /// scan: entry `i` holds the batch degrees of `batch[i]`'s endpoints
-    /// *at* that edge (the degree after counting it). Step 2c resolves
-    /// EVENT_B subscriptions straight off these columns instead of
-    /// replaying the batch through a second degree-table pass.
-    edge_du: Vec<u64>,
-    edge_dv: Vec<u64>,
-    /// Batch-degree table: vertex id → degree within the batch, in 16-byte
-    /// slots (8-byte key, 4-byte generation, 4-byte count). A degree within
-    /// a batch is at most `w`, and batch indices are already `u32`, so the
-    /// count fits. `prepare` reserves `2w` endpoints, i.e. `4w` slots:
-    /// `64w` bytes per shard.
-    deg: FastMap<u32, u64>,
-    /// EVENT_B subscriptions: `(vertex, target degree)` → chain head, with
-    /// the chain threaded through `sub_next`.
-    subs: FastMap<u32>,
-    sub_next: Vec<u32>,
+    /// The EVENT_B `(x, t)` each estimator drew in Step 2b for its new
+    /// level-2 edge, as `(estimator, dense id of x, t)`, in estimator
+    /// order. Taking the edges in a loop of their own keeps the dependent
+    /// occurrence-list and batch reads off the draw loop, so the reads of
+    /// different estimators overlap.
+    events: Vec<(u32, u32, u32)>,
+    /// Batch vertex table: vertex id → dense batch id (`0, 1, …` in order
+    /// of first occurrence), in 16-byte slots (8-byte key, 4-byte
+    /// generation, 4-byte id). `prepare` reserves `2w` endpoints, i.e. `4w`
+    /// slots: `64w` bytes per shard.
+    ids: FastMap<u32, u64>,
+    /// Per dense id: the vertex's batch degree, and where its occurrence
+    /// list starts in `occ`.
+    degree: Vec<u32>,
+    occ_start: Vec<u32>,
+    /// Per edge, recorded by the Step-2a scan: the dense ids of `batch[i]`'s
+    /// endpoints and their occurrence numbers, i.e. the endpoints' batch
+    /// degrees *at* that edge (after counting it). The occurrence numbers
+    /// at `k` are the β values of an estimator whose new level-1 edge is
+    /// `batch[k]`.
+    edge_iu: Vec<u32>,
+    edge_iv: Vec<u32>,
+    edge_du: Vec<u32>,
+    edge_dv: Vec<u32>,
+    /// The occurrence lists: `2w` batch indices, each vertex's occurrences
+    /// in batch order, dense id `x`'s list starting at `occ_start[x]`. Its
+    /// `t`-th entry is the edge at which `x` reaches batch degree `t` — the
+    /// EVENT_B `(x, t)` of Algorithm 3.
+    occ: Vec<u32>,
     /// Closing-edge index: packed `(u, v)` → chain head, threaded through
     /// `wait_next`.
     waiting: FastMap<u32>,
@@ -128,93 +146,221 @@ impl BatchScratch {
     /// from `hash_seed` (itself derived from the counter's seed — see
     /// [`BulkTriangleCounter::with_aggregation`]).
     fn new(r: usize, hash_seed: u64) -> Self {
-        let mut subs = FastMap::with_seed(hash_seed ^ 0x5B5B);
         let mut waiting = FastMap::with_seed(hash_seed ^ 0xC7C7);
-        // Both tables hold at most one entry per estimator; reserving the
+        // The table holds at most one entry per estimator; reserving the
         // bound up front means no growth can happen mid-batch.
-        subs.reserve(r);
         waiting.reserve(r);
         Self {
             replaced: Vec::with_capacity(r),
-            beta_u: vec![0; r],
-            beta_v: vec![0; r],
+            events: Vec::with_capacity(r),
+            ids: FastMap::with_seed(hash_seed),
+            degree: Vec::new(),
+            occ_start: Vec::new(),
+            edge_iu: Vec::new(),
+            edge_iv: Vec::new(),
             edge_du: Vec::new(),
             edge_dv: Vec::new(),
-            deg: FastMap::with_seed(hash_seed),
-            subs,
-            sub_next: vec![0; r],
+            occ: Vec::new(),
             waiting,
             wait_next: vec![0; r],
         }
     }
 
     /// Readies the scratch for a batch of `w` edges: clears the maps
-    /// (`O(1)` generation bumps) and makes sure the degree table can absorb
-    /// `2w` endpoints without growing mid-batch.
+    /// (`O(1)` generation bumps), makes sure the vertex table can absorb
+    /// `2w` endpoints without growing mid-batch, and sizes every per-vertex
+    /// and per-edge array for the batch.
     fn prepare(&mut self, w: usize) {
+        assert!(
+            w <= MAX_BATCH_EDGES,
+            "a batch of {w} edges exceeds the {MAX_BATCH_EDGES}-edge limit"
+        );
         self.replaced.clear();
-        self.deg.clear();
-        self.deg.reserve(2 * w);
-        self.edge_du.resize(w, 0);
-        self.edge_dv.resize(w, 0);
-        self.subs.clear();
+        self.events.clear();
+        self.ids.clear();
+        self.ids.reserve(2 * w);
+        for column in [&mut self.degree, &mut self.occ_start, &mut self.occ] {
+            column.resize(2 * w, 0);
+        }
+        for column in [
+            &mut self.edge_iu,
+            &mut self.edge_iv,
+            &mut self.edge_du,
+            &mut self.edge_dv,
+        ] {
+            column.resize(w, 0);
+        }
         self.waiting.clear();
     }
+
+    // Step 2a and the occurrence lookup run inside the batch hot loop.
+    // analyze: region(no-alloc)
+
+    /// Step 2a: one pass of the degree-keeping edge iterator (`edgeIter`,
+    /// Algorithm 2) gives every batch vertex a dense id and every edge its
+    /// endpoints' ids and occurrence numbers; a prefix sum over the degrees
+    /// and one more pass over the edge columns then fill the occurrence
+    /// lists. Full lane groups probe the vertex table from starts hashed
+    /// one group ahead and prefetched; the tail past the last full group
+    /// hashes in place.
+    fn index_batch(&mut self, batch: &[Edge]) {
+        let w = batch.len();
+        let full = w - w % LANES;
+        let mut base = 0usize;
+        let mut starts = if full > 0 {
+            hash_edge_group(&self.ids, batch, 0)
+        } else {
+            ([0; LANES], [0; LANES])
+        };
+        while base < full {
+            let next = if base + LANES < full {
+                Some(hash_edge_group(&self.ids, batch, base + LANES))
+            } else {
+                None
+            };
+            for lane in 0..LANES {
+                let lane_starts = (starts.0[lane], starts.1[lane]);
+                self.count_edge(base + lane, &batch[base + lane], Some(lane_starts));
+            }
+            if let Some(n) = next {
+                starts = n;
+            }
+            base += LANES;
+        }
+        for (i, e) in batch.iter().enumerate().skip(full) {
+            self.count_edge(i, e, None);
+        }
+
+        let vertices = self.ids.len();
+        let mut offset = 0u32;
+        for (start, &d) in self.occ_start[..vertices]
+            .iter_mut()
+            .zip(&self.degree[..vertices])
+        {
+            *start = offset;
+            offset += d;
+        }
+        debug_assert_eq!(offset as usize, 2 * w, "the batch degrees sum to 2w");
+        for i in 0..w {
+            let at_u = self.occ_start[self.edge_iu[i] as usize] + self.edge_du[i] - 1;
+            let at_v = self.occ_start[self.edge_iv[i] as usize] + self.edge_dv[i] - 1;
+            self.occ[at_u as usize] = i as u32;
+            self.occ[at_v as usize] = i as u32;
+        }
+    }
+
+    /// The Step-2a per-edge body: counts both endpoints of `batch[i]` and
+    /// records their ids and occurrence numbers. `starts` carries the
+    /// precomputed `(u, v)` probe starts inside a full lane group, `None`
+    /// in the tail.
+    #[inline]
+    fn count_edge(&mut self, i: usize, e: &Edge, starts: Option<(usize, usize)>) {
+        let (iu, du) = self.count_vertex(e.u().raw(), starts.map(|s| s.0));
+        let (iv, dv) = self.count_vertex(e.v().raw(), starts.map(|s| s.1));
+        self.edge_iu[i] = iu;
+        self.edge_iv[i] = iv;
+        self.edge_du[i] = du;
+        self.edge_dv[i] = dv;
+    }
+
+    /// Counts one more occurrence of `vertex`, returning its dense id and
+    /// its new batch degree. A vertex seen for the first time takes the
+    /// next dense id, which is the table's length before the insert.
+    #[inline]
+    fn count_vertex(&mut self, vertex: u64, start: Option<usize>) -> (u32, u32) {
+        let fresh = self.ids.len() as u32;
+        let id = *match start {
+            Some(start) => self.ids.get_mut_or_insert_from(start, vertex, fresh),
+            None => self.ids.get_mut_or_insert(vertex, fresh),
+        };
+        let d = &mut self.degree[id as usize];
+        *d = if id == fresh { 1 } else { *d + 1 };
+        (id, *d)
+    }
+
+    /// The batch degree of the vertex with dense id `id` (0 for a vertex
+    /// absent from the batch).
+    #[inline]
+    fn degree_of(&self, id: Option<u32>) -> u64 {
+        id.map_or(0, |id| u64::from(self.degree[id as usize]))
+    }
+
+    /// The batch index at which the vertex with dense id `id` reaches batch
+    /// degree `t` — one read of its occurrence list.
+    #[inline]
+    fn occurrence(&self, id: u32, t: u64) -> usize {
+        debug_assert!(
+            t >= 1 && t <= self.degree_of(Some(id)),
+            "EVENT_B must fire within the batch: t = {t}, degree {}",
+            self.degree_of(Some(id))
+        );
+        self.occ[self.occ_start[id as usize] as usize + t as usize - 1] as usize
+    }
+    // analyze: endregion
+}
+
+/// One level-1 endpoint as Step 2b sees it.
+#[derive(Debug, Clone, Copy)]
+struct Endpoint {
+    /// The vertex's dense batch id; `None` when it does not occur in the
+    /// batch.
+    id: Option<u32>,
+    /// Its β value: its batch degree when the level-1 edge arrived, 0 for
+    /// a level-1 edge from an earlier batch.
+    beta: u32,
 }
 
 // The helpers below are the per-item bodies of the batch steps. Full lane
 // groups call them with probe starts hashed one group ahead; the tails
-// past the last full group call the plain variants. They run inside the
-// batch hot loop.
+// past the last full group call them without. They run inside the batch
+// hot loop.
 // analyze: region(no-alloc)
 
-/// Increments the batch degree of `vertex`, returning the new value.
+/// Step 2b's view of estimator `idx`'s level-1 edge `(x, y)`. An estimator
+/// Step 1 replaced at batch index `k` is the next entry of the
+/// estimator-ordered `replaced` list, which `cursor` walks: it reads its
+/// endpoint ids and β values straight off the edge columns at `k`. Any
+/// other estimator took its level-1 edge before this batch, so its β
+/// values are 0, and it looks its endpoints up in the vertex table.
 #[inline]
-fn bump_degree(deg: &mut FastMap<u32, u64>, vertex: u64) -> u64 {
-    let d = deg.get_mut_or_insert(vertex, 0);
-    *d += 1;
-    u64::from(*d)
-}
-
-/// [`bump_degree`] probing from a precomputed start index.
-#[inline]
-fn bump_degree_from(deg: &mut FastMap<u32, u64>, start: usize, vertex: u64) -> u64 {
-    let d = deg.get_mut_or_insert_from(start, vertex, 0);
-    *d += 1;
-    u64::from(*d)
-}
-
-/// The Step-2a merge body: stores edge `i`'s endpoint occurrence numbers
-/// (the degree columns Step 2c resolves events against), then lets
-/// estimators whose new level-1 edge is `batch[i]` record the endpoint
-/// degrees at that moment (the β values).
-#[inline]
-fn record_betas(
-    scratch: &mut BatchScratch,
+fn level1_endpoints(
+    scratch: &BatchScratch,
     pool: &EstimatorPool,
-    i: usize,
-    e: &Edge,
-    du: u64,
-    dv: u64,
-    next_replaced: &mut usize,
-) {
-    scratch.edge_du[i] = du;
-    scratch.edge_dv[i] = dv;
-    while *next_replaced < scratch.replaced.len()
-        && scratch.replaced[*next_replaced].1 as usize == i
-    {
-        let est = scratch.replaced[*next_replaced].0 as usize;
-        debug_assert_eq!(pool.r1_edge(est), Some(*e));
-        scratch.beta_u[est] = du;
-        scratch.beta_v[est] = dv;
-        *next_replaced += 1;
+    idx: usize,
+    cursor: &mut usize,
+    starts: Option<(usize, usize)>,
+) -> [Endpoint; 2] {
+    if let Some(&(est, k)) = scratch.replaced.get(*cursor) {
+        if est as usize == idx {
+            *cursor += 1;
+            let k = k as usize;
+            return [
+                Endpoint {
+                    id: Some(scratch.edge_iu[k]),
+                    beta: scratch.edge_du[k],
+                },
+                Endpoint {
+                    id: Some(scratch.edge_iv[k]),
+                    beta: scratch.edge_dv[k],
+                },
+            ];
+        }
     }
+    let (x, y) = (pool.r1_u[idx], pool.r1_v[idx]);
+    let (id_x, id_y) = match starts {
+        Some((sx, sy)) => (scratch.ids.get_from(sx, x), scratch.ids.get_from(sy, y)),
+        None => (scratch.ids.get(x), scratch.ids.get(y)),
+    };
+    [
+        Endpoint { id: id_x, beta: 0 },
+        Endpoint { id: id_y, beta: 0 },
+    ]
 }
 
 /// The Step-2b per-estimator body: one `randInt` decides whether estimator
-/// `idx` keeps its level-2 edge or subscribes to the EVENT_B that produces
-/// the new one. Returns whether a subscription was added. Called in
-/// estimator-index order, so the RNG consumption order is that of
+/// `idx` keeps its level-2 edge or replaces it with the edge of an EVENT_B,
+/// which it records in `events`. Called in estimator-index order, so the
+/// RNG consumption order is that of
 /// [`crate::reference::ReferenceBulkCounter`].
 #[inline]
 fn step2b_estimator(
@@ -222,79 +368,38 @@ fn step2b_estimator(
     scratch: &mut BatchScratch,
     rng: &mut BufferedRng,
     idx: usize,
-    deg_x: u64,
-    deg_y: u64,
-) -> bool {
-    let x = pool.r1_u[idx];
-    let y = pool.r1_v[idx];
-    let beta_x = scratch.beta_u[idx];
-    let beta_y = scratch.beta_v[idx];
-    let a = deg_x - beta_x;
-    let b = deg_y - beta_y;
+    [x, y]: [Endpoint; 2],
+) {
+    let beta_x = u64::from(x.beta);
+    let beta_y = u64::from(y.beta);
+    let a = scratch.degree_of(x.id) - beta_x;
+    let b = scratch.degree_of(y.id) - beta_y;
     let c_minus = pool.c[idx];
     let c_plus = a + b;
     if c_plus == 0 {
-        return false; // nothing new adjacent to r1 in this batch
+        return; // nothing new adjacent to r1 in this batch
     }
     let total = c_minus + c_plus;
     let phi = rng.gen_range(1..=total);
     pool.c[idx] = total;
     if phi <= c_minus {
         // Keep the existing level-2 edge (and any closed triangle).
-        return false;
+        return;
     }
-    // A new level-2 edge will come from this batch; the triangle (if any)
-    // is no longer valid.
-    pool.drop_r2(idx);
-    let (vertex, target_degree) = if phi <= c_minus + a {
-        (x, beta_x + (phi - c_minus))
+    // The new level-2 edge is the one at which the chosen endpoint reaches
+    // batch degree `target`.
+    let (vertex, target) = if phi <= c_minus + a {
+        (x.id, beta_x + (phi - c_minus))
     } else {
-        (y, beta_y + (phi - c_minus - a))
+        (y.id, beta_y + (phi - c_minus - a))
     };
-    let head = scratch
-        .subs
-        .insert((vertex, target_degree), idx as u32)
-        .unwrap_or(CHAIN_END);
-    scratch.sub_next[idx] = head;
-    true
-}
-
-/// The Step-2c per-edge body: resolve any EVENT_B subscriptions that fire
-/// at edge `i`'s endpoint occurrence numbers (recorded by the Step-2a
-/// scan — no second degree-table pass). `starts` carries the precomputed
-/// `(u, du)`/`(v, dv)` probe starts inside a full lane group, `None` in the
-/// tail.
-#[inline]
-fn step2c_edge(
-    pool: &mut EstimatorPool,
-    scratch: &mut BatchScratch,
-    e: &Edge,
-    position: u64,
-    i: usize,
-    starts: Option<(usize, usize)>,
-    pending_subs: &mut usize,
-) {
-    let keys = [
-        (e.u().raw(), scratch.edge_du[i]),
-        (e.v().raw(), scratch.edge_dv[i]),
-    ];
-    for (slot, key) in keys.into_iter().enumerate() {
-        let head = match starts {
-            Some(s) => scratch
-                .subs
-                .get_from(if slot == 0 { s.0 } else { s.1 }, key),
-            None => scratch.subs.get(key),
-        };
-        if let Some(head) = head {
-            let mut cursor = head;
-            while cursor != CHAIN_END {
-                let est = cursor as usize;
-                pool.take_r2(est, *e, position);
-                cursor = scratch.sub_next[est];
-                *pending_subs -= 1;
-            }
-        }
-    }
+    // A vertex with new neighbours in the batch occurs in it, so it has an
+    // id — but the hot path must not carry a panic edge.
+    let Some(id) = vertex else {
+        debug_assert!(false, "an endpoint with batch neighbours has a batch id");
+        return;
+    };
+    scratch.events.push((idx as u32, id, target as u32));
 }
 
 /// The Step-3 chain walk: `head` is the `waiting` chain of estimators
@@ -317,12 +422,12 @@ fn close_wedges(
     }
 }
 
-/// Probe starts for the endpoint degree keys of the edge lane group
-/// starting at `base`, prefetched so the upserts one group later hit warm
+/// Probe starts for the endpoint lookups of the edge lane group starting
+/// at `base` (Step 2a), prefetched so the upserts one group later hit warm
 /// cache lines. Requires `base + LANES <= batch.len()`.
 #[inline]
 fn hash_edge_group(
-    deg: &FastMap<u32, u64>,
+    ids: &FastMap<u32, u64>,
     batch: &[Edge],
     base: usize,
 ) -> ([usize; LANES], [usize; LANES]) {
@@ -332,22 +437,22 @@ fn hash_edge_group(
         us[lane] = e.u().raw();
         vs[lane] = e.v().raw();
     }
-    let su = deg.probe_start4(us);
-    let sv = deg.probe_start4(vs);
+    let su = ids.probe_start4(us);
+    let sv = ids.probe_start4(vs);
     for lane in 0..LANES {
-        deg.prefetch_slot(su[lane]);
-        deg.prefetch_slot(sv[lane]);
+        ids.prefetch_slot(su[lane]);
+        ids.prefetch_slot(sv[lane]);
     }
     (su, sv)
 }
 
-/// Probe starts for the level-1 endpoint degree lookups of the estimator
-/// lane group starting at `base` (Step 2b). Estimators without a level-1
-/// edge hash whatever stale column values they hold — harmless, since the
+/// Probe starts for the level-1 endpoint lookups of the estimator lane
+/// group starting at `base` (Step 2b). Estimators without a level-1 edge
+/// hash whatever stale column values they hold — harmless, since the
 /// lookup is skipped for them.
 #[inline]
 fn hash_r1_group(
-    deg: &FastMap<u32, u64>,
+    ids: &FastMap<u32, u64>,
     pool: &EstimatorPool,
     base: usize,
 ) -> ([usize; LANES], [usize; LANES]) {
@@ -355,34 +460,13 @@ fn hash_r1_group(
     let mut ys = [0u64; LANES];
     xs.copy_from_slice(&pool.r1_u[base..base + LANES]);
     ys.copy_from_slice(&pool.r1_v[base..base + LANES]);
-    let sx = deg.probe_start4(xs);
-    let sy = deg.probe_start4(ys);
+    let sx = ids.probe_start4(xs);
+    let sy = ids.probe_start4(ys);
     for lane in 0..LANES {
-        deg.prefetch_slot(sx[lane]);
-        deg.prefetch_slot(sy[lane]);
+        ids.prefetch_slot(sx[lane]);
+        ids.prefetch_slot(sy[lane]);
     }
     (sx, sy)
-}
-
-/// Probe starts for the EVENT_B subscription lookups of the edge lane
-/// group starting at `base` (Step 2c): the `(endpoint, occurrence)` keys
-/// come straight off the `edge_du`/`edge_dv` columns the Step-2a scan
-/// recorded.
-#[inline]
-fn hash_sub_group(
-    scratch: &BatchScratch,
-    batch: &[Edge],
-    base: usize,
-) -> ([usize; LANES], [usize; LANES]) {
-    let mut us = [(0u64, 0u64); LANES];
-    let mut vs = [(0u64, 0u64); LANES];
-    for (lane, e) in batch[base..base + LANES].iter().enumerate() {
-        us[lane] = (e.u().raw(), scratch.edge_du[base + lane]);
-        vs[lane] = (e.v().raw(), scratch.edge_dv[base + lane]);
-    }
-    let su = scratch.subs.probe_start4(us);
-    let sv = scratch.subs.probe_start4(vs);
-    (su, sv)
 }
 
 /// Probe starts for the closing-edge lookups of the edge lane group
@@ -525,6 +609,10 @@ impl BulkTriangleCounter {
     /// the reused `BatchScratch` (the region below lets `tristream-analyze`
     /// reject allocating tokens at review time;
     /// `tests/alloc_steady_state.rs` pins the runtime behaviour).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch holds more than `u32::MAX / 2` edges.
     // analyze: region(no-alloc)
     pub fn process_batch(&mut self, batch: &[Edge]) {
         let w = batch.len();
@@ -573,57 +661,24 @@ impl BulkTriangleCounter {
             pool.take_r1(entry.0 as usize, batch[k], m + k as u64 + 1);
         }
 
-        // ---- Step 2a: first edgeIter pass — record β values and degB. -----
-        // The replaced list, sorted by batch index, is merged against the
-        // batch scan: when the scan reaches index k, every estimator whose
-        // new level-1 edge is batch[k] records the endpoint degrees at that
-        // moment (the β values). The β columns are all-zero between
-        // batches, matching the reference's fresh `vec![(0, 0); r]`.
-        scratch.replaced.sort_unstable_by_key(|&(_, k)| k);
-        let mut next_replaced = 0usize;
-        let full = w - w % LANES;
-        let mut base = 0usize;
-        let mut starts = if full > 0 {
-            hash_edge_group(&scratch.deg, batch, 0)
-        } else {
-            ([0; LANES], [0; LANES])
-        };
-        while base < full {
-            let next = if base + LANES < full {
-                Some(hash_edge_group(&scratch.deg, batch, base + LANES))
-            } else {
-                None
-            };
-            for lane in 0..LANES {
-                let i = base + lane;
-                let e = &batch[i];
-                let du = bump_degree_from(&mut scratch.deg, starts.0[lane], e.u().raw());
-                let dv = bump_degree_from(&mut scratch.deg, starts.1[lane], e.v().raw());
-                record_betas(scratch, pool, i, e, du, dv, &mut next_replaced);
-            }
-            if let Some(n) = next {
-                starts = n;
-            }
-            base += LANES;
-        }
-        for (i, e) in batch.iter().enumerate().skip(full) {
-            let du = bump_degree(&mut scratch.deg, e.u().raw());
-            let dv = bump_degree(&mut scratch.deg, e.v().raw());
-            record_betas(scratch, pool, i, e, du, dv, &mut next_replaced);
-        }
+        // ---- Step 2a: one edgeIter pass — degB and the occurrence lists. --
+        scratch.index_batch(batch);
 
-        // ---- Step 2b: one randInt per estimator; subscribe to EVENT_B. ----
-        let mut pending_subs = 0usize;
+        // ---- Step 2b: one randInt per estimator; take the EVENT_B edges. --
+        // β values come straight off the edge columns (see
+        // `level1_endpoints`), and the EVENT_B edges straight off the
+        // occurrence lists, so no second pass over the batch is needed.
+        let mut cursor = 0usize;
         let full_r = r - r % LANES;
         let mut base = 0usize;
         let mut starts = if full_r > 0 {
-            hash_r1_group(&scratch.deg, pool, 0)
+            hash_r1_group(&scratch.ids, pool, 0)
         } else {
             ([0; LANES], [0; LANES])
         };
         while base < full_r {
             let next = if base + LANES < full_r {
-                Some(hash_r1_group(&scratch.deg, pool, base + LANES))
+                Some(hash_r1_group(&scratch.ids, pool, base + LANES))
             } else {
                 None
             };
@@ -632,17 +687,9 @@ impl BulkTriangleCounter {
                 if !pool.r1_set.get(idx) {
                     continue;
                 }
-                let deg_x = scratch
-                    .deg
-                    .get_from(starts.0[lane], pool.r1_u[idx])
-                    .map_or(0, u64::from);
-                let deg_y = scratch
-                    .deg
-                    .get_from(starts.1[lane], pool.r1_v[idx])
-                    .map_or(0, u64::from);
-                if step2b_estimator(pool, scratch, &mut self.rng, idx, deg_x, deg_y) {
-                    pending_subs += 1;
-                }
+                let lane_starts = (starts.0[lane], starts.1[lane]);
+                let ends = level1_endpoints(scratch, pool, idx, &mut cursor, Some(lane_starts));
+                step2b_estimator(pool, scratch, &mut self.rng, idx, ends);
             }
             if let Some(n) = next {
                 starts = n;
@@ -653,79 +700,26 @@ impl BulkTriangleCounter {
             if !pool.r1_set.get(idx) {
                 continue;
             }
-            let deg_x = scratch.deg.get(pool.r1_u[idx]).map_or(0, u64::from);
-            let deg_y = scratch.deg.get(pool.r1_v[idx]).map_or(0, u64::from);
-            if step2b_estimator(pool, scratch, &mut self.rng, idx, deg_x, deg_y) {
-                pending_subs += 1;
-            }
+            let ends = level1_endpoints(scratch, pool, idx, &mut cursor, None);
+            step2b_estimator(pool, scratch, &mut self.rng, idx, ends);
         }
-        // Restore the all-zero β invariant for the next batch.
-        for &(est, _) in &scratch.replaced {
-            scratch.beta_u[est as usize] = 0;
-            scratch.beta_v[est as usize] = 0;
-        }
-
-        // ---- Step 2c: resolve events against the recorded occurrences. ----
-        // The Step-2a scan already recorded every edge's endpoint
-        // occurrence numbers in `edge_du`/`edge_dv`, so resolving is a
-        // probe of the (small) subscription table per endpoint — no second
-        // degree-table pass. Each (vertex, degree) event fires exactly once
-        // per batch, so the table never needs deletions; a countdown of
-        // pending subscriptions ends the scan early instead.
-        if pending_subs > 0 {
-            let mut base = 0usize;
-            let mut starts = if full > 0 {
-                hash_sub_group(scratch, batch, 0)
-            } else {
-                ([0; LANES], [0; LANES])
-            };
-            'groups: while base < full {
-                let next = if base + LANES < full {
-                    Some(hash_sub_group(scratch, batch, base + LANES))
-                } else {
-                    None
-                };
-                for lane in 0..LANES {
-                    let i = base + lane;
-                    let position = m + i as u64 + 1;
-                    let lane_starts = (starts.0[lane], starts.1[lane]);
-                    step2c_edge(
-                        pool,
-                        scratch,
-                        &batch[i],
-                        position,
-                        i,
-                        Some(lane_starts),
-                        &mut pending_subs,
-                    );
-                    if pending_subs == 0 {
-                        break 'groups;
-                    }
-                }
-                if let Some(n) = next {
-                    starts = n;
-                }
-                base += LANES;
-            }
-            if pending_subs > 0 {
-                for (i, e) in batch.iter().enumerate().skip(full) {
-                    let position = m + i as u64 + 1;
-                    step2c_edge(pool, scratch, e, position, i, None, &mut pending_subs);
-                    if pending_subs == 0 {
-                        break;
-                    }
-                }
-            }
-            debug_assert_eq!(
-                pending_subs, 0,
-                "every EVENT_B subscription must resolve within the batch"
-            );
+        debug_assert_eq!(
+            cursor,
+            scratch.replaced.len(),
+            "every estimator replaced in Step 1 reads its β values"
+        );
+        // Each drawn EVENT_B edge is one occurrence-list read away; taking
+        // it drops any closed triangle.
+        for &(idx, id, t) in &scratch.events {
+            let k = scratch.occurrence(id, u64::from(t));
+            pool.take_r2(idx as usize, batch[k], m + k as u64 + 1);
         }
 
         // ---- Step 3: find wedge-closing edges within the batch. -----------
         // Candidates are exactly the estimators with a wedge but no closer:
         // one `r2_set & !closer_set` word per 64 estimators, skipping empty
         // words outright.
+        let full = w - w % LANES;
         let mut waiting_count = 0usize;
         for word_idx in 0..pool.r2_set.words().len() {
             let mut bits = pool.r2_set.words()[word_idx] & !pool.closer_set.words()[word_idx];
@@ -1035,7 +1029,7 @@ impl crate::traits::TriangleEstimator for BulkTriangleCounter {
 mod tests {
     use super::*;
     use crate::reference::ReferenceBulkCounter;
-    use std::collections::HashMap as StdHashMap;
+    use std::collections::{BTreeMap, HashMap as StdHashMap};
     use tristream_graph::exact::{count_triangles, edge_neighborhood_sizes};
     use tristream_graph::{Adjacency, EdgeStream};
 
@@ -1092,6 +1086,98 @@ mod tests {
                 assert!(
                     closer.edge.closes_wedge(&r1.edge, &r2.edge),
                     "estimator {i}: closer must close the wedge"
+                );
+            }
+        }
+    }
+
+    /// A hub-heavy batch with repeated edges: most edges touch one of three
+    /// hubs, every fifth spoke repeats in reverse orientation, the hub
+    /// triangle repeats one side, and `w mod 4 = 3`, so the Step-2a scan
+    /// runs full lane groups and a tail.
+    fn hub_heavy_batch_with_repeats() -> Vec<Edge> {
+        let mut batch = Vec::new();
+        for i in 0..40u64 {
+            let (hub, spoke) = (i % 3, 10 + i % 17);
+            batch.push(Edge::new(hub, spoke));
+            if i % 5 == 0 {
+                batch.push(Edge::new(spoke, hub));
+            }
+        }
+        batch.extend([
+            Edge::new(0u64, 1u64),
+            Edge::new(1u64, 2u64),
+            Edge::new(1u64, 0u64),
+        ]);
+        assert_eq!(batch.len() % LANES, 3);
+        batch
+    }
+
+    /// Scratch indexed over `batch`, after indexing a different, larger
+    /// batch first, so stale ids and degrees from the earlier batch would
+    /// show.
+    fn indexed_scratch(batch: &[Edge]) -> BatchScratch {
+        let mut scratch = BatchScratch::new(8, 5);
+        let earlier = k_n_edges(16);
+        scratch.prepare(earlier.len());
+        scratch.index_batch(&earlier);
+        scratch.prepare(batch.len());
+        scratch.index_batch(batch);
+        scratch
+    }
+
+    /// Each batch vertex's occurrences, in batch order, found by brute
+    /// force.
+    fn naive_occurrences(batch: &[Edge]) -> BTreeMap<u64, Vec<u32>> {
+        let mut lists: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        for (i, e) in batch.iter().enumerate() {
+            for x in [e.u().raw(), e.v().raw()] {
+                lists.entry(x).or_default().push(i as u32);
+            }
+        }
+        lists
+    }
+
+    #[test]
+    fn occurrence_lists_hold_each_vertex_batch_indices_in_order() {
+        let batch = hub_heavy_batch_with_repeats();
+        let scratch = indexed_scratch(&batch);
+        let naive = naive_occurrences(&batch);
+        assert_eq!(scratch.ids.len(), naive.len(), "one dense id per vertex");
+        let mut degree_sum = 0;
+        for (&x, list) in &naive {
+            let id = scratch.ids.get(x).expect("every batch vertex has an id");
+            let start = scratch.occ_start[id as usize] as usize;
+            let degree = scratch.degree[id as usize] as usize;
+            assert_eq!(&scratch.occ[start..start + degree], &list[..], "vertex {x}");
+            degree_sum += degree;
+        }
+        assert_eq!(degree_sum, 2 * batch.len(), "the degrees sum to 2w");
+        assert_eq!(scratch.ids.get(999), None);
+        assert_eq!(scratch.degree_of(None), 0);
+    }
+
+    #[test]
+    fn occurrence_lookup_matches_a_naive_running_count_scan() {
+        let batch = hub_heavy_batch_with_repeats();
+        let scratch = indexed_scratch(&batch);
+        for (&x, list) in &naive_occurrences(&batch) {
+            let id = scratch.ids.get(x).expect("every batch vertex has an id");
+            assert_eq!(scratch.degree_of(Some(id)), list.len() as u64);
+            for t in 1..=list.len() {
+                // Scan until x's running count reaches t: EVENT_B (x, t).
+                let mut count = 0;
+                let expected = batch
+                    .iter()
+                    .position(|e| {
+                        count += usize::from(e.u().raw() == x || e.v().raw() == x);
+                        count == t
+                    })
+                    .expect("t is at most the batch degree");
+                assert_eq!(
+                    scratch.occurrence(id, t as u64),
+                    expected,
+                    "vertex {x}, t = {t}"
                 );
             }
         }

@@ -48,7 +48,8 @@ use tristream_graph::Edge;
 /// edges handed over. Stops at (and propagates) the source's first error;
 /// batches sunk before the error stay sunk, matching the semantics of
 /// feeding the stream by hand. The single implementation behind
-/// [`ShardedEstimator::process_source`] and the CLI's sequential `count`.
+/// [`ShardedEstimator::process_source`] and the CLI's `count` on `.tsb`
+/// input, sequential or sharded.
 ///
 /// [`ShardedEstimator::process_source`]: crate::ShardedEstimator::process_source
 pub fn drain_batch_source<E>(

@@ -218,15 +218,6 @@ impl EstimatorPool {
         self.closer_set.clear(i);
     }
 
-    /// Drops estimator `i`'s level-2 edge and closing edge (level-1 edge
-    /// and counter are kept) — the Step-2b "a new r₂ will come from this
-    /// batch" transition.
-    #[inline]
-    pub fn drop_r2(&mut self, i: usize) {
-        self.r2_set.clear(i);
-        self.closer_set.clear(i);
-    }
-
     /// Records `edge` as the closing edge of estimator `i`'s wedge.
     #[inline]
     pub fn take_closer(&mut self, i: usize, edge: Edge, position: u64) {
@@ -639,15 +630,6 @@ mod tests {
         assert_eq!(state.r2, None);
         assert_eq!(state.c, 0);
         assert_eq!(state.closer, None);
-
-        // drop_r2 keeps r1 and c.
-        pool.c[0] = 7;
-        pool.take_r2(0, e1, 6);
-        pool.drop_r2(0);
-        let state = pool.state(0);
-        assert_eq!(state.r1, Some(PositionedEdge::new(e2, 5)));
-        assert_eq!(state.c, 7);
-        assert_eq!(state.r2, None);
 
         // Untouched estimators stay empty.
         assert_eq!(pool.state(3), EstimatorState::default());

@@ -58,8 +58,9 @@ fn bulk_batches_do_not_allocate_in_the_steady_state() {
 
     let mut counter = BulkTriangleCounter::new(256, 7);
     // Warm-up: the first pass over the batches grows the scratch (the
-    // degree table to the batch's vertex count, the subscription and
-    // closing-edge tables to their r-bounded capacity).
+    // vertex table, the per-vertex and per-edge arrays and the occurrence
+    // lists to the batch size; the closing-edge table to its r-bounded
+    // capacity).
     for batch in &batches {
         counter.process_batch(batch);
     }

@@ -6,8 +6,8 @@
 //!    ([`ReferenceBulkCounter`]): both consume the seeded RNG stream in the
 //!    same order, so for any seed and any batch boundaries every estimator
 //!    ends every batch in exactly the same state. Proptest drives this over
-//!    random streams and random batch splits, including empty and
-//!    single-edge batches.
+//!    random streams, with and without repeated edges, and random batch
+//!    splits, including empty and single-edge batches.
 //! 2. **Distributional identity with the scalar one-at-a-time state
 //!    machine** ([`EstimatorState`] driven by `TriangleCounter`): Theorem
 //!    3.5's guarantee. Checked two ways — the state *invariants* (`c =
@@ -25,8 +25,9 @@ use tristream::core::reference::ReferenceBulkCounter;
 use tristream::graph::exact::edge_neighborhood_sizes;
 use tristream::prelude::*;
 
-/// Strategy: a random small simple graph given as deduplicated endpoint
-/// pairs over at most `max_vertex + 1` vertices.
+/// Strategy: random endpoint pairs over at most `max_vertex + 1` vertices,
+/// self-loops removed. Repeats stay; `EdgeStream::from_pairs_dedup` turns
+/// the pairs into a simple graph.
 fn random_edge_pairs(max_vertex: u64, max_edges: usize) -> impl Strategy<Value = Vec<(u64, u64)>> {
     prop::collection::vec((0..=max_vertex, 0..=max_vertex), 1..max_edges)
         .prop_map(|pairs| pairs.into_iter().filter(|(a, b)| a != b).collect())
@@ -64,8 +65,16 @@ proptest! {
         pairs in random_edge_pairs(24, 80),
         seed in 0u64..1_000,
         cuts in prop::collection::vec(0usize..12, 1..6),
+        keep_repeats in 0u8..2,
     ) {
-        let stream = EdgeStream::from_pairs_dedup(pairs);
+        // Half the cases keep repeated edges, in either orientation, as
+        // `.tsb` files and EDGES frames do: a repeat is where the
+        // occurrence lists and the wait chains must count every copy.
+        let stream = if keep_repeats == 1 {
+            EdgeStream::new(pairs.into_iter().map(|(a, b)| Edge::new(a, b)).collect())
+        } else {
+            EdgeStream::from_pairs_dedup(pairs)
+        };
         prop_assume!(!stream.is_empty());
         let mut pooled = BulkTriangleCounter::new(16, seed);
         let mut reference = ReferenceBulkCounter::new(16, seed);
