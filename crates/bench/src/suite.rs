@@ -20,7 +20,7 @@
 //!   SoA-pool [`BulkTriangleCounter`] across batch sizes
 //!   `w = 256 … 65536`, sequentially on one thread so the rows isolate the
 //!   hot-path rewrite (data layout, scratch reuse, hashing, batched RNG)
-//!   from [`ShardedEngine`] effects. Estimates are asserted bit-identical
+//!   from [`ShardedEstimator`] effects. Estimates are asserted bit-identical
 //!   per seed while the rows are produced; the latency ratio feeds the
 //!   [`hot_path_regressions`](BenchReport::hot_path_regressions) CI gate.
 //! * `accuracy-bulk-syn3reg` / `accuracy-parallel-planted` — bulk-counter
@@ -43,7 +43,7 @@
 //!   to the uninterrupted one, with a bound of exactly zero — so
 //!   `bench --check` enforces restore bit-parity.
 //!
-//! [`ShardedEngine`]: tristream_core::engine::ShardedEngine
+//! [`ShardedEstimator`]: tristream_core::ShardedEstimator
 //! [`ReferenceBulkCounter`]: tristream_core::reference::ReferenceBulkCounter
 
 use crate::report::{summarize_workload, BenchReport, WorkloadKind, WorkloadResult};

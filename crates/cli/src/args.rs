@@ -65,7 +65,8 @@ pub enum Command {
         /// Path to the edge-list file.
         input: PathBuf,
     },
-    /// Streaming (or exact) triangle count of an edge-list file.
+    /// Triangle count of an edge-list file by a registry algorithm
+    /// (`--algo exact` for the exact count).
     Count {
         /// Path to the edge-list file.
         input: PathBuf,
@@ -78,8 +79,6 @@ pub enum Command {
         batch: Option<usize>,
         /// RNG seed.
         seed: u64,
-        /// Use the exact streaming counter instead of estimation.
-        exact: bool,
         /// Shard the estimator pool across persistent worker threads and
         /// stream the file in batches instead of materialising it.
         parallel: bool,
@@ -258,7 +257,7 @@ tristream-cli — streaming triangle counting and sampling (Pavan et al., VLDB 2
 
 USAGE:
   tristream-cli summary      <EDGE_LIST>
-  tristream-cli count        <EDGE_LIST> [--estimators N] [--batch W] [--seed S] [--exact]
+  tristream-cli count        <EDGE_LIST> [--estimators N] [--batch W] [--seed S]
                                          [--algo NAME [--window W]] [--parallel [--shards K]]
   tristream-cli transitivity <EDGE_LIST> [--estimators N] [--seed S]
   tristream-cli sample       <EDGE_LIST> [-k K] [--estimators N] [--seed S]
@@ -363,7 +362,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut estimators = None;
             let mut batch = None;
             let mut seed = 1u64;
-            let mut exact = false;
             let mut parallel = false;
             let mut shards = None;
             let mut algo: Option<String> = None;
@@ -382,10 +380,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "--seed" => {
                         seed = parse_flag_value("--seed", rest.get(i + 1))?;
                         i += 2;
-                    }
-                    "--exact" => {
-                        exact = true;
-                        i += 1;
                     }
                     "--parallel" => {
                         parallel = true;
@@ -428,15 +422,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     reason: "the window must contain at least one edge",
                 });
             }
-            // Reject silently-ignored combinations rather than guessing:
-            // `--exact` has no parallel path, and `--shards` does nothing
-            // without `--parallel`.
-            if parallel && exact {
-                return Err(CliError::InvalidFlagValue {
-                    flag: "--parallel",
-                    reason: "cannot be combined with --exact",
-                });
-            }
+            // `--shards` does nothing without `--parallel`: reject it rather
+            // than ignore it.
             if shards.is_some() && !parallel {
                 return Err(CliError::InvalidFlagValue {
                     flag: "--shards",
@@ -450,11 +437,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 if tristream_baselines::registry::find_algo(name).is_none() {
                     return Err(CliError::AlgoUsage(format!("unknown algorithm {name:?}")));
                 }
-                if exact {
-                    return Err(CliError::AlgoUsage(
-                        "--algo cannot be combined with --exact (use `--algo exact`)".into(),
-                    ));
-                }
             }
             if window.is_some() && algo.as_deref() != Some("sliding") {
                 return Err(CliError::InvalidFlagValue {
@@ -467,7 +449,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 estimators,
                 batch,
                 seed,
-                exact,
                 parallel,
                 shards,
                 algo,
@@ -1034,7 +1015,6 @@ mod tests {
                 estimators: None,
                 batch: None,
                 seed: 1,
-                exact: false,
                 parallel: false,
                 shards: None,
                 algo: None,
@@ -1042,7 +1022,7 @@ mod tests {
             }
         );
         let c = parse_args(&args(&[
-            "count", "g.txt", "-r", "5000", "--batch", "4096", "--seed", "9", "--exact",
+            "count", "g.txt", "-r", "5000", "--batch", "4096", "--seed", "9", "--algo", "exact",
         ]))
         .unwrap();
         assert_eq!(
@@ -1052,10 +1032,9 @@ mod tests {
                 estimators: Some(5_000),
                 batch: Some(4_096),
                 seed: 9,
-                exact: true,
                 parallel: false,
                 shards: None,
-                algo: None,
+                algo: Some("exact".into()),
                 window: None
             }
         );
@@ -1071,7 +1050,6 @@ mod tests {
                 estimators: None,
                 batch: None,
                 seed: 1,
-                exact: false,
                 parallel: true,
                 shards: Some(6),
                 algo: None,
@@ -1113,16 +1091,6 @@ mod tests {
         for name in tristream_baselines::algo_names() {
             assert!(message.contains(name), "{message} must list {name}");
         }
-    }
-
-    #[test]
-    fn count_rejects_algo_combined_with_exact_listing_the_names() {
-        let err =
-            parse_args(&args(&["count", "g.txt", "--algo", "buriol", "--exact"])).unwrap_err();
-        assert!(matches!(err, CliError::AlgoUsage(_)));
-        let message = err.to_string();
-        assert!(message.contains("--exact"), "{message}");
-        assert!(message.contains("jowhari-ghodsi"), "{message}");
     }
 
     #[test]
@@ -1186,14 +1154,6 @@ mod tests {
 
     #[test]
     fn count_rejects_silently_ignored_flag_combinations() {
-        let err = parse_args(&args(&["count", "g.txt", "--parallel", "--exact"])).unwrap_err();
-        assert_eq!(
-            err,
-            CliError::InvalidFlagValue {
-                flag: "--parallel",
-                reason: "cannot be combined with --exact"
-            }
-        );
         let err = parse_args(&args(&["count", "g.txt", "--shards", "4"])).unwrap_err();
         assert_eq!(
             err,
@@ -1214,6 +1174,11 @@ mod tests {
             parse_args(&args(&["count", "g.txt", "--bogus"])).unwrap_err(),
             CliError::UnknownFlag(_)
         ));
+        // The exact count is `--algo exact`; there is no `--exact` flag.
+        assert_eq!(
+            parse_args(&args(&["count", "g.txt", "--exact"])).unwrap_err(),
+            CliError::UnknownFlag("--exact".into())
+        );
         assert!(matches!(
             parse_args(&args(&["count", "g.txt", "--estimators"])).unwrap_err(),
             CliError::BadFlagValue(_)

@@ -13,9 +13,8 @@ use std::path::Path;
 use std::rc::Rc;
 use std::time::Instant;
 use tristream_baselines::registry::{find_algo, AlgoParams};
-use tristream_baselines::ExactStreamingCounter;
 use tristream_bench::{run_suite, BenchConfig};
-use tristream_core::engine::drain_batch_source;
+use tristream_core::parallel::drain_batch_source;
 use tristream_core::{TransitivityEstimator, TriangleEstimator, TriangleSampler};
 use tristream_gen::{DatasetKind, StandIn};
 use tristream_graph::binary::{
@@ -83,33 +82,15 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             estimators,
             batch,
             seed,
-            exact,
             parallel,
             shards,
             algo,
             window,
         } => {
-            if !exact {
-                let name = algo.as_deref().unwrap_or(DEFAULT_COUNT_ALGO);
-                return run_count_algo(
-                    &input, name, estimators, batch, seed, parallel, shards, window,
-                );
-            }
-            let read_start = Instant::now();
-            let stream = read_stream_auto(&input)?;
-            let decode_secs = read_start.elapsed().as_secs_f64();
-            let start = Instant::now();
-            let mut counter = ExactStreamingCounter::new();
-            counter.process_edges(stream.edges());
-            let elapsed = start.elapsed().as_secs_f64();
-            Ok(format!(
-                "exact triangle count: {} ({} edges in {:.3} s)\n{}{}",
-                counter.triangles(),
-                stream.len(),
-                elapsed,
-                throughput_line(stream.len() as u64, elapsed),
-                split_line(decode_secs, decode_secs + elapsed)
-            ))
+            let name = algo.as_deref().unwrap_or(DEFAULT_COUNT_ALGO);
+            run_count_algo(
+                &input, name, estimators, batch, seed, parallel, shards, window,
+            )
         }
         Command::Transitivity {
             input,
@@ -618,7 +599,6 @@ mod tests {
             estimators: Some(20_000),
             batch: None,
             seed: 3,
-            exact: false,
             parallel: false,
             shards: None,
             algo: None,
@@ -627,20 +607,19 @@ mod tests {
         .unwrap();
         let exact = run(Command::Count {
             input: path,
-            estimators: Some(0),
+            estimators: None,
             batch: None,
             seed: 0,
-            exact: true,
             parallel: false,
             shards: None,
-            algo: None,
+            algo: Some("exact".into()),
             window: None,
         })
         .unwrap();
         assert!(approx.contains("estimated triangle count"));
         assert!(
-            exact.contains("exact triangle count: 1000")
-                || exact.contains("exact triangle count: 100")
+            exact.contains("triangle count: 1000 (algo = exact"),
+            "{exact}"
         );
     }
 
@@ -652,7 +631,6 @@ mod tests {
             estimators: Some(20_000),
             batch: Some(1_024),
             seed: 3,
-            exact: false,
             parallel: true,
             shards: Some(3),
             algo: None,
@@ -676,7 +654,6 @@ mod tests {
                     estimators: Some(2_000),
                     batch: Some(1_024),
                     seed: 5,
-                    exact: false,
                     parallel,
                     shards: parallel.then_some(2),
                     algo: Some(spec.name.to_string()),
@@ -709,7 +686,6 @@ mod tests {
                 estimators: Some(2_000),
                 batch: Some(1_024),
                 seed: 5,
-                exact: false,
                 parallel,
                 shards: parallel.then_some(4),
                 algo: Some("neighborhood-bulk".into()),
@@ -735,44 +711,27 @@ mod tests {
     }
 
     #[test]
-    fn count_algo_exact_matches_the_exact_flag_and_estimates_agree() {
+    fn count_algo_exact_matches_the_offline_exact_count() {
         let path = sample_graph_path();
-        let by_algo = run(Command::Count {
+        let out = run(Command::Count {
             input: path.clone(),
             estimators: None,
             batch: None,
             seed: 1,
-            exact: false,
             parallel: false,
             shards: None,
             algo: Some("exact".into()),
             window: None,
         })
         .unwrap();
-        let by_flag = run(Command::Count {
-            input: path,
-            estimators: None,
-            batch: None,
-            seed: 1,
-            exact: true,
-            parallel: false,
-            shards: None,
-            algo: None,
-            window: None,
-        })
-        .unwrap();
-        // Same count, different report shapes.
-        let count_of = |report: &str| {
-            report
-                .split("triangle count: ")
-                .nth(1)
-                .unwrap()
-                .split([' ', '\n'])
-                .next()
-                .unwrap()
-                .to_string()
-        };
-        assert_eq!(count_of(&by_algo), count_of(&by_flag));
+        let stream = read_edge_list_file(&path).unwrap();
+        let truth = tristream_graph::exact::count_triangles(
+            &tristream_graph::Adjacency::from_stream(&stream),
+        );
+        assert!(
+            out.contains(&format!("triangle count: {truth} (algo = exact")),
+            "{out}"
+        );
     }
 
     #[test]
@@ -784,7 +743,6 @@ mod tests {
             estimators: Some(256),
             batch: None,
             seed: 3,
-            exact: false,
             parallel: false,
             shards: None,
             algo: Some("sliding".into()),
@@ -890,7 +848,6 @@ mod tests {
                 estimators: Some(5_000),
                 batch: None,
                 seed: 3,
-                exact: false,
                 parallel: false,
                 shards: None,
                 algo: None,
@@ -920,7 +877,6 @@ mod tests {
             estimators: Some(5_000),
             batch: Some(512),
             seed: 3,
-            exact: false,
             parallel: true,
             shards: Some(2),
             algo: None,

@@ -7,7 +7,7 @@
 //! ```text
 //! tristream-cli summary      graph.txt
 //! tristream-cli count        graph.txt --estimators 200000 --seed 7
-//! tristream-cli count        graph.txt --exact
+//! tristream-cli count        graph.txt --algo exact
 //! tristream-cli transitivity graph.txt --estimators 100000
 //! tristream-cli sample       graph.txt -k 5 --estimators 50000
 //! tristream-cli generate     orkut --scale 64 --seed 1 --output orkut.txt

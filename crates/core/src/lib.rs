@@ -27,7 +27,7 @@
 //! | §5.1 4-clique counting (Type I / Type II) | [`clique`] |
 //! | §5.2 sliding windows | [`sliding`] |
 //! | §4 geometric-skip level-1 optimisation | Step 1 of [`BulkTriangleCounter::process_batch`] (gaps from `tristream_sample::GeometricSkip`) |
-//! | §6 follow-up: multi-core sharded counting | [`ShardedEstimator`] in [`parallel`], on [`engine`] |
+//! | §6 follow-up: multi-core sharded counting | [`ShardedEstimator`] in [`parallel`] |
 //!
 //! # Quick example
 //!
@@ -53,7 +53,6 @@
 pub mod bulk;
 pub mod clique;
 pub mod counter;
-pub mod engine;
 pub mod estimator;
 pub mod fastmap;
 pub mod lanes;
@@ -70,7 +69,6 @@ pub mod transitivity;
 pub use bulk::BulkTriangleCounter;
 pub use clique::FourCliqueCounter;
 pub use counter::{Aggregation, TriangleCounter};
-pub use engine::ShardedEngine;
 pub use estimator::{EstimatorState, NeighborhoodSampler, PositionedEdge};
 pub use fastmap::FastMap;
 pub use parallel::{shard_seed, ShardedEstimator, SHARD_SEED_STRIDE};

@@ -5,25 +5,29 @@
 //! a parallel, cache-efficient variant of neighborhood sampling. This module
 //! provides the natural shared-nothing parallelisation: [`ShardedEstimator`]
 //! runs `K` independent estimators over the same stream, each advancing
-//! over every batch on its own long-lived worker thread (see
-//! [`crate::engine`]), and queries average the shard estimates. Because
-//! estimators never interact, `K` shards of `ceil(r/K)` neighborhood-sampling
-//! estimators compute the same *distribution* of estimates as one pool of
-//! `r`.
+//! over every batch on its own long-lived worker thread, and queries
+//! average the shard estimates. Because estimators never interact, `K`
+//! shards of `ceil(r/K)` neighborhood-sampling estimators compute the same
+//! *distribution* of estimates as one pool of `r`.
 //!
-//! Worker threads are created **once**, when the estimator is built, and
-//! are fed batches over channels; [`ShardedEstimator::process_batch`] only
-//! copies the batch and enqueues it, so the per-batch hot path contains no
-//! thread spawn or join. Queries synchronise with the workers first, so
-//! results are indistinguishable from fully synchronous processing.
+//! Each worker drains one bounded FIFO queue that carries batches and
+//! markers. [`ShardedEstimator::process_batch`] enqueues the batch and
+//! returns, so the hot path has no spawn or join. A read sends a marker
+//! down every queue and waits for every worker's answer, so it sees every
+//! batch queued before it; it then runs on the caller's thread under the
+//! shard mutexes. A worker that panics drops its queue and its reply
+//! channel, so the caller's next send or wait fails instead of hanging.
+//! ARCHITECTURE.md § "The persistent sharded engine" has the whole design.
 //!
 //! How a registry algorithm's space parameter is split across shards is
 //! the registry's business: `tristream_baselines::registry::AlgoSpec::
 //! build_sharded` is the one recipe `count`, `count --algo` and the serve
 //! daemon all build through.
 
-use crate::engine::ShardedEngine;
 use crate::traits::TriangleEstimator;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use tristream_graph::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use tristream_graph::Edge;
 use tristream_sample::mean;
@@ -45,11 +49,69 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     seed.wrapping_add(shard as u64 * SHARD_SEED_STRIDE)
 }
 
+/// Drains a *batch source* — any fallible iterator of edge batches — into
+/// `sink`, one call per batch in order, and returns the total number of
+/// edges handed over. Stops at (and propagates) the source's first error;
+/// batches sunk before the error stay sunk, matching the semantics of
+/// feeding the stream by hand. The single implementation behind
+/// [`ShardedEstimator::process_source`] and the CLI's `count` on `.tsb`
+/// input, sequential or sharded.
+pub fn drain_batch_source<E>(
+    source: impl IntoIterator<Item = Result<Vec<Edge>, E>>,
+    mut sink: impl FnMut(&[Edge]),
+) -> Result<u64, E> {
+    let mut edges = 0u64;
+    for batch in source {
+        let batch = batch?;
+        edges += batch.len() as u64;
+        sink(&batch);
+    }
+    Ok(edges)
+}
+
+/// Per-shard queue capacity, in jobs. A few batches of slack overlap
+/// reading the stream with processing it; past that,
+/// [`ShardedEstimator::process_batch`] blocks instead of growing memory.
+const QUEUE_DEPTH: usize = 4;
+
+enum Job {
+    /// One `process_edges` call, so batch boundaries are the caller's.
+    Batch(Arc<[Edge]>),
+    /// Answer on the reply channel, after every job queued before it.
+    Marker,
+}
+
+/// A shard's estimator, the queue into its worker, the channel the worker
+/// answers markers on, and the worker itself.
+struct Shard<C> {
+    estimator: Arc<Mutex<C>>,
+    queue: SyncSender<Job>,
+    replies: Receiver<()>,
+    worker: JoinHandle<()>,
+}
+
+/// Runs a shard's jobs in queue order until the queue closes. Stops early,
+/// failing the caller's next send or wait, if a panic on the caller's
+/// thread poisoned the shard or no one waits for answers any more.
+fn work<C: TriangleEstimator>(estimator: &Mutex<C>, jobs: Receiver<Job>, replies: SyncSender<()>) {
+    for job in jobs {
+        let carried_on = match job {
+            Job::Batch(batch) => estimator
+                .lock()
+                .map(|mut shard| shard.process_edges(&batch))
+                .is_ok(),
+            Job::Marker => replies.send(()).is_ok(),
+        };
+        if !carried_on {
+            return;
+        }
+    }
+}
+
 /// A sharded, multi-threaded wrapper around *any* [`TriangleEstimator`]:
 /// `shards` independent instances built by a caller-supplied factory, each
-/// advanced on its own persistent worker thread (the generic
-/// [`ShardedEngine`]), with the final estimate the plain mean of the shard
-/// estimates.
+/// advanced on its own persistent worker thread, with the final estimate
+/// the plain mean of the shard estimates.
 ///
 /// The factory receives each shard's seed under the deterministic sharding
 /// contract: shard `i` gets [`shard_seed`]`(seed, i)`. With a single shard
@@ -58,40 +120,97 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
 ///
 /// This is the execution path behind `tristream-cli count --parallel` and
 /// every served stream: the registry's boxed constructors plug straight in
-/// as `ShardedEstimator<Box<dyn TriangleEstimator + Send>>`.
-#[derive(Debug)]
+/// as `ShardedEstimator<Box<dyn TriangleEstimator + Send>>`. It is `Send`
+/// but not `Sync` (reads wait on reply channels), so one thread reads it.
+///
+/// ```
+/// use tristream_core::{BulkTriangleCounter, ShardedEstimator, TriangleEstimator};
+///
+/// let mut sharded = ShardedEstimator::from_factory(4, 1, |s| BulkTriangleCounter::new(64, s));
+/// let stream = tristream_gen::planted_triangles(20, 40, 1);
+/// for batch in stream.batches(128) {
+///     sharded.process_batch(batch);
+/// }
+/// assert_eq!(sharded.shard_estimates().len(), 4);
+/// assert_eq!(sharded.edges_seen(), stream.len() as u64);
+/// ```
 pub struct ShardedEstimator<C: TriangleEstimator + Send + 'static> {
-    engine: ShardedEngine<C>,
+    shards: Vec<Shard<C>>,
     edges_seen: u64,
+}
+
+impl<C: TriangleEstimator + Send + 'static> std::fmt::Debug for ShardedEstimator<C> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedEstimator")
+            .field("shards", &self.num_shards())
+            .field("edges_seen", &self.edges_seen)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
     /// Builds `shards` estimators via `factory` — called with each shard's
-    /// decorrelated seed, in shard order — and spawns the worker pool.
+    /// decorrelated seed, in shard order — and then spawns one worker per
+    /// shard. The workers live until the estimator is dropped.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero.
+    /// Panics if `shards` is zero, or if the OS refuses a worker thread.
     pub fn from_factory(shards: usize, seed: u64, mut factory: impl FnMut(u64) -> C) -> Self {
         assert!(shards > 0, "at least one shard is required");
-        let counters = (0..shards).map(|i| factory(shard_seed(seed, i))).collect();
-        Self {
-            engine: ShardedEngine::new(counters),
+        let estimators: Vec<C> = (0..shards).map(|i| factory(shard_seed(seed, i))).collect();
+        // Built up in place, so that if a spawn fails, dropping `sharded`
+        // joins the workers already running.
+        let mut sharded = Self {
+            shards: Vec::with_capacity(shards),
             edges_seen: 0,
+        };
+        for (i, estimator) in estimators.into_iter().enumerate() {
+            let estimator = Arc::new(Mutex::new(estimator));
+            let (queue, jobs) = mpsc::sync_channel(QUEUE_DEPTH);
+            let (reply, replies) = mpsc::sync_channel(1);
+            let state = Arc::clone(&estimator);
+            #[allow(clippy::expect_used)]
+            let worker = std::thread::Builder::new()
+                .name(format!("tristream-shard-{i}"))
+                .spawn(move || work(&state, jobs, reply))
+                // analyze: allow(P1, reason = "the OS refusing a thread unwinds only the caller building this estimator, which does not exist yet; in the daemon that is one CREATE's connection thread, holding no table or stream lock, so every other stream keeps serving")
+                .expect("spawning shard worker thread");
+            sharded.shards.push(Shard {
+                estimator,
+                queue,
+                replies,
+                worker,
+            });
         }
+        sharded
     }
 
     /// Number of shards (persistent worker threads).
     pub fn num_shards(&self) -> usize {
-        self.engine.num_shards()
+        self.shards.len()
     }
 
-    /// Enqueues one batch on every shard without waiting for processing.
+    /// Enqueues one batch on every shard and returns without waiting for
+    /// processing, as long as each shard's bounded queue has room. Empty
+    /// batches are no-ops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker has died, which only follows a panic on its shard.
     pub fn process_batch(&mut self, batch: &[Edge]) {
         if batch.is_empty() {
             return;
         }
-        self.engine.submit(batch);
+        let batch: Arc<[Edge]> = Arc::from(batch);
+        for shard in &self.shards {
+            #[allow(clippy::expect_used)]
+            shard
+                .queue
+                .send(Job::Batch(Arc::clone(&batch)))
+                // analyze: allow(P1, reason = "a worker drops its queue only by exiting, which it does only after a panic on its shard; the send error resurfaces that panic on the caller's thread")
+                .expect("shard worker terminated unexpectedly");
+        }
         self.edges_seen += batch.len() as u64;
     }
 
@@ -105,20 +224,53 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
         &mut self,
         source: impl IntoIterator<Item = Result<Vec<Edge>, E>>,
     ) -> Result<u64, E> {
-        crate::engine::drain_batch_source(source, |batch| self.process_batch(batch))
+        drain_batch_source(source, |batch| self.process_batch(batch))
+    }
+
+    /// The one read path: sends a marker down every queue and waits for
+    /// every worker's answer, so every batch queued before this call is
+    /// processed; then applies `f` to each shard in order, under its mutex,
+    /// on the caller's thread. It allocates nothing beyond its result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker died or a shard is poisoned, which only happens
+    /// after a panic on that shard.
+    fn map_synced<T>(&self, mut f: impl FnMut(&mut C) -> T) -> Vec<T> {
+        for shard in &self.shards {
+            // A dead worker fails this send and the wait below alike; the
+            // wait reports it.
+            let _ = shard.queue.send(Job::Marker);
+        }
+        // Wait on every shard, even past a dead one, so that no answer is
+        // left queued to release a later read early.
+        let mut answered = true;
+        for shard in &self.shards {
+            answered &= shard.replies.recv().is_ok();
+        }
+        self.shards
+            .iter()
+            .map(|shard| {
+                let estimator = shard.estimator.lock().ok().filter(|_| answered);
+                #[allow(clippy::expect_used)]
+                let mut estimator = estimator
+                    // analyze: allow(P1, reason = "a worker stops answering, and a shard is poisoned, only after a panic on that shard; resurfacing it on the reader's thread beats reading a shard the panic left behind")
+                    .expect("shard lost to an earlier panic");
+                f(&mut estimator)
+            })
+            .collect()
     }
 
     /// Per-shard estimates, in shard order (waits for in-flight batches).
     pub fn shard_estimates(&self) -> Vec<f64> {
-        self.engine.map_shards(|shard| shard.estimate())
+        self.map_synced(|shard| shard.estimate())
     }
 
     /// Per-shard snapshots, in shard order — the building blocks the
     /// [`TriangleEstimator::snapshot`] container nests, exposed so callers
     /// can also ship shard state to independent processes.
     pub fn shard_snapshots(&self) -> Result<Vec<Vec<u8>>, SnapshotError> {
-        self.engine
-            .map_shards(|shard| shard.snapshot())
+        self.map_synced(|shard| shard.snapshot())
             .into_iter()
             .collect()
     }
@@ -164,17 +316,39 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
                 Some(_) => {}
             }
         }
-        let mut results = Vec::with_capacity(snapshots.len());
-        self.engine.map_shards_mut(|shard| {
-            let i = results.len();
-            results.push(shard.restore(&snapshots[i]));
-            results.len()
-        });
-        for result in results {
-            result?;
-        }
-        self.edges_seen = edges.unwrap_or(0);
+        self.restore_shards(snapshots, edges.unwrap_or(0))
+    }
+
+    /// Hands shard `i` snapshot `i` (the callers check there is one per
+    /// shard), then adopts `edges_seen`; returns the first shard's error.
+    fn restore_shards(
+        &mut self,
+        snapshots: &[impl AsRef<[u8]>],
+        edges_seen: u64,
+    ) -> Result<(), SnapshotError> {
+        let mut snapshots = snapshots.iter();
+        self.map_synced(|shard| {
+            snapshots
+                .next()
+                .map_or(Ok(()), |bytes| shard.restore(bytes.as_ref()))
+        })
+        .into_iter()
+        .collect::<Result<(), _>>()?;
+        self.edges_seen = edges_seen;
         Ok(())
+    }
+}
+
+impl<C: TriangleEstimator + Send + 'static> Drop for ShardedEstimator<C> {
+    fn drop(&mut self) {
+        for shard in self.shards.drain(..) {
+            // Closing the queue ends the worker's loop once it has run the
+            // jobs already queued.
+            drop((shard.queue, shard.replies));
+            // A worker that panicked has surfaced (or will surface) the
+            // panic on the caller's thread; don't double-panic in drop.
+            let _ = shard.worker.join();
+        }
     }
 }
 
@@ -222,24 +396,19 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
 
     /// Sum of the shard estimators' state.
     fn memory_words(&self) -> usize {
-        self.engine
-            .map_shards(|shard| shard.memory_words())
-            .iter()
-            .sum()
+        self.map_synced(|shard| shard.memory_words()).iter().sum()
     }
 
     /// Sum over the shards, when every shard keeps the count.
     fn estimators_with_triangle(&self) -> Option<usize> {
-        self.engine
-            .map_shards(|shard| shard.estimators_with_triangle())
+        self.map_synced(|shard| shard.estimators_with_triangle())
             .into_iter()
             .sum()
     }
 
     /// Snapshots are supported exactly when every shard supports them.
     fn supports_snapshot(&self) -> bool {
-        self.engine
-            .map_shards(|shard| shard.supports_snapshot())
+        self.map_synced(|shard| shard.supports_snapshot())
             .iter()
             .all(|&s| s)
     }
@@ -301,18 +470,9 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
                 });
             };
             let mut section = reader.section(crate::snapshot::SEC_SHARD_BASE + offset)?;
-            nested.push(section.rest().to_vec());
+            nested.push(section.rest());
         }
-        let mut results = Vec::with_capacity(self.num_shards());
-        self.engine.map_shards_mut(|shard| {
-            let i = results.len();
-            results.push(shard.restore(&nested[i]));
-        });
-        for result in results {
-            result?;
-        }
-        self.edges_seen = edges_seen;
-        Ok(())
+        self.restore_shards(&nested, edges_seen)
     }
 }
 
@@ -371,8 +531,7 @@ mod tests {
         let held = c.estimators_with_triangle().expect("bulk shards count");
         assert!(held > 0);
         let per_shard: usize = c
-            .engine
-            .map_shards(BulkTriangleCounter::estimators_with_triangle)
+            .map_synced(|shard| shard.estimators_with_triangle())
             .iter()
             .sum();
         assert_eq!(held, per_shard, "the count is the sum over shards");
@@ -590,5 +749,130 @@ mod tests {
         }
         let est = TriangleEstimator::estimate(&c);
         assert!((est - 60.0).abs() < 0.35 * 60.0, "estimate {est}");
+    }
+
+    #[test]
+    fn drop_joins_all_workers() {
+        // Each worker holds a clone of its shard's `Arc`; once the
+        // estimator is dropped (and `Drop` has joined the workers), every
+        // clone must be gone — no upgrade succeeding proves the threads
+        // exited.
+        let stream = tristream_gen::planted_triangles(10, 30, 5);
+        let mut sharded = sharded_bulk(16, 4, 2);
+        let shards: Vec<_> = sharded
+            .shards
+            .iter()
+            .map(|shard| Arc::downgrade(&shard.estimator))
+            .collect();
+        for batch in stream.batches(16) {
+            sharded.process_batch(batch);
+        }
+        drop(sharded);
+        assert!(
+            shards.iter().all(|shard| shard.upgrade().is_none()),
+            "all worker threads must terminate and release their shards on drop"
+        );
+    }
+
+    #[test]
+    fn boxed_shards_of_different_algorithms_match_sequential_feeding() {
+        // The sharded layer is pure transport: a shard driven by its
+        // worker must match the same estimator fed the same batches on the
+        // caller's thread, bit for bit — here with `Box<dyn>` shards of
+        // *different* concrete algorithms.
+        use crate::counter::TriangleCounter;
+        let build = |seed: u64| -> Box<dyn TriangleEstimator + Send> {
+            if seed == 7 {
+                Box::new(TriangleCounter::new(64, seed))
+            } else {
+                Box::new(BulkTriangleCounter::new(64, seed))
+            }
+        };
+        let stream = tristream_gen::planted_triangles(15, 40, 4);
+        let mut sharded = ShardedEstimator::from_factory(2, 7, build);
+        let mut reference: Vec<_> = (0..2).map(|i| build(shard_seed(7, i))).collect();
+        for batch in stream.batches(32) {
+            sharded.process_batch(batch);
+            for shard in &mut reference {
+                shard.process_edges(batch);
+            }
+        }
+        let sharded_bits: Vec<u64> = sharded
+            .shard_estimates()
+            .iter()
+            .map(|e| e.to_bits())
+            .collect();
+        let reference_bits: Vec<u64> = reference.iter().map(|s| s.estimate().to_bits()).collect();
+        assert_eq!(sharded_bits, reference_bits);
+        assert_eq!(
+            sharded.map_synced(|shard| shard.edges_seen()),
+            vec![stream.len() as u64; 2]
+        );
+    }
+
+    /// Panics on its second `process_edges` call when `armed`: a stand-in
+    /// for a bug inside one shard's estimator.
+    struct PanicsOnSecondBatch {
+        armed: bool,
+        batches: u32,
+    }
+
+    impl TriangleEstimator for PanicsOnSecondBatch {
+        fn process_edge(&mut self, edge: Edge) {
+            self.process_edges(&[edge]);
+        }
+
+        fn process_edges(&mut self, _edges: &[Edge]) {
+            self.batches += 1;
+            if self.armed && self.batches == 2 {
+                panic!("injected shard failure");
+            }
+        }
+
+        fn estimate(&self) -> f64 {
+            0.0
+        }
+
+        fn edges_seen(&self) -> u64 {
+            0
+        }
+
+        fn memory_words(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_fails_the_reader_instead_of_hanging_it() {
+        // Shard 0 dies on its second batch while shard 1 stays healthy.
+        // The read must resurface the panic, and the estimator must still
+        // drop: both are checked on a helper thread under a timeout, so a
+        // hang fails the test instead of stalling the suite.
+        let mut sharded = ShardedEstimator::from_factory(2, 1, |seed| PanicsOnSecondBatch {
+            armed: seed == shard_seed(1, 0),
+            batches: 0,
+        });
+        let batch = [Edge::new(1u64, 2u64)];
+        sharded.process_batch(&batch);
+        sharded.process_batch(&batch);
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let read =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sharded.estimate()));
+            done.send(read.is_err()).unwrap();
+            drop(sharded);
+            done.send(true).unwrap();
+        });
+        let timeout = std::time::Duration::from_secs(10);
+        assert_eq!(
+            outcome.recv_timeout(timeout),
+            Ok(true),
+            "the read must fail, not hang or succeed"
+        );
+        assert_eq!(
+            outcome.recv_timeout(timeout),
+            Ok(true),
+            "dropping the estimator must return"
+        );
     }
 }

@@ -51,7 +51,7 @@ pub fn words_for_bytes(bytes: usize) -> usize {
 ///
 /// The trait is dyn-compatible: `Box<dyn TriangleEstimator + Send>` is the
 /// currency of the algorithm registry, the generic
-/// [`ShardedEngine`](crate::engine::ShardedEngine), and the CLI's
+/// [`ShardedEstimator`](crate::ShardedEstimator), and the CLI's
 /// `count --algo` path. A blanket impl forwards the trait through `Box`.
 ///
 /// # Contract

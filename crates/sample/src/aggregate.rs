@@ -9,9 +9,8 @@
 //!   each group, and report the median of the group means. This is the
 //!   aggregation whose sufficient `r` is governed by the tangle coefficient.
 //!
-//! The experiment harness additionally needs the error metrics reported in
-//! §4: relative error of an estimate against the exact count, and the mean
-//! deviation across trials.
+//! The experiment harness additionally needs the error metric reported in
+//! §4: the relative error of an estimate against the exact count.
 
 /// Arithmetic mean of a slice. Returns 0 for an empty slice.
 pub fn mean(values: &[f64]) -> f64 {
@@ -73,53 +72,6 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
     }
 }
 
-/// Mean deviation (in percent) across several trial estimates against a
-/// single ground truth — the accuracy metric reported throughout §4 of the
-/// paper.
-pub fn mean_deviation(estimates: &[f64], truth: f64) -> f64 {
-    if estimates.is_empty() {
-        return 0.0;
-    }
-    100.0
-        * mean(
-            &estimates
-                .iter()
-                .map(|&e| relative_error(e, truth))
-                .collect::<Vec<_>>(),
-        )
-}
-
-/// Incremental (online) mean, usable when estimates are produced one at a
-/// time and the caller does not want to buffer them all.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MeanEstimator {
-    count: u64,
-    mean: f64,
-}
-
-impl MeanEstimator {
-    /// Creates an empty running mean.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        self.mean += (value - self.mean) / self.count as f64;
-    }
-
-    /// The current mean (0 when no observations have been pushed).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Number of observations pushed so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,23 +124,5 @@ mod tests {
         assert_eq!(relative_error(0.0, 0.0), 0.0);
         assert_eq!(relative_error(3.0, 0.0), 3.0);
         assert!((relative_error(110.0, 100.0) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_deviation_in_percent() {
-        let md = mean_deviation(&[90.0, 110.0], 100.0);
-        assert!((md - 10.0).abs() < 1e-9);
-        assert_eq!(mean_deviation(&[], 100.0), 0.0);
-    }
-
-    #[test]
-    fn running_mean_matches_batch_mean() {
-        let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut m = MeanEstimator::new();
-        for &v in &values {
-            m.push(v);
-        }
-        assert!((m.mean() - mean(&values)).abs() < 1e-12);
-        assert_eq!(m.count(), values.len() as u64);
     }
 }

@@ -2,23 +2,23 @@
 //!
 //! The paper (Pavan et al., *Counting and Sampling Triangles from a Graph
 //! Stream*, VLDB 2013) assumes two constant-time randomness procedures,
-//! `coin(p)` and `randInt(a, b)` (§2), and builds all of its algorithms on
-//! top of reservoir sampling over (sub)streams. The sliding-window extension
-//! (§5.2) additionally relies on *chain sampling* (Babcock, Datar, Motwani,
-//! SODA 2002) to keep a uniform sample over the most recent `w` items.
+//! `coin(p)` and `randInt(a, b)` (§2), and builds its estimators on
+//! reservoir sampling over (sub)streams. Those draws are one
+//! `gen_range` each, so they live inline where the estimators take them:
+//! the level-1 and level-2 reservoirs in `tristream_core::estimator`, and
+//! the per-batch reservoir step and `randInt` draws in
+//! `tristream_core::bulk`.
 //!
-//! This crate provides those primitives as small, well-tested, reusable
-//! components:
+//! This crate holds the primitives that are more than one draw:
 //!
-//! * [`coin`](mod@coin) / [`rand_int`] — the paper's §2 primitives.
-//! * [`reservoir`] — size-1 and size-`k` reservoir samplers over a stream.
-//! * [`chain`] — chain sampling over a sequence-based sliding window.
+//! * [`chain`] — chain sampling over a sequence-based sliding window
+//!   (Babcock, Datar, Motwani, SODA 2002), for the §5.2 extension.
 //! * [`skip`] — geometric skip sequences, the bulk-processing optimisation
 //!   described in §4 for updating only the estimators whose level-1 edge is
 //!   actually replaced.
 //! * [`aggregate`] — estimator aggregation: plain averaging (Theorem 3.3),
-//!   median-of-means (Theorem 3.4), and error metrics (mean deviation) used
-//!   by the experiment harness.
+//!   median-of-means (Theorem 3.4), and the relative error the experiment
+//!   harness reports.
 //! * [`seeding`] — the workspace's blessed seed-derivation helpers
 //!   ([`splitmix64`], [`salted_seed`]); the `S1-seeding` rule of
 //!   `tristream-analyze` requires every derived `seed_from_u64` argument to
@@ -26,14 +26,10 @@
 
 pub mod aggregate;
 pub mod chain;
-pub mod coin;
-pub mod reservoir;
 pub mod seeding;
 pub mod skip;
 
-pub use aggregate::{mean, mean_deviation, median, median_of_means, relative_error, MeanEstimator};
+pub use aggregate::{mean, median, median_of_means, relative_error};
 pub use chain::{ChainEntry, ChainSampler};
-pub use coin::{coin, rand_int};
-pub use reservoir::{ReservoirK, ReservoirOne};
 pub use seeding::{salted_seed, splitmix64, splitmix64_next};
 pub use skip::GeometricSkip;

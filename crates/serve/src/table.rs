@@ -108,9 +108,9 @@ impl StreamEntry {
 
     /// Locks the stream's state. Poisoning (an engine panic on another
     /// connection's thread) is healed by taking the inner value: the
-    /// engine's own shard mutexes re-surface the panic on the next engine
-    /// call, so nothing is masked — but an unrelated stream's handler never
-    /// dies on a poisoned table.
+    /// engine itself re-surfaces a shard's panic on the next engine call
+    /// (a dead worker fails every send and read), so nothing is masked —
+    /// but an unrelated stream's handler never dies on a poisoned table.
     pub fn lock(&self) -> MutexGuard<'_, StreamState> {
         self.state
             .lock()

@@ -9,7 +9,7 @@
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tristream_baselines::registry::{find_algo, AlgoParams};
+use tristream_baselines::registry::{find_algo, registry, AlgoParams};
 use tristream_core::{ShardedEstimator, TriangleEstimator};
 use tristream_graph::Edge;
 use tristream_serve::protocol::{ErrorCode, FrameType, Request};
@@ -48,36 +48,45 @@ fn offline_engine(
 
 #[test]
 fn served_estimate_is_bit_identical_to_the_offline_parallel_path() {
+    // One daemon serves one stream per registry algorithm, fed the same
+    // frames interleaved; each must match its own offline twin.
     let (addr, server) = spawn_server();
     let edges = test_edges();
-    let (algo, seed, budget, shards, batch) = ("neighborhood-bulk", 42u64, 1u64 << 14, 3u16, 128);
+    let (seed, budget, shards, batch) = (42u64, 1u64 << 14, 3u16, 128);
 
     let mut client = Client::connect(addr).expect("connect");
-    let mut spec = CreateStream::new("parity", algo);
-    spec.seed = seed;
-    spec.budget_words = budget;
-    spec.shards = shards;
-    client.create_stream(&spec).expect("create");
-    client
-        .send_edges_batched("parity", &edges, batch)
-        .expect("ingest");
-    let served = client.query("parity").expect("query");
-
-    // The offline `count --algo --parallel` path, same seed, same batch
-    // boundaries.
-    let mut offline = offline_engine(algo, seed, budget, shards as usize);
-    for chunk in edges.chunks(batch) {
-        offline.process_batch(chunk);
+    for spec in registry() {
+        let mut create = CreateStream::new(spec.name, spec.name);
+        create.seed = seed;
+        create.budget_words = budget;
+        create.shards = shards;
+        client.create_stream(&create).expect("create");
     }
-    assert_eq!(
-        served.estimate.to_bits(),
-        offline.estimate().to_bits(),
-        "served {} vs offline {}",
-        served.estimate,
-        offline.estimate()
-    );
-    assert_eq!(served.edges, edges.len() as u64);
-    assert_eq!(served.memory_words, offline.memory_words() as u64);
+    for chunk in edges.chunks(batch) {
+        for spec in registry() {
+            client.send_edges(spec.name, chunk).expect("ingest");
+        }
+    }
+
+    for spec in registry() {
+        let algo = spec.name;
+        let served = client.query(algo).expect("query");
+        // The offline `count --algo --parallel` path, same seed, same
+        // batch boundaries.
+        let mut offline = offline_engine(algo, seed, budget, shards as usize);
+        for chunk in edges.chunks(batch) {
+            offline.process_batch(chunk);
+        }
+        assert_eq!(
+            served.estimate.to_bits(),
+            offline.estimate().to_bits(),
+            "{algo}: served {} vs offline {}",
+            served.estimate,
+            offline.estimate()
+        );
+        assert_eq!(served.edges, edges.len() as u64, "{algo}");
+        assert_eq!(served.memory_words, offline.memory_words() as u64, "{algo}");
+    }
 
     client.shutdown().expect("shutdown");
     server.join().expect("join").expect("server run");

@@ -13,8 +13,8 @@
 //!   ground-truth analytics, edge-list I/O.
 //! * [`gen`] ([`tristream_gen`]) — synthetic graph generators and the
 //!   calibrated stand-ins for the paper's datasets.
-//! * [`sample`] ([`tristream_sample`]) — reservoir/chain sampling and
-//!   estimator-aggregation primitives.
+//! * [`sample`] ([`tristream_sample`]) — chain sampling, geometric skips,
+//!   estimator aggregation and seed derivation.
 //! * [`core`] ([`tristream_core`]) — the paper's algorithms: triangle
 //!   counting (one-at-a-time and bulk), uniform triangle sampling,
 //!   transitivity estimation, 4-clique counting, sliding windows, and the

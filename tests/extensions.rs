@@ -78,10 +78,9 @@ fn cli_pipeline_counts_a_generated_file() {
         estimators: None,
         batch: None,
         seed: 0,
-        exact: true,
         parallel: false,
         shards: None,
-        algo: None,
+        algo: Some("exact".into()),
         window: None,
     })
     .unwrap();
@@ -90,7 +89,6 @@ fn cli_pipeline_counts_a_generated_file() {
         estimators: Some(30_000),
         batch: None,
         seed: 11,
-        exact: false,
         parallel: false,
         shards: None,
         algo: None,
@@ -102,14 +100,13 @@ fn cli_pipeline_counts_a_generated_file() {
         estimators: Some(30_000),
         batch: Some(2_048),
         seed: 11,
-        exact: false,
         parallel: true,
         shards: Some(2),
         algo: None,
         window: None,
     })
     .unwrap();
-    assert!(exact_out.contains("exact triangle count"));
+    assert!(exact_out.contains("(algo = exact"));
     assert!(approx_out.contains("estimated triangle count"));
     assert!(parallel_out.contains("estimated triangle count"));
     assert!(parallel_out.contains("shards = 2"));
