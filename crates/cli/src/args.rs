@@ -1094,6 +1094,23 @@ mod tests {
     }
 
     #[test]
+    fn count_rejects_exact_as_an_unknown_flag_alone_or_beside_algo() {
+        // The exact count is `--algo exact`; there is no `--exact` flag, so
+        // it is refused as unknown before `--algo` is even looked up.
+        for argv in [
+            &["count", "g.txt", "--exact"][..],
+            &["count", "g.txt", "--algo", "buriol", "--exact"],
+            &["count", "g.txt", "--exact", "--algo", "no-such-algo"],
+        ] {
+            assert_eq!(
+                parse_args(&args(argv)).unwrap_err(),
+                CliError::UnknownFlag("--exact".into()),
+                "{argv:?}"
+            );
+        }
+    }
+
+    #[test]
     fn count_window_requires_the_sliding_algo() {
         let err = parse_args(&args(&["count", "g.txt", "--window", "10"])).unwrap_err();
         assert!(matches!(
@@ -1174,11 +1191,6 @@ mod tests {
             parse_args(&args(&["count", "g.txt", "--bogus"])).unwrap_err(),
             CliError::UnknownFlag(_)
         ));
-        // The exact count is `--algo exact`; there is no `--exact` flag.
-        assert_eq!(
-            parse_args(&args(&["count", "g.txt", "--exact"])).unwrap_err(),
-            CliError::UnknownFlag("--exact".into())
-        );
         assert!(matches!(
             parse_args(&args(&["count", "g.txt", "--estimators"])).unwrap_err(),
             CliError::BadFlagValue(_)

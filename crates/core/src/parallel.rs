@@ -507,6 +507,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one shard is required")]
+    fn zero_shards_panic_with_the_shard_count_message() {
+        // Boxed shards, as the CLI and the daemon build them: the shard
+        // count is refused before the factory is ever called.
+        let _ = ShardedEstimator::from_factory(0, 1, |_| -> Box<dyn TriangleEstimator + Send> {
+            unreachable!("no shard may be built")
+        });
+    }
+
+    #[test]
     #[should_panic]
     fn zero_estimators_panics() {
         // A zero-estimator shard is refused while the shards are built,
@@ -621,11 +631,136 @@ mod tests {
     }
 
     #[test]
+    fn reads_between_batches_match_direct_sequential_processing_bit_for_bit() {
+        // A read sees every batch queued before it: after each batch, every
+        // shard's estimators equal those of the same counter fed the same
+        // batches on the caller's thread.
+        let stream = tristream_gen::holme_kim(150, 3, 0.5, 11);
+        let mut sharded = sharded_bulk(64, 4, 21);
+        let mut direct = bulk_shards(64, 4, 21);
+        for batch in stream.batches(97) {
+            sharded.process_batch(batch);
+            for counter in &mut direct {
+                counter.process_batch(batch);
+            }
+            let direct_estimates: Vec<Vec<f64>> = direct
+                .iter()
+                .map(|counter| counter.raw_estimates())
+                .collect();
+            assert_eq!(
+                sharded.map_synced(|shard| shard.raw_estimates()),
+                direct_estimates
+            );
+        }
+    }
+
+    #[test]
     fn empty_batches_are_noops() {
         let mut c = sharded_bulk(16, 4, 3);
         c.process_batch(&[]);
         assert_eq!(TriangleEstimator::edges_seen(&c), 0);
         assert_eq!(TriangleEstimator::estimate(&c), 0.0);
+    }
+
+    /// Keeps a copy of every batch handed to `process_edges`, so a test can
+    /// see exactly which batches reached a shard, and in what order.
+    #[derive(Default)]
+    struct BatchLog {
+        batches: Vec<Vec<Edge>>,
+    }
+
+    impl TriangleEstimator for BatchLog {
+        fn process_edge(&mut self, edge: Edge) {
+            self.process_edges(&[edge]);
+        }
+
+        fn process_edges(&mut self, edges: &[Edge]) {
+            self.batches.push(edges.to_vec());
+        }
+
+        fn estimate(&self) -> f64 {
+            0.0
+        }
+
+        fn edges_seen(&self) -> u64 {
+            self.batches.iter().map(|batch| batch.len() as u64).sum()
+        }
+
+        fn memory_words(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn every_shard_processes_every_batch_once_in_order() {
+        let stream = tristream_gen::planted_triangles(20, 50, 3);
+        let mut sharded = ShardedEstimator::from_factory(3, 9, |_| BatchLog::default());
+        let sent: Vec<Vec<Edge>> = stream.batches(64).map(<[Edge]>::to_vec).collect();
+        assert!(sent.len() > 1, "the stream must span several batches");
+        for batch in &sent {
+            sharded.process_batch(batch);
+        }
+        assert_eq!(
+            sharded.map_synced(|shard| shard.batches.clone()),
+            vec![sent; 3]
+        );
+        assert_eq!(
+            sharded.map_synced(|shard| shard.edges_seen()),
+            vec![stream.len() as u64; 3]
+        );
+    }
+
+    #[test]
+    fn empty_batches_reach_no_shard() {
+        let batch = [Edge::new(1u64, 2u64), Edge::new(2u64, 3u64)];
+        let mut sharded = ShardedEstimator::from_factory(2, 1, |_| BatchLog::default());
+        sharded.process_batch(&[]);
+        sharded.process_batch(&batch);
+        sharded.process_batch(&[]);
+        assert_eq!(
+            sharded.map_synced(|shard| shard.batches.clone()),
+            vec![vec![batch.to_vec()]; 2]
+        );
+        assert_eq!(TriangleEstimator::edges_seen(&sharded), 2);
+    }
+
+    #[test]
+    fn drain_batch_source_into_shards_matches_manual_batches() {
+        let stream = tristream_gen::planted_triangles(20, 50, 3);
+        let source = stream
+            .batches(64)
+            .map(|b| Ok::<_, std::io::Error>(b.to_vec()));
+        let mut fed = sharded_bulk(32, 2, 9);
+        let edges = drain_batch_source(source, |batch| fed.process_batch(batch)).unwrap();
+        assert_eq!(edges, stream.len() as u64);
+
+        let mut manual = sharded_bulk(32, 2, 9);
+        for batch in stream.batches(64) {
+            manual.process_batch(batch);
+        }
+        assert_eq!(
+            fed.map_synced(|shard| shard.raw_estimates()),
+            manual.map_synced(|shard| shard.raw_estimates()),
+        );
+    }
+
+    #[test]
+    fn drain_batch_source_stops_at_the_first_error_and_sinks_nothing_after() {
+        let good: Vec<Edge> = (0..10u64).map(|i| Edge::new(i, i + 1)).collect();
+        let source = vec![
+            Ok(good.clone()),
+            Err("disk on fire"),
+            Ok(good.clone()), // must never reach a shard
+        ];
+        let mut sharded = ShardedEstimator::from_factory(2, 1, |_| BatchLog::default());
+        assert_eq!(
+            drain_batch_source(source, |batch| sharded.process_batch(batch)),
+            Err("disk on fire")
+        );
+        assert_eq!(
+            sharded.map_synced(|shard| shard.batches.clone()),
+            vec![vec![good]; 2]
+        );
     }
 
     #[test]
