@@ -49,10 +49,11 @@
 //!   scan is a `r2_set & !closer_set` bitset word walk;
 //! * all per-batch scratch (the replaced-estimator list, the batch vertex
 //!   table, the per-vertex degrees and occurrence lists, the per-edge id
-//!   and occurrence columns, the drawn events, and the closing-edge index)
-//!   lives in a reusable `BatchScratch` that is **cleared, not
-//!   reallocated**, between batches — the steady state performs zero heap
-//!   allocations per batch (pinned by `tests/alloc_steady_state.rs`);
+//!   and occurrence columns, the two batch bitmaps, the Step-2b list, the
+//!   drawn events, and the closing-edge index) lives in a reusable
+//!   `BatchScratch` that is **cleared, not reallocated**, between batches
+//!   — the steady state performs zero heap allocations per batch (pinned
+//!   by `tests/alloc_steady_state.rs`);
 //! * the vertex and closing-edge tables are [`FastMap`]s — deterministic
 //!   open addressing with a multiply-shift hash seeded from the counter's
 //!   construction seed, so runs stay reproducible. The closing-edge table
@@ -62,7 +63,26 @@
 //!   `u32` dense id, so its slots are 16 bytes, and everything else per
 //!   vertex lives in dense `u32` arrays indexed by that id;
 //! * RNG draws go through the [`BufferedRng`] — one buffer refill per
-//!   couple hundred draws, consumed strictly in order.
+//!   couple hundred draws, consumed strictly in order;
+//! * Steps 2b and 3 each walk the pool, but send to the hash tables and
+//!   the RNG only the estimators the batch can reach. The Step-2a scan
+//!   also marks every batch endpoint in a vertex bitmap and every batch
+//!   edge in an edge bitmap: one bit per hashed key, 16 bits per batch
+//!   edge, zeroed per batch. Step 2b first lists, in estimator order, the
+//!   estimators with a level-1 endpoint in the vertex bitmap, and probes
+//!   and draws for those only. Step 3 computes each waiting estimator's
+//!   closing pair without branches and indexes it only when the edge
+//!   bitmap holds it.
+//!
+//! A bitmap can report a key that is absent, after a hash collision, but
+//! never misses one that is present. So every estimator that draws is on
+//! the Step-2b list — one whose level-1 edge predates the batch draws only
+//! when an endpoint occurs in the batch, and one Step 1 replaced holds a
+//! batch edge — and the list keeps estimator order, so the draws come in
+//! the order of a walk over the whole pool. A listed estimator with no
+//! batch neighbours draws nothing, as before. In Step 3, a closing pair
+//! that does not occur in the batch can match no batch edge, so leaving
+//! it out of the index changes no closer.
 //!
 //! Because every logical draw consumes exactly one `u64` of the generator
 //! stream in the same order as before, the counter is **bit-identical** to
@@ -73,7 +93,7 @@
 
 use crate::counter::Aggregation;
 use crate::estimator::EstimatorState;
-use crate::fastmap::FastMap;
+use crate::fastmap::{FastKey, FastMap};
 use crate::lanes::{lemire4, LANES};
 
 use crate::pool::{BufferedRng, EstimatorPool, POOL_COLUMNS, RNG_BUFFER_LEN};
@@ -96,6 +116,67 @@ const CHAIN_END: u32 = u32::MAX;
 /// scratch stores batch indices, batch degrees and occurrence-list offsets
 /// (up to `2w`) as `u32`s.
 const MAX_BATCH_EDGES: usize = (u32::MAX / 2) as usize;
+
+/// Batch edges per 64-bit word of a [`BatchBitmap`]: 16 bits per edge.
+const BITMAP_EDGES_PER_WORD: usize = 4;
+
+/// A per-batch membership bitmap: one bit per hashed key, zeroed and sized
+/// to the batch by [`BatchBitmap::reset`]. A key inserted since the last
+/// reset always tests present; a key that was not tests present only on a
+/// hash collision. The kernel uses it only to decide which estimators it
+/// looks at, never what they draw, so its hash cannot change an estimate.
+#[derive(Debug, Clone)]
+struct BatchBitmap {
+    words: Vec<u64>,
+    /// The bit count minus one; the count is a power of two.
+    mask: usize,
+    seed: u64,
+}
+
+impl BatchBitmap {
+    fn new(seed: u64) -> Self {
+        Self {
+            words: Vec::new(),
+            mask: 0,
+            seed,
+        }
+    }
+
+    // Every batch resets the bitmaps, and the Step-2a scan and the Step-2b
+    // and Step-3 walks insert and test.
+    // analyze: region(no-alloc)
+
+    /// Zeroes the bitmap and sizes it for a batch of `w` edges: 16 bits
+    /// per edge, rounded up to a power of two of words. Growing happens
+    /// only on the first batch of a larger size.
+    fn reset(&mut self, w: usize) {
+        let words = w.div_ceil(BITMAP_EDGES_PER_WORD).next_power_of_two();
+        self.words.clear();
+        self.words.resize(words, 0);
+        self.mask = words * 64 - 1;
+    }
+
+    /// The bit of `key`: its multiply-shift hash folded like
+    /// [`FastMap`]'s, masked to the bitmap.
+    #[inline]
+    fn bit<K: FastKey>(&self, key: K) -> usize {
+        let h = key.hash_with(self.seed);
+        ((h ^ (h >> 32)) as usize) & self.mask
+    }
+
+    #[inline]
+    fn insert<K: FastKey>(&mut self, key: K) {
+        let i = self.bit(key);
+        self.words[i >> 6] |= 1u64 << (i & 63);
+    }
+
+    #[inline]
+    fn contains<K: FastKey>(&self, key: K) -> bool {
+        let i = self.bit(key);
+        (self.words[i >> 6] >> (i & 63)) & 1 != 0
+    }
+    // analyze: endregion
+}
 
 /// Reusable per-batch working state. Everything here is sized once (to
 /// `O(r)` at construction, to `O(w)` on the first batch of a given size)
@@ -135,6 +216,16 @@ struct BatchScratch {
     /// `t`-th entry is the edge at which `x` reaches batch degree `t` — the
     /// EVENT_B `(x, t)` of Algorithm 3.
     occ: Vec<u32>,
+    /// Bitmaps over the batch's vertices and its (normalised) edges,
+    /// filled by the Step-2a scan. Step 2b walks only the estimators with
+    /// a level-1 endpoint in `vertex_bitmap`; Step 3 indexes only the
+    /// closing pairs in `edge_bitmap`.
+    vertex_bitmap: BatchBitmap,
+    edge_bitmap: BatchBitmap,
+    /// The Step-2b list: the estimators `list_reachable` keeps, in
+    /// estimator order. Sized to `r` once and written by index; only the
+    /// entries before the length `list_reachable` returns are this batch's.
+    reachable: Vec<u32>,
     /// Closing-edge index: packed `(u, v)` → chain head, threaded through
     /// `wait_next`.
     waiting: FastMap<u32>,
@@ -150,6 +241,7 @@ impl BatchScratch {
         // The table holds at most one entry per estimator; reserving the
         // bound up front means no growth can happen mid-batch.
         waiting.reserve(r);
+        let bitmap_seed = splitmix64(salted_seed(hash_seed, 0xF1_17E2_B175));
         Self {
             replaced: Vec::with_capacity(r),
             events: Vec::with_capacity(r),
@@ -161,15 +253,22 @@ impl BatchScratch {
             edge_du: Vec::new(),
             edge_dv: Vec::new(),
             occ: Vec::new(),
+            vertex_bitmap: BatchBitmap::new(bitmap_seed),
+            edge_bitmap: BatchBitmap::new(bitmap_seed),
+            reachable: vec![0; r],
             waiting,
             wait_next: vec![0; r],
         }
     }
 
+    // Batch preparation, Step 2a and the occurrence lookup run inside the
+    // batch hot loop, and so do Step 2b's list and Step 3's index below.
+    // analyze: region(no-alloc)
+
     /// Readies the scratch for a batch of `w` edges: clears the maps
     /// (`O(1)` generation bumps), makes sure the vertex table can absorb
-    /// `2w` endpoints without growing mid-batch, and sizes every per-vertex
-    /// and per-edge array for the batch.
+    /// `2w` endpoints without growing mid-batch, sizes every per-vertex
+    /// and per-edge array for the batch, and zeroes the two bitmaps.
     fn prepare(&mut self, w: usize) {
         assert!(
             w <= MAX_BATCH_EDGES,
@@ -190,11 +289,10 @@ impl BatchScratch {
         ] {
             column.resize(w, 0);
         }
+        self.vertex_bitmap.reset(w);
+        self.edge_bitmap.reset(w);
         self.waiting.clear();
     }
-
-    // Step 2a and the occurrence lookup run inside the batch hot loop.
-    // analyze: region(no-alloc)
 
     /// Step 2a: one pass of the degree-keeping edge iterator (`edgeIter`,
     /// Algorithm 2) gives every batch vertex a dense id and every edge its
@@ -249,14 +347,18 @@ impl BatchScratch {
         }
     }
 
-    /// The Step-2a per-edge body: counts both endpoints of `batch[i]` and
-    /// records their ids and occurrence numbers. `starts` carries the
-    /// precomputed `(u, v)` probe starts inside a full lane group, `None`
-    /// in the tail.
+    /// The Step-2a per-edge body: counts both endpoints of `batch[i]`,
+    /// records their ids and occurrence numbers, and marks the endpoints
+    /// and the edge in the bitmaps. `starts` carries the precomputed
+    /// `(u, v)` probe starts inside a full lane group, `None` in the tail.
     #[inline]
     fn count_edge(&mut self, i: usize, e: &Edge, starts: Option<(usize, usize)>) {
-        let (iu, du) = self.count_vertex(e.u().raw(), starts.map(|s| s.0));
-        let (iv, dv) = self.count_vertex(e.v().raw(), starts.map(|s| s.1));
+        let (u, v) = (e.u().raw(), e.v().raw());
+        self.vertex_bitmap.insert(u);
+        self.vertex_bitmap.insert(v);
+        self.edge_bitmap.insert((u, v));
+        let (iu, du) = self.count_vertex(u, starts.map(|s| s.0));
+        let (iv, dv) = self.count_vertex(v, starts.map(|s| s.1));
         self.edge_iu[i] = iu;
         self.edge_iv[i] = iv;
         self.edge_du[i] = du;
@@ -295,6 +397,66 @@ impl BatchScratch {
             self.degree_of(Some(id))
         );
         self.occ[self.occ_start[id as usize] as usize + t as usize - 1] as usize
+    }
+
+    /// Step 2b's list: writes into `reachable`, in estimator order, every
+    /// estimator holding a level-1 edge with an endpoint in the vertex
+    /// bitmap, and returns how many there are. Every estimator that can
+    /// draw is on it: one Step 1 did not replace draws only when an
+    /// endpoint occurs in the batch, and one it replaced holds a batch
+    /// edge. Each estimator is written at the list's end, which advances
+    /// only on a hit — no branch.
+    fn list_reachable(&mut self, pool: &EstimatorPool) -> usize {
+        let mut len = 0usize;
+        for (word_idx, &word) in pool.r1_set.words().iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let idx = word_idx * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let hit = self.vertex_bitmap.contains(pool.r1_u[idx])
+                    | self.vertex_bitmap.contains(pool.r1_v[idx]);
+                // `len` counts estimators before `idx`, so it stays below r.
+                self.reachable[len] = idx as u32;
+                len += usize::from(hit);
+            }
+        }
+        len
+    }
+
+    /// Step 3's index: chains every estimator with a wedge but no closer
+    /// into `waiting` under the pair that would close its wedge — when the
+    /// edge bitmap says that pair may occur in the batch, since no other
+    /// pair can be found there. Returns the number of estimators chained.
+    /// The estimators come from `r2_set & !closer_set`, one word per 64,
+    /// and each closing pair is computed without branches: with
+    /// `r1 = (a, b)` and `r2 = (c, d)` sharing `s`, it is
+    /// `(a ^ b ^ s, c ^ d ^ s)`.
+    fn index_waiting(&mut self, pool: &EstimatorPool) -> usize {
+        let mut chained = 0usize;
+        let candidates = pool.r2_set.words().iter().zip(pool.closer_set.words());
+        for (word_idx, (&r2_word, &closer_word)) in candidates.enumerate() {
+            let mut bits = r2_word & !closer_word;
+            while bits != 0 {
+                let idx = word_idx * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (a, b) = (pool.r1_u[idx], pool.r1_v[idx]);
+                let (c, d) = (pool.r2_u[idx], pool.r2_v[idx]);
+                debug_assert!(
+                    a == c || a == d || b == c || b == d,
+                    "estimator {idx}: r2 ({c}, {d}) is not adjacent to r1 ({a}, {b})"
+                );
+                let shared = if a == c || a == d { a } else { b };
+                let (p, q) = (a ^ b ^ shared, c ^ d ^ shared);
+                let key = (p.min(q), p.max(q));
+                // `p == q` when r2 repeats r1: no wedge to close.
+                if p != q && self.edge_bitmap.contains(key) {
+                    let head = self.waiting.insert(key, idx as u32).unwrap_or(CHAIN_END);
+                    self.wait_next[idx] = head;
+                    chained += 1;
+                }
+            }
+        }
+        chained
     }
     // analyze: endregion
 }
@@ -446,20 +608,21 @@ fn hash_edge_group(
     (su, sv)
 }
 
-/// Probe starts for the level-1 endpoint lookups of the estimator lane
-/// group starting at `base` (Step 2b). Estimators without a level-1 edge
-/// hash whatever stale column values they hold — harmless, since the
-/// lookup is skipped for them.
+/// Probe starts for the level-1 endpoint lookups of the lane group of the
+/// Step-2b list starting at `base`. Requires `base + LANES <= listed.len()`.
 #[inline]
 fn hash_r1_group(
     ids: &FastMap<u32, u64>,
     pool: &EstimatorPool,
+    listed: &[u32],
     base: usize,
 ) -> ([usize; LANES], [usize; LANES]) {
     let mut xs = [0u64; LANES];
     let mut ys = [0u64; LANES];
-    xs.copy_from_slice(&pool.r1_u[base..base + LANES]);
-    ys.copy_from_slice(&pool.r1_v[base..base + LANES]);
+    for (lane, &idx) in listed[base..base + LANES].iter().enumerate() {
+        xs[lane] = pool.r1_u[idx as usize];
+        ys[lane] = pool.r1_v[idx as usize];
+    }
     let sx = ids.probe_start4(xs);
     let sy = ids.probe_start4(ys);
     for lane in 0..LANES {
@@ -665,28 +828,34 @@ impl BulkTriangleCounter {
         scratch.index_batch(batch);
 
         // ---- Step 2b: one randInt per estimator; take the EVENT_B edges. --
-        // β values come straight off the edge columns (see
-        // `level1_endpoints`), and the EVENT_B edges straight off the
-        // occurrence lists, so no second pass over the batch is needed.
+        // Only the listed estimators can draw (see `list_reachable`), and
+        // the list keeps estimator order, so the draws come in the order
+        // of a walk over the whole pool. β values come straight off the
+        // edge columns (see `level1_endpoints`), and the EVENT_B edges
+        // straight off the occurrence lists, so no second pass over the
+        // batch is needed.
+        let listed = scratch.list_reachable(pool);
         let mut cursor = 0usize;
-        let full_r = r - r % LANES;
+        let full_listed = listed - listed % LANES;
         let mut base = 0usize;
-        let mut starts = if full_r > 0 {
-            hash_r1_group(&scratch.ids, pool, 0)
+        let mut starts = if full_listed > 0 {
+            hash_r1_group(&scratch.ids, pool, &scratch.reachable, 0)
         } else {
             ([0; LANES], [0; LANES])
         };
-        while base < full_r {
-            let next = if base + LANES < full_r {
-                Some(hash_r1_group(&scratch.ids, pool, base + LANES))
+        while base < full_listed {
+            let next = if base + LANES < full_listed {
+                Some(hash_r1_group(
+                    &scratch.ids,
+                    pool,
+                    &scratch.reachable,
+                    base + LANES,
+                ))
             } else {
                 None
             };
             for lane in 0..LANES {
-                let idx = base + lane;
-                if !pool.r1_set.get(idx) {
-                    continue;
-                }
+                let idx = scratch.reachable[base + lane] as usize;
                 let lane_starts = (starts.0[lane], starts.1[lane]);
                 let ends = level1_endpoints(scratch, pool, idx, &mut cursor, Some(lane_starts));
                 step2b_estimator(pool, scratch, &mut self.rng, idx, ends);
@@ -696,10 +865,8 @@ impl BulkTriangleCounter {
             }
             base += LANES;
         }
-        for idx in full_r..r {
-            if !pool.r1_set.get(idx) {
-                continue;
-            }
+        for at in full_listed..listed {
+            let idx = scratch.reachable[at] as usize;
             let ends = level1_endpoints(scratch, pool, idx, &mut cursor, None);
             step2b_estimator(pool, scratch, &mut self.rng, idx, ends);
         }
@@ -716,37 +883,10 @@ impl BulkTriangleCounter {
         }
 
         // ---- Step 3: find wedge-closing edges within the batch. -----------
-        // Candidates are exactly the estimators with a wedge but no closer:
-        // one `r2_set & !closer_set` word per 64 estimators, skipping empty
-        // words outright.
+        // Index the closing pairs that may occur in the batch (see
+        // `index_waiting`), then probe the index once per batch edge.
         let full = w - w % LANES;
-        let mut waiting_count = 0usize;
-        for word_idx in 0..pool.r2_set.words().len() {
-            let mut bits = pool.r2_set.words()[word_idx] & !pool.closer_set.words()[word_idx];
-            while bits != 0 {
-                let idx = word_idx * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let r1 = Edge::new(pool.r1_u[idx], pool.r1_v[idx]);
-                let r2 = Edge::new(pool.r2_u[idx], pool.r2_v[idx]);
-                if let Some(shared) = r1.shared_vertex(&r2) {
-                    // Both lookups are infallible — `Edge::new` rejects
-                    // self-loops, so `shared` always has a distinct partner —
-                    // but the hot path must not carry a panic edge.
-                    let (Some(p), Some(q)) = (r1.other_endpoint(shared), r2.other_endpoint(shared))
-                    else {
-                        debug_assert!(false, "edges always have two distinct endpoints");
-                        continue;
-                    };
-                    if p != q {
-                        let key = (p.raw().min(q.raw()), p.raw().max(q.raw()));
-                        let head = scratch.waiting.insert(key, idx as u32).unwrap_or(CHAIN_END);
-                        scratch.wait_next[idx] = head;
-                        waiting_count += 1;
-                    }
-                }
-            }
-        }
-        if waiting_count > 0 {
+        if scratch.index_waiting(pool) > 0 {
             let mut base = 0usize;
             let mut starts = if full > 0 {
                 hash_pair_group(&scratch.waiting, batch, 0)
@@ -1113,11 +1253,11 @@ mod tests {
         batch
     }
 
-    /// Scratch indexed over `batch`, after indexing a different, larger
-    /// batch first, so stale ids and degrees from the earlier batch would
-    /// show.
-    fn indexed_scratch(batch: &[Edge]) -> BatchScratch {
-        let mut scratch = BatchScratch::new(8, 5);
+    /// Scratch for `r` estimators indexed over `batch`, after indexing a
+    /// different, larger batch first, so stale ids, degrees and bitmap
+    /// bits from the earlier batch would show.
+    fn indexed_scratch(r: usize, batch: &[Edge]) -> BatchScratch {
+        let mut scratch = BatchScratch::new(r, 5);
         let earlier = k_n_edges(16);
         scratch.prepare(earlier.len());
         scratch.index_batch(&earlier);
@@ -1141,7 +1281,7 @@ mod tests {
     #[test]
     fn occurrence_lists_hold_each_vertex_batch_indices_in_order() {
         let batch = hub_heavy_batch_with_repeats();
-        let scratch = indexed_scratch(&batch);
+        let scratch = indexed_scratch(8, &batch);
         let naive = naive_occurrences(&batch);
         assert_eq!(scratch.ids.len(), naive.len(), "one dense id per vertex");
         let mut degree_sum = 0;
@@ -1160,7 +1300,7 @@ mod tests {
     #[test]
     fn occurrence_lookup_matches_a_naive_running_count_scan() {
         let batch = hub_heavy_batch_with_repeats();
-        let scratch = indexed_scratch(&batch);
+        let scratch = indexed_scratch(8, &batch);
         for (&x, list) in &naive_occurrences(&batch) {
             let id = scratch.ids.get(x).expect("every batch vertex has an id");
             assert_eq!(scratch.degree_of(Some(id)), list.len() as u64);
@@ -1181,6 +1321,192 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The bitmap words that hold exactly `keys`' bits.
+    fn bitmap_of<K: FastKey>(bitmap: &BatchBitmap, keys: impl IntoIterator<Item = K>) -> Vec<u64> {
+        let mut words = vec![0u64; bitmap.words.len()];
+        for key in keys {
+            let i = bitmap.bit(key);
+            words[i >> 6] |= 1 << (i & 63);
+        }
+        words
+    }
+
+    #[test]
+    fn bitmaps_hold_exactly_the_batch_vertices_and_edges() {
+        let batch = hub_heavy_batch_with_repeats();
+        let scratch = indexed_scratch(8, &batch);
+        let vertices = batch.iter().flat_map(|e| [e.u().raw(), e.v().raw()]);
+        let edges = batch.iter().map(|e| (e.u().raw(), e.v().raw()));
+        assert_eq!(
+            scratch.vertex_bitmap.words,
+            bitmap_of(&scratch.vertex_bitmap, vertices),
+            "the vertex bitmap holds this batch's endpoints and nothing older"
+        );
+        assert_eq!(
+            scratch.edge_bitmap.words,
+            bitmap_of(&scratch.edge_bitmap, edges),
+            "the edge bitmap holds this batch's edges and nothing older"
+        );
+        // 16 bits per edge, rounded up to a power of two of words.
+        assert_eq!(batch.len(), 51);
+        assert_eq!(scratch.edge_bitmap.words.len(), 16);
+    }
+
+    /// A pool whose estimators reach the hub batch in every way Step 2b
+    /// and Step 3 distinguish, next to ones that do not. The earlier
+    /// stream had `m` edges.
+    fn pool_around_the_hub_batch(batch: &[Edge], m: u64) -> EstimatorPool {
+        let mut pool = EstimatorPool::new(15);
+        let old = |u: u64, v: u64| Edge::new(u, v);
+        // Replaced in Step 1: the level-1 edge is a batch edge.
+        pool.take_r1(0, batch[7], m + 8);
+        pool.take_r1(4, batch[50], m + 51);
+        // Older level-1 edges with one endpoint in the batch (either one),
+        // none, or both endpoints only in the earlier, larger batch
+        // (vertices 3–9 occur in K16 but not here).
+        pool.take_r1(1, old(11, 500), 9);
+        pool.take_r1(14, old(9, 26), 9);
+        pool.take_r1(2, old(500, 501), 9);
+        pool.take_r1(3, old(3, 4), 9);
+        // Estimator 5 never took a level-1 edge.
+        // Wedges whose closing pair occurs in the batch, in both
+        // orientations and on both sides of the shared vertex.
+        pool.take_r1(6, old(0, 500), 2);
+        pool.take_r2(6, old(500, 10), 5);
+        pool.take_r1(7, old(1, 2), 2);
+        pool.take_r2(7, old(0, 2), 5);
+        pool.take_r1(8, old(2, 12), 2);
+        pool.take_r2(8, old(12, 13), 5);
+        // Wedges whose closing pair does not occur in the batch.
+        pool.take_r1(9, old(0, 500), 2);
+        pool.take_r2(9, old(500, 501), 5);
+        pool.take_r1(10, old(3, 4), 2);
+        pool.take_r2(10, old(4, 5), 5);
+        // A level-2 edge that repeats the level-1 edge: no wedge.
+        pool.take_r1(11, old(0, 1), 2);
+        pool.take_r2(11, old(0, 1), 5);
+        // A wedge already closed: not waiting.
+        pool.take_r1(12, old(0, 10), 2);
+        pool.take_r2(12, old(10, 1), 5);
+        pool.take_closer(12, old(0, 1), 7);
+        // Same closing pair as estimator 7: the two must chain.
+        pool.take_r1(13, old(0, 2), 3);
+        pool.take_r2(13, old(2, 1), 6);
+        pool
+    }
+
+    #[test]
+    fn step2b_list_holds_every_estimator_with_an_endpoint_in_the_batch() {
+        let batch = hub_heavy_batch_with_repeats();
+        let mut scratch = indexed_scratch(15, &batch);
+        let pool = pool_around_the_hub_batch(&batch, 1_000);
+        let listed = scratch.list_reachable(&pool);
+        let list = &scratch.reachable[..listed];
+        assert!(
+            list.windows(2).all(|pair| pair[0] < pair[1]),
+            "the list keeps estimator order: {list:?}"
+        );
+        let in_batch = |x: u64| batch.iter().any(|e| e.contains(x.into()));
+        for idx in 0..pool.len() {
+            let reached =
+                pool.r1_set.get(idx) && (in_batch(pool.r1_u[idx]) || in_batch(pool.r1_v[idx]));
+            if reached {
+                assert!(list.contains(&(idx as u32)), "estimator {idx} is missing");
+            }
+            if !pool.r1_set.get(idx) {
+                assert!(!list.contains(&(idx as u32)), "estimator {idx} has no r1");
+            }
+        }
+        for replaced in [0, 4] {
+            assert!(list.contains(&replaced), "replaced estimator {replaced}");
+        }
+        // Under this seed no absent endpoint collides with a batch vertex,
+        // so the list is exact: estimators 2, 3 and 10, whose endpoints
+        // occur only in the earlier batch or nowhere, are left out.
+        assert_eq!(list, [0, 1, 4, 6, 7, 8, 9, 11, 12, 13, 14]);
+    }
+
+    #[test]
+    fn waiting_holds_every_wedge_whose_closing_pair_occurs_in_the_batch() {
+        let batch = hub_heavy_batch_with_repeats();
+        let mut scratch = indexed_scratch(15, &batch);
+        let pool = pool_around_the_hub_batch(&batch, 1_000);
+        let chained = scratch.index_waiting(&pool);
+        let chain = |key: (u64, u64)| {
+            let mut members = Vec::new();
+            let mut cursor = scratch.waiting.get(key).unwrap_or(CHAIN_END);
+            while cursor != CHAIN_END {
+                members.push(cursor);
+                cursor = scratch.wait_next[cursor as usize];
+            }
+            members
+        };
+        let in_batch = |key: (u64, u64)| batch.contains(&Edge::new(key.0, key.1));
+        let mut expected = 0;
+        for idx in 0..pool.len() {
+            let Some(r2) = pool.state(idx).r2 else {
+                continue;
+            };
+            let r1 = pool.state(idx).r1.expect("r2 implies r1").edge;
+            let Some(shared) = r1.shared_vertex(&r2.edge) else {
+                continue;
+            };
+            let (p, q) = (
+                r1.other_endpoint(shared).expect("adjacent").raw(),
+                r2.edge.other_endpoint(shared).expect("adjacent").raw(),
+            );
+            let key = (p.min(q), p.max(q));
+            if pool.closer_set.get(idx) || !in_batch(key) {
+                continue;
+            }
+            assert!(chain(key).contains(&(idx as u32)), "estimator {idx}");
+            expected += 1;
+        }
+        assert_eq!(expected, 4, "estimators 6, 7, 8 and 13 wait on batch pairs");
+        assert_eq!(chain((0, 1)), vec![13, 7], "a shared pair chains");
+        // No stale bit from the earlier batch lets (3, 5) in.
+        assert_eq!(chained, expected, "only pairs that occur in the batch");
+    }
+
+    #[test]
+    fn bitmaps_keep_the_walks_well_under_r_on_a_skewed_stream() {
+        // With r much larger than w, most estimators meet no batch: here
+        // at most 1,717 of 4,096 are listed and 262 wait on a batch pair,
+        // where a walk over the pool would visit 4,096 and index ~3,800.
+        // Every bit-identity test passes with a bitmap that lets
+        // everything through, so only a count shows one.
+        let stream = tristream_gen::barabasi_albert_shuffled(3_000, 3, 7);
+        let (r, w) = (4_096, 64);
+        let mut counter = BulkTriangleCounter::new(r, 11);
+        let (mut max_listed, mut max_waiting) = (0, 0);
+        for (b, batch) in stream.edges().chunks(w).enumerate() {
+            counter.process_batch(batch);
+            // The first batches replace most level-1 edges.
+            if b < 16 {
+                continue;
+            }
+            // Step 1 and Step 2a left the pool's level-1 edges and the
+            // bitmaps as Step 2b saw them, so the list comes out the same.
+            max_listed = max_listed.max(counter.scratch.list_reachable(&counter.pool));
+            let scratch = &counter.scratch;
+            let waiting: usize = scratch
+                .waiting
+                .iter()
+                .map(|(_, head)| {
+                    let (mut len, mut cursor) = (0, head);
+                    while cursor != CHAIN_END {
+                        len += 1;
+                        cursor = scratch.wait_next[cursor as usize];
+                    }
+                    len
+                })
+                .sum();
+            max_waiting = max_waiting.max(waiting);
+        }
+        assert!(max_listed < r / 2, "Step-2b list held {max_listed} of {r}");
+        assert!(max_waiting < r / 8, "waiting held {max_waiting} of {r}");
     }
 
     #[test]

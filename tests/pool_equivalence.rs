@@ -7,7 +7,9 @@
 //!    same order, so for any seed and any batch boundaries every estimator
 //!    ends every batch in exactly the same state. Proptest drives this over
 //!    random streams, with and without repeated edges, and random batch
-//!    splits, including empty and single-edge batches.
+//!    splits, including empty and single-edge batches — on small dense
+//!    graphs where every batch meets almost every estimator, and on sparse
+//!    ones where a batch misses much of the pool.
 //! 2. **Distributional identity with the scalar one-at-a-time state
 //!    machine** ([`EstimatorState`] driven by `TriangleCounter`): Theorem
 //!    3.5's guarantee. Checked two ways — the state *invariants* (`c =
@@ -90,6 +92,40 @@ proptest! {
             prop_assert_eq!(pooled.edges_seen(), reference.edges_seen());
         }
         prop_assert_eq!(pooled.raw_estimates(), reference.raw_estimates());
+        prop_assert_eq!(
+            TriangleEstimator::estimate(&pooled).to_bits(),
+            reference.estimate().to_bits()
+        );
+    }
+
+    #[test]
+    fn pooled_and_reference_counters_agree_when_batches_miss_most_estimators(
+        pairs in random_edge_pairs(299, 600),
+        r in 100usize..400,
+        seed in 0u64..1_000,
+        cuts in prop::collection::vec(1usize..=64, 1..6),
+        keep_repeats in 0u8..2,
+    ) {
+        // The test above packs 16 estimators onto at most 25 vertices, so
+        // nearly every estimator meets nearly every batch. Here a batch of
+        // at most 64 edges over a few hundred vertices misses much of a
+        // pool of hundreds: the kernel skips those estimators in Step 2b
+        // and skips their closing pairs in Step 3, and must still consume
+        // the RNG exactly as the reference's walk over every estimator.
+        let stream = if keep_repeats == 1 {
+            EdgeStream::new(pairs.into_iter().map(|(a, b)| Edge::new(a, b)).collect())
+        } else {
+            EdgeStream::from_pairs_dedup(pairs)
+        };
+        prop_assume!(!stream.is_empty());
+        let mut pooled = BulkTriangleCounter::new(r, seed);
+        let mut reference = ReferenceBulkCounter::new(r, seed);
+        for batch in batched(stream.edges(), &cuts) {
+            pooled.process_batch(batch);
+            reference.process_batch(batch);
+            prop_assert!(pooled.validate());
+            prop_assert_eq!(pooled.estimators(), reference.estimators());
+        }
         prop_assert_eq!(
             TriangleEstimator::estimate(&pooled).to_bits(),
             reference.estimate().to_bits()
