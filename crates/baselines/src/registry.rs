@@ -159,11 +159,10 @@ fn build_neighborhood(p: &AlgoParams) -> Box<dyn TriangleEstimator + Send> {
     Box::new(TriangleCounter::new(p.space.max(1), p.seed))
 }
 
-/// `neighborhood-bulk`: the SoA-pooled batch counter. Its hot path runs in
-/// u64×4 lane groups ([`tristream_core::lanes`]) that read and write the
-/// ten SoA columns and three presence bitsets in place, with no shadow
-/// state and no padding, so [`budget_neighborhood_bulk`]'s sizing matches
-/// the measured `memory_words()`.
+/// `neighborhood-bulk`: the SoA-pooled batch counter. Its hot path reads
+/// and writes the ten SoA columns and three presence bitsets in place,
+/// with no shadow state and no padding, so [`budget_neighborhood_bulk`]'s
+/// sizing matches the measured `memory_words()`.
 fn build_neighborhood_bulk(p: &AlgoParams) -> Box<dyn TriangleEstimator + Send> {
     Box::new(BulkTriangleCounter::new(p.space.max(1), p.seed))
 }

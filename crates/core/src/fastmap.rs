@@ -31,8 +31,6 @@
 //! platform. Values are `Copy` (the hot paths store counters, chain heads
 //! and small flag structs).
 
-use crate::lanes::LANES;
-
 /// Seed used by [`FastMap::default`] (and `Default`-constructed owners that
 /// have no seed of their own to derive from).
 pub const DEFAULT_FASTMAP_SEED: u64 = 0x5EED_FA57_0000_0001;
@@ -194,9 +192,9 @@ impl<V: Copy + Default, K: FastKey> FastMap<V, K> {
         debug_assert_eq!(self.len, live, "rehash must preserve every entry");
     }
 
-    // Probe and insert run twice per stream edge; growth is confined to the
-    // cold `grow_to` above, so everything from here to `get_mut_or_insert`
-    // must stay free of allocating tokens.
+    // Probe, insert and prefetch run twice per stream edge; growth is
+    // confined to the cold `grow_to` above, so everything from here to
+    // `prefetch` must stay free of allocating tokens.
     // analyze: region(no-alloc)
 
     /// Index of the slot holding `key`, or of the empty slot where it would
@@ -230,78 +228,6 @@ impl<V: Copy + Default, K: FastKey> FastMap<V, K> {
     #[inline]
     fn mark_start(&mut self, start: usize) {
         self.start_bits[start >> 6] |= 1u64 << (start & 63);
-    }
-
-    /// The probe start (multiply-shift hash) over a lane group: evaluated
-    /// for [`LANES`] keys at once, giving the backend a branch-free run of
-    /// independent multiplies to schedule. Exposed crate-privately so the
-    /// bulk hot path can compute a lane group of probe starts ahead of use
-    /// and prefetch the slots; each index is a pure function of the key,
-    /// the seed and the table size, so it stays valid until the next
-    /// growth.
-    #[inline]
-    pub(crate) fn probe_start4(&self, keys: [K; LANES]) -> [usize; LANES] {
-        let mut out = [0usize; LANES];
-        for (slot, key) in out.iter_mut().zip(keys) {
-            *slot = self.hash(key);
-        }
-        out
-    }
-
-    /// Prefetches the cache line of slot `idx` (no-op off x86-64). Purely a
-    /// scheduling hint — see [`crate::lanes::prefetch_read`].
-    #[inline]
-    pub(crate) fn prefetch_slot(&self, idx: usize) {
-        crate::lanes::prefetch_read(&self.slots, idx);
-    }
-
-    /// [`get`](Self::get) with a precomputed probe start — `start` must be
-    /// the multiply-shift hash of `key` for the current table size
-    /// (debug-asserted), as produced by [`probe_start4`](Self::probe_start4).
-    #[inline]
-    pub(crate) fn get_from(&self, start: usize, key: K) -> Option<V> {
-        if self.len == 0 {
-            return None;
-        }
-        debug_assert_eq!(start, self.hash(key), "stale probe start");
-        if !self.start_hit(start) {
-            return None;
-        }
-        let (found, idx) = self.probe_from(start, key);
-        found.then(|| self.slots[idx].val)
-    }
-
-    /// [`get_mut_or_insert`](Self::get_mut_or_insert) with a precomputed
-    /// probe start. Behaviour is identical — including the growth check —
-    /// except the hash is only recomputed on the cold growth path, where
-    /// precomputed starts go stale.
-    #[inline]
-    pub(crate) fn get_mut_or_insert_from(&mut self, start: usize, key: K, default: V) -> &mut V {
-        let cap_before = self.slots.len();
-        self.reserve(1);
-        let start = if self.slots.len() == cap_before {
-            debug_assert_eq!(start, self.hash(key), "stale probe start");
-            start
-        } else {
-            self.hash(key)
-        };
-        self.get_mut_or_insert_at(start, key, default)
-    }
-
-    /// Shared upsert tail: `start` is the (fresh) hash of `key`.
-    #[inline]
-    fn get_mut_or_insert_at(&mut self, start: usize, key: K, default: V) -> &mut V {
-        let (found, idx) = self.probe_from(start, key);
-        if !found {
-            self.slots[idx] = Slot {
-                key,
-                gen: self.live_gen,
-                val: default,
-            };
-            self.len += 1;
-            self.mark_start(start);
-        }
-        &mut self.slots[idx].val
     }
 
     /// Looks up a key, returning a copy of its value.
@@ -378,7 +304,26 @@ impl<V: Copy + Default, K: FastKey> FastMap<V, K> {
     pub fn get_mut_or_insert(&mut self, key: K, default: V) -> &mut V {
         self.reserve(1);
         let start = self.hash(key);
-        self.get_mut_or_insert_at(start, key, default)
+        let (found, idx) = self.probe_from(start, key);
+        if !found {
+            self.slots[idx] = Slot {
+                key,
+                gen: self.live_gen,
+                val: default,
+            };
+            self.len += 1;
+            self.mark_start(start);
+        }
+        &mut self.slots[idx].val
+    }
+
+    /// Prefetches the cache line of the slot where a probe for `key`
+    /// starts, so a lookup or upsert of `key` a few items later finds it
+    /// warm. Purely a scheduling hint: it reads nothing, changes nothing,
+    /// and is a no-op off x86-64 and on a map that has never allocated.
+    #[inline]
+    pub(crate) fn prefetch(&self, key: K) {
+        prefetch_read(&self.slots, self.hash(key));
     }
     // analyze: endregion
 
@@ -397,6 +342,33 @@ impl<V: Copy + Default, K: FastKey> FastMap<V, K> {
         self.slots.len()
     }
 }
+
+// The prefetch hint runs inside the batch scans, like the probes above.
+// analyze: region(no-alloc)
+
+/// Prefetches the cache line holding `slice[idx]` into all cache levels
+/// (x86-64 `PREFETCHT0`; a no-op on other architectures and for
+/// out-of-range indices). Purely a scheduling hint — it never faults and
+/// never changes an architecturally visible result.
+#[inline]
+#[allow(unsafe_code)]
+fn prefetch_read<T>(slice: &[T], idx: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if idx < slice.len() {
+        // SAFETY: the pointer is in bounds (checked above), and PREFETCHT0
+        // performs no architecturally visible memory access — it cannot
+        // fault, write, or alias anything; the intrinsic is hint-only.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(slice.as_ptr().add(idx).cast::<i8>());
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (slice, idx);
+    }
+}
+// analyze: endregion
 
 /// SplitMix64 finalizer — mixes the owner seed into hash-seed material.
 fn mix64(mut z: u64) -> u64 {
@@ -439,9 +411,8 @@ mod tests {
         generation_wraparound_resets_stamps,
         matches_a_std_hashmap_under_random_workload,
         layout_is_deterministic_per_seed,
-        lane_probe_starts_match_the_scalar_hash,
-        get_mut_or_insert_from_matches_get_mut_or_insert,
         reserve_prevents_mid_batch_growth,
+        prefetch_is_a_harmless_hint,
     );
 
     #[test]
@@ -602,59 +573,6 @@ mod tests {
             assert_eq!(build(5), build(5), "same seed, same iteration order");
         }
 
-        pub(super) fn lane_probe_starts_match_the_scalar_hash<K: TestKey>() {
-            let mut map = FastMap::with_seed(21);
-            for i in 0..64u64 {
-                map.insert(K::of(i, i ^ 5), i);
-            }
-            let keys = [
-                K::of(3, 3 ^ 5),
-                K::of(17, 17 ^ 5),
-                K::of(200, 0),
-                K::of(63, 63 ^ 5),
-            ];
-            let starts = map.probe_start4(keys);
-            for lane in 0..LANES {
-                // A splatted group must agree with the mixed group lane-wise —
-                // each lane's start is a pure function of its own key.
-                let splat = map.probe_start4([keys[lane]; LANES]);
-                assert_eq!(splat, [starts[lane]; LANES]);
-                map.prefetch_slot(starts[lane]); // must be a harmless hint
-                assert_eq!(
-                    map.get_from(starts[lane], keys[lane]),
-                    map.get(keys[lane]),
-                    "lane {lane}"
-                );
-            }
-        }
-
-        pub(super) fn get_mut_or_insert_from_matches_get_mut_or_insert<K: TestKey>() {
-            let mut plain = FastMap::with_seed(33);
-            let mut prehashed = FastMap::with_seed(33);
-            for i in 0..2_000u64 {
-                let key = K::of(i % 311, 0);
-                let a = {
-                    let v = plain.get_mut_or_insert(key, 0u64);
-                    *v += 1;
-                    *v
-                };
-                let b = {
-                    let start = prehashed.probe_start4([key; LANES])[0];
-                    let v = prehashed.get_mut_or_insert_from(start, key, 0u64);
-                    *v += 1;
-                    *v
-                };
-                assert_eq!(a, b, "upsert {i}");
-                assert_eq!(plain.len(), prehashed.len());
-                assert_eq!(plain.capacity(), prehashed.capacity(), "growth parity");
-            }
-            let mut lhs: Vec<_> = plain.iter().collect();
-            let mut rhs: Vec<_> = prehashed.iter().collect();
-            lhs.sort_unstable();
-            rhs.sort_unstable();
-            assert_eq!(lhs, rhs);
-        }
-
         pub(super) fn reserve_prevents_mid_batch_growth<K: TestKey>() {
             let mut map: FastMap<u64, K> = FastMap::with_seed(2);
             map.reserve(1_000);
@@ -663,6 +581,37 @@ mod tests {
                 map.insert(K::of(i, 0), i);
             }
             assert_eq!(map.capacity(), cap, "reserved capacity must be enough");
+        }
+
+        pub(super) fn prefetch_is_a_harmless_hint<K: TestKey>() {
+            // A map that has never allocated has no slot to prefetch.
+            let mut map: FastMap<u64, K> = FastMap::with_seed(13);
+            map.prefetch(K::of(1, 2));
+            assert_eq!(map.capacity(), 0);
+            for i in 0..100u64 {
+                map.insert(K::of(i, i ^ 5), i);
+            }
+            let before: Vec<_> = map.iter().collect();
+            // Every inserted key, then as many absent ones.
+            for i in 0..200u64 {
+                map.prefetch(K::of(i, i ^ 5));
+                assert_eq!(map.get(K::of(i, i ^ 5)), (i < 100).then_some(i));
+            }
+            assert_eq!(map.iter().collect::<Vec<_>>(), before, "nothing moved");
+            map.clear();
+            for i in 0..100u64 {
+                map.prefetch(K::of(i, i ^ 5));
+                assert_eq!(map.get(K::of(i, i ^ 5)), None);
+            }
+            assert!(map.is_empty());
+            // The raw hint at any index, in range or past the end, and on
+            // an empty slice.
+            let data = [1u64, 2, 3];
+            for idx in 0..10 {
+                prefetch_read(&data, idx);
+            }
+            prefetch_read::<u64>(&[], 0);
+            assert_eq!(data, [1, 2, 3]);
         }
     }
 }

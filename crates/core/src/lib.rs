@@ -21,7 +21,7 @@
 //! |---|---|
 //! | §3.1 Algorithm 1 (neighborhood sampling) | [`estimator`] |
 //! | §3.2 Theorems 3.3 & 3.4 (counting, tangle-aware aggregation) | [`counter`], [`theory`] |
-//! | §3.3 Theorem 3.5 (bulk processing) | [`bulk`] (SoA hot path: [`pool`], [`lanes`], [`fastmap`]; pre-pool reference: [`reference`](mod@reference)) |
+//! | §3.3 Theorem 3.5 (bulk processing) | [`bulk`] (SoA hot path: [`pool`], [`fastmap`]; pre-pool reference: [`reference`](mod@reference)) |
 //! | §3.4 `unifTri` (uniform triangle sampling) | [`sampler`] |
 //! | §3.5 transitivity coefficient | [`transitivity`] |
 //! | §5.1 4-clique counting (Type I / Type II) | [`clique`] |
@@ -55,7 +55,6 @@ pub mod clique;
 pub mod counter;
 pub mod estimator;
 pub mod fastmap;
-pub mod lanes;
 pub mod parallel;
 pub mod pool;
 pub mod reference;

@@ -523,32 +523,6 @@ impl BufferedRng {
         }
         self.pos = 0;
     }
-
-    /// Draws [`crate::lanes::LANES`] consecutive raw values in one call —
-    /// bit-identical to that many [`next_u64`](RngCore::next_u64) calls,
-    /// with the fast path paying a single bounds check for the whole group.
-    #[inline]
-    pub(crate) fn next_lane(&mut self) -> [u64; crate::lanes::LANES] {
-        let p = self.pos;
-        if p + crate::lanes::LANES <= self.buf.len() {
-            self.pos = p + crate::lanes::LANES;
-            [
-                self.buf[p],
-                self.buf[p + 1],
-                self.buf[p + 2],
-                self.buf[p + 3],
-            ]
-        } else {
-            // Straddles a refill boundary: fall back to one-at-a-time draws
-            // so the consumed stream stays in order.
-            [
-                self.next_u64(),
-                self.next_u64(),
-                self.next_u64(),
-                self.next_u64(),
-            ]
-        }
-    }
 }
 
 impl RngCore for BufferedRng {
@@ -667,23 +641,5 @@ mod tests {
         let a: f64 = direct.gen_range(f64::MIN_POSITIVE..1.0);
         let b: f64 = buffered.gen_range(f64::MIN_POSITIVE..1.0);
         assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn lane_draws_consume_the_same_stream_as_single_draws() {
-        let mut direct = SmallRng::seed_from_u64(99);
-        let mut buffered = BufferedRng::seed_from_u64(99);
-        // Offset the buffer position so lane draws straddle refill
-        // boundaries at some point during the loop.
-        for _ in 0..3 {
-            assert_eq!(direct.next_u64(), buffered.next_u64());
-        }
-        for _ in 0..400 {
-            let lane = buffered.next_lane();
-            for value in lane {
-                assert_eq!(direct.next_u64(), value);
-            }
-            assert_eq!(direct.next_u64(), buffered.next_u64());
-        }
     }
 }

@@ -23,8 +23,8 @@
 use crate::checkpoint::StreamCheckpoint;
 use crate::metrics::LatencyCounter;
 use crate::protocol::{ErrorCode, StreamStats, WireError};
-use std::sync::{Arc, Mutex, MutexGuard};
-use tristream_baselines::registry::{find_algo, AlgoParams, StreamHint};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use tristream_baselines::registry::{find_algo, AlgoParams, AlgoSpec, StreamHint};
 use tristream_core::{ShardedEstimator, TriangleEstimator};
 use tristream_graph::Edge;
 
@@ -140,17 +140,15 @@ impl StreamEntry {
 /// [`AlgoSpec::space_for_budget`] under [`SERVE_STREAM_HINT`], and
 /// [`AlgoSpec::build_sharded`] splits it across shards and seeds them.
 ///
-/// Returns the engine and the resolved space parameter.
-///
-/// [`AlgoSpec::space_for_budget`]: tristream_baselines::registry::AlgoSpec::space_for_budget
-/// [`AlgoSpec::build_sharded`]: tristream_baselines::registry::AlgoSpec::build_sharded
+/// Returns the registry entry `algo` names, the engine, and the resolved
+/// space parameter.
 pub fn build_stream_engine(
     algo: &str,
     seed: u64,
     budget_words: u64,
     shards: usize,
     window: Option<u64>,
-) -> Result<(StreamEngine, usize), WireError> {
+) -> Result<(&'static AlgoSpec, StreamEngine, usize), WireError> {
     let spec = find_algo(algo).ok_or_else(|| {
         WireError::new(
             ErrorCode::UnknownAlgorithm,
@@ -168,7 +166,7 @@ pub fn build_stream_engine(
         seed,
         window,
     };
-    Ok((spec.build_sharded(&params, shards), space))
+    Ok((spec, spec.build_sharded(&params, shards), space))
 }
 
 /// The server's stream table. Backed by a `Vec`, not a map: the tenant
@@ -213,38 +211,7 @@ impl StreamTable {
         shards: u16,
         window: u64,
     ) -> Result<(), WireError> {
-        if self.get(name).is_some() {
-            return Err(WireError::new(
-                ErrorCode::DuplicateStream,
-                format!("stream {name:?} already exists"),
-            ));
-        }
-        let resolved_shards = if shards == 0 {
-            DEFAULT_STREAM_SHARDS
-        } else {
-            shards as usize
-        };
-        let window_opt = (window > 0).then_some(window);
-        let (engine, space) =
-            build_stream_engine(algo, seed, budget_words, resolved_shards, window_opt)?;
-        // `find_algo` succeeded inside `build_stream_engine`; re-resolve
-        // for the 'static spec rather than threading it back out.
-        let spec = find_algo(algo);
-        let entry = Arc::new(StreamEntry {
-            name: name.to_string(),
-            algo: spec.map_or("?", |spec| spec.name),
-            space,
-            seed,
-            budget_words,
-            shards,
-            window,
-            snapshotable: spec.is_some_and(|spec| spec.snapshotable),
-            state: Mutex::new(StreamState {
-                engine,
-                ingest: LatencyCounter::new(),
-                query: LatencyCounter::new(),
-            }),
-        });
+        let entry = self.new_entry(name, algo, seed, budget_words, shards, window)?;
         self.insert(entry)
     }
 
@@ -254,59 +221,76 @@ impl StreamTable {
     /// Engine-level validation failures surface as
     /// [`ErrorCode::BadSnapshot`].
     pub fn create_restored(&self, cp: &StreamCheckpoint) -> Result<(), WireError> {
-        if self.get(&cp.name).is_some() {
-            return Err(WireError::new(
-                ErrorCode::DuplicateStream,
-                format!("stream {:?} already exists", cp.name),
-            ));
-        }
-        let resolved_shards = if cp.shards == 0 {
-            DEFAULT_STREAM_SHARDS
-        } else {
-            cp.shards as usize
-        };
-        let window_opt = (cp.window > 0).then_some(cp.window);
-        let (mut engine, space) = build_stream_engine(
+        let mut entry = self.new_entry(
+            &cp.name,
             &cp.algo,
             cp.seed,
             cp.budget_words,
-            resolved_shards,
-            window_opt,
+            cp.shards,
+            cp.window,
         )?;
-        engine
+        let state = entry
+            .state
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        state
+            .engine
             .restore(&cp.engine)
             .map_err(|e| WireError::new(ErrorCode::BadSnapshot, e.to_string()))?;
-        let spec = find_algo(&cp.algo);
-        let entry = Arc::new(StreamEntry {
-            name: cp.name.clone(),
-            algo: spec.map_or("?", |spec| spec.name),
-            space,
-            seed: cp.seed,
-            budget_words: cp.budget_words,
-            shards: cp.shards,
-            window: cp.window,
-            snapshotable: spec.is_some_and(|spec| spec.snapshotable),
-            state: Mutex::new(StreamState {
-                engine,
-                // The recovered batch count keeps the checkpoint cadence
-                // counting from where the lost process left off.
-                ingest: LatencyCounter::with_ops(cp.ingest_batches),
-                query: LatencyCounter::new(),
-            }),
-        });
+        // The recovered batch count keeps the checkpoint cadence counting
+        // from where the lost process left off.
+        state.ingest = LatencyCounter::with_ops(cp.ingest_batches);
         self.insert(entry)
     }
 
-    fn insert(&self, entry: Arc<StreamEntry>) -> Result<(), WireError> {
+    /// The CREATE recipe: refuses a name already in the table, resolves
+    /// `shards == 0` and `window == 0` to their defaults, and builds the
+    /// entry's engine through [`build_stream_engine`]. The raw parameters
+    /// are kept verbatim for checkpoints.
+    fn new_entry(
+        &self,
+        name: &str,
+        algo: &str,
+        seed: u64,
+        budget_words: u64,
+        shards: u16,
+        window: u64,
+    ) -> Result<StreamEntry, WireError> {
+        if self.get(name).is_some() {
+            return Err(duplicate_stream(name));
+        }
+        let resolved_shards = if shards == 0 {
+            DEFAULT_STREAM_SHARDS
+        } else {
+            shards as usize
+        };
+        let window_opt = (window > 0).then_some(window);
+        let (spec, engine, space) =
+            build_stream_engine(algo, seed, budget_words, resolved_shards, window_opt)?;
+        Ok(StreamEntry {
+            name: name.to_string(),
+            algo: spec.name,
+            space,
+            seed,
+            budget_words,
+            shards,
+            window,
+            snapshotable: spec.snapshotable,
+            state: Mutex::new(StreamState {
+                engine,
+                ingest: LatencyCounter::new(),
+                query: LatencyCounter::new(),
+            }),
+        })
+    }
+
+    fn insert(&self, entry: StreamEntry) -> Result<(), WireError> {
         let mut streams = self.lock();
         // Re-check under the lock: two concurrent CREATEs must not both win.
         if streams.iter().any(|s| s.name() == entry.name()) {
-            return Err(WireError::new(
-                ErrorCode::DuplicateStream,
-                format!("stream {:?} already exists", entry.name()),
-            ));
+            return Err(duplicate_stream(entry.name()));
         }
-        streams.push(entry);
+        streams.push(Arc::new(entry));
         Ok(())
     }
 
@@ -363,6 +347,14 @@ impl StreamTable {
     pub fn clear(&self) {
         self.lock().clear();
     }
+}
+
+/// The DUPLICATE_STREAM refusal of a CREATE whose name is taken.
+fn duplicate_stream(name: &str) -> WireError {
+    WireError::new(
+        ErrorCode::DuplicateStream,
+        format!("stream {name:?} already exists"),
+    )
 }
 
 /// Ingests one batch into an entry, recording enqueue latency. The batch is

@@ -14,6 +14,10 @@
 //! single `#[global_allocator]`, and a sibling test on another thread
 //! would count its own allocations into the measurement window.
 
+// A global allocator is an `unsafe impl`; the workspace denies
+// `unsafe_code` everywhere else.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tristream_serve::protocol::{ErrorCode, FrameType, Request};
