@@ -119,9 +119,6 @@ pub enum Command {
         input: PathBuf,
         /// Destination file (`.tsb`, or text edge list).
         output: PathBuf,
-        /// When converting *to* `.tsb`: also write the timestamp column,
-        /// filled with each edge's 1-based stream position.
-        timestamps: bool,
     },
     /// Run the named benchmark workloads and write `BENCH.json`.
     Bench {
@@ -261,7 +258,7 @@ USAGE:
                                          [--algo NAME [--window W]] [--parallel [--shards K]]
   tristream-cli transitivity <EDGE_LIST> [--estimators N] [--seed S]
   tristream-cli sample       <EDGE_LIST> [-k K] [--estimators N] [--seed S]
-  tristream-cli convert      <INPUT> --output FILE [--timestamps]
+  tristream-cli convert      <INPUT> --output FILE
   tristream-cli bench        [--smoke] [--check] [--seed S] [--output FILE]
                              [--edges N]
   tristream-cli serve        [--addr HOST:PORT] [--state-dir DIR]
@@ -301,8 +298,7 @@ text file is loaded whole through the deduplicating reader.
 Edge lists are SNAP-style text files: one `u v` pair per line, `#` comments.
 Files with the `.tsb` extension use the tristream binary edge-stream format
 instead, which every subcommand reads transparently; `convert` translates
-between the two (exactly one side must be `.tsb`, and `--timestamps` adds a
-stream-position timestamp column when writing `.tsb`).
+between the two (exactly one side must be `.tsb`).
 
 `bench` runs the named perf workloads (text vs binary ingest, pooled vs
 reference bulk hot path, accuracy vs exact, serve and snapshot parity) and
@@ -512,7 +508,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "convert" => {
             let input = positional(&rest, 0, "input path")?;
             let mut output: Option<PathBuf> = None;
-            let mut timestamps = false;
             let mut i = 1;
             while i < rest.len() {
                 match rest[i].as_str() {
@@ -522,10 +517,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                                 .ok_or_else(|| CliError::BadFlagValue("--output".into()))?,
                         ));
                         i += 2;
-                    }
-                    "--timestamps" => {
-                        timestamps = true;
-                        i += 1;
                     }
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
@@ -540,17 +531,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     reason: "exactly one of INPUT and OUTPUT must have the .tsb extension",
                 });
             }
-            if timestamps && !is_tsb_path(&output) {
-                return Err(CliError::InvalidFlagValue {
-                    flag: "--timestamps",
-                    reason: "requires a .tsb OUTPUT (text edge lists have no timestamp column)",
-                });
-            }
-            Ok(Command::Convert {
-                input,
-                output,
-                timestamps,
-            })
+            Ok(Command::Convert { input, output })
         }
         "bench" => {
             let mut smoke = false;
@@ -1236,7 +1217,6 @@ mod tests {
             Command::Convert {
                 input: PathBuf::from("g.txt"),
                 output: PathBuf::from("g.tsb"),
-                timestamps: false
             }
         );
         let c = parse_args(&args(&["convert", "g.tsb", "-o", "g.txt"])).unwrap();
@@ -1245,24 +1225,21 @@ mod tests {
             Command::Convert {
                 input: PathBuf::from("g.tsb"),
                 output: PathBuf::from("g.txt"),
-                timestamps: false
             }
         );
-        let c = parse_args(&args(&[
+        // `convert` writes no timestamp column.
+        let err = parse_args(&args(&[
             "convert",
             "g.txt",
             "--output",
             "g.tsb",
             "--timestamps",
         ]))
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::Convert {
-                timestamps: true,
-                ..
-            }
-        ));
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::UnknownFlag(flag) if flag == "--timestamps"),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1282,22 +1259,6 @@ mod tests {
         ));
         // Both sides are .tsb.
         assert!(parse_args(&args(&["convert", "a.tsb", "--output", "b.tsb"])).is_err());
-        // Timestamps only make sense when writing .tsb.
-        let err = parse_args(&args(&[
-            "convert",
-            "a.tsb",
-            "--output",
-            "b.txt",
-            "--timestamps",
-        ]))
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            CliError::InvalidFlagValue {
-                flag: "--timestamps",
-                ..
-            }
-        ));
     }
 
     #[test]

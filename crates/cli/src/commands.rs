@@ -19,7 +19,6 @@ use tristream_core::{TransitivityEstimator, TriangleEstimator, TriangleSampler};
 use tristream_gen::{DatasetKind, StandIn};
 use tristream_graph::binary::{
     is_tsb_path, read_edges_binary_batched_file, read_edges_binary_file, write_edges_binary_file,
-    write_edges_binary_timestamped_file,
 };
 use tristream_graph::io::{read_edge_list_file, write_edge_list_file};
 use tristream_graph::{Edge, EdgeStream, GraphError, GraphSummary};
@@ -131,35 +130,20 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 ),
             }
         }
-        Command::Convert {
-            input,
-            output,
-            timestamps,
-        } => {
+        Command::Convert { input, output } => {
             if is_tsb_path(&output) {
                 // Text → binary. The text reader deduplicates, matching
                 // every other text-reading subcommand.
                 let stream = read_edge_list_file(&input)?;
-                if timestamps {
-                    let records: Vec<(Edge, u64)> =
-                        stream.iter_positioned().map(|(pos, e)| (e, pos)).collect();
-                    write_edges_binary_timestamped_file(&records, &output)?;
-                } else {
-                    write_edges_binary_file(stream.edges(), &output)?;
-                }
+                write_edges_binary_file(stream.edges(), &output)?;
                 Ok(format!(
-                    "wrote {} edges to {} (.tsb v1{})\n",
+                    "wrote {} edges to {} (.tsb v1)\n",
                     stream.len(),
-                    output.display(),
-                    if timestamps {
-                        ", with stream-position timestamps"
-                    } else {
-                        ""
-                    }
+                    output.display()
                 ))
             } else {
-                // Binary → text (timestamps, if any, are dropped — the
-                // text format has no column for them).
+                // Binary → text (the timestamp column of files from earlier
+                // builds is skipped — the text format has no column for it).
                 let stream = read_edges_binary_file(&input)?;
                 write_edge_list_file(&stream, &output)?;
                 Ok(format!(
@@ -568,7 +552,12 @@ pub fn write_temp_stream(stream: &EdgeStream, name: &str) -> std::path::PathBuf 
     let dir = std::env::temp_dir().join("tristream-cli-tests");
     std::fs::create_dir_all(&dir).expect("temp dir is writable");
     let path = dir.join(name);
-    write_edge_list_file(stream, &path).expect("temp file is writable");
+    // Tests running in parallel rewrite the same file: each writes its own
+    // copy and renames it over, so no reader sees a half-written list.
+    let writer = format!("{}-{:?}", std::process::id(), std::thread::current().id());
+    let staging = dir.join(format!("{name}.{writer}.tmp"));
+    write_edge_list_file(stream, &staging).expect("temp file is writable");
+    std::fs::rename(&staging, &path).expect("temp file is renamable");
     path
 }
 
@@ -803,7 +792,6 @@ mod tests {
         let out = run(Command::Convert {
             input: text_in.clone(),
             output: tsb.clone(),
-            timestamps: false,
         })
         .unwrap();
         assert!(out.contains("3000 edges"), "{out}");
@@ -812,7 +800,6 @@ mod tests {
         let out = run(Command::Convert {
             input: tsb.clone(),
             output: text_out.clone(),
-            timestamps: false,
         })
         .unwrap();
         assert!(out.contains("3000 edges"), "{out}");
@@ -831,7 +818,6 @@ mod tests {
         run(Command::Convert {
             input: text_in.clone(),
             output: tsb.clone(),
-            timestamps: false,
         })
         .unwrap();
 
@@ -884,27 +870,6 @@ mod tests {
         })
         .unwrap();
         assert!(parallel.contains("3000 edges"), "{parallel}");
-    }
-
-    #[test]
-    fn convert_with_timestamps_preserves_stream_positions() {
-        let text_in = sample_graph_path();
-        let tsb = std::env::temp_dir()
-            .join("tristream-cli-tests")
-            .join("timestamped.tsb");
-        let out = run(Command::Convert {
-            input: text_in,
-            output: tsb.clone(),
-            timestamps: true,
-        })
-        .unwrap();
-        assert!(out.contains("timestamps"), "{out}");
-        let records = tristream_graph::binary::read_edges_binary_timestamped_file(&tsb).unwrap();
-        assert_eq!(records.len(), 3_000);
-        assert!(records
-            .iter()
-            .enumerate()
-            .all(|(i, &(_, ts))| ts == i as u64 + 1));
     }
 
     #[test]

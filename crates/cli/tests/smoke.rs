@@ -319,15 +319,20 @@ fn missing_file_fails_cleanly() {
 }
 
 /// A `.tsb` v1 stream of the given raw records, self-loops included — the
-/// library writer refuses to produce those.
-fn raw_tsb(records: &[(u64, u64)]) -> Vec<u8> {
+/// library writer refuses to produce those. With `timestamps`, flag bit 0
+/// is set and record `i` carries `timestamps[i]` as a third word, the
+/// column earlier builds wrote.
+fn raw_tsb(records: &[(u64, u64)], timestamps: Option<&[u64]>) -> Vec<u8> {
     let mut out = b"TSB\0".to_vec();
     out.extend_from_slice(&1u16.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes());
+    out.extend_from_slice(&u16::from(timestamps.is_some()).to_le_bytes());
     out.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    for (u, v) in records {
+    for (i, (u, v)) in records.iter().enumerate() {
         out.extend_from_slice(&u.to_le_bytes());
         out.extend_from_slice(&v.to_le_bytes());
+        if let Some(timestamps) = timestamps {
+            out.extend_from_slice(&timestamps[i].to_le_bytes());
+        }
     }
     out
 }
@@ -339,7 +344,7 @@ fn malformed_tsb_fails_identically_on_every_count_path() {
     // 16 + 70 × 16, although each reads the file in different blocks
     // (whole-file blocks for `count`, 16-edge batches under `--parallel`).
     let path: Vec<(u64, u64)> = (0..100).map(|i| (i, i + 1)).collect();
-    let mut truncated = raw_tsb(&path);
+    let mut truncated = raw_tsb(&path, None);
     truncated.truncate(16 + 70 * 16 + 5);
     let mut looped = path.clone();
     looped[70] = (7, 7);
@@ -347,7 +352,7 @@ fn malformed_tsb_fails_identically_on_every_count_path() {
         ("truncated.tsb", truncated, "truncated record data"),
         (
             "self-loop.tsb",
-            raw_tsb(&looped),
+            raw_tsb(&looped, None),
             "self-loop record (u == v)",
         ),
     ] {
@@ -397,6 +402,59 @@ fn count_answer(output: &Output) -> (String, Option<String>, Option<String>) {
     };
     let estimate = line.split_whitespace().next().unwrap().to_string();
     (estimate, after("memory = "), after("words, "))
+}
+
+/// The `estimated triangle count:` line of a `count` report, without its
+/// elapsed time.
+fn estimate_line(output: &Output) -> String {
+    assert!(output.status.success(), "{output:?}");
+    let text = stdout(output);
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("estimated triangle count: "))
+        .unwrap_or_else(|| panic!("no estimate in {text}"));
+    let (head, tail) = line.split_once(" in ").expect("an elapsed field");
+    let (_, tail) = tail.split_once(" s, ").expect("an elapsed field");
+    format!("{head} in … s, {tail}")
+}
+
+#[test]
+fn timestamped_tsb_counts_like_the_plain_file() {
+    // A `.tsb` with the timestamp column of earlier builds (flag bit 0,
+    // 24-byte records) holding timestamps that are not stream positions:
+    // every count form skips the column and prints the plain file's line.
+    let records: Vec<(u64, u64)> = (0..60u64)
+        .flat_map(|i| [(i, i + 1), (i, i + 2), (i + 1, i + 2)])
+        .collect();
+    let timestamps: Vec<u64> = (0..records.len() as u64)
+        .map(|i| 1_000_000 - 13 * i)
+        .collect();
+    let plain = temp_path("plain-ts.tsb");
+    let stamped = temp_path("stamped-ts.tsb");
+    std::fs::write(&plain, raw_tsb(&records, None)).unwrap();
+    std::fs::write(&stamped, raw_tsb(&records, Some(&timestamps))).unwrap();
+    let forms: [&[&str]; 3] = [&[], &["--parallel", "--shards", "2"], &["--algo", "exact"]];
+    for extra in forms {
+        let line = |file: &PathBuf| {
+            let mut args = vec![
+                "count",
+                file.to_str().unwrap(),
+                "--estimators",
+                "2000",
+                "--batch",
+                "7",
+                "--seed",
+                "4",
+            ];
+            args.extend(extra);
+            estimate_line(&run(&args))
+        };
+        let expected = line(&plain);
+        assert!(expected.contains(" 180 edges in "), "{expected}");
+        assert_eq!(line(&stamped), expected, "{extra:?}");
+    }
+    let _ = std::fs::remove_file(&plain);
+    let _ = std::fs::remove_file(&stamped);
 }
 
 #[test]

@@ -98,14 +98,19 @@
 //! boundaries — a stronger property than the distributional identity the
 //! theorem needs, and the one `tests/pool_equivalence.rs` pins.
 
-use crate::counter::Aggregation;
 use crate::estimator::EstimatorState;
 use crate::fastmap::{FastKey, FastMap};
 use crate::pool::{BufferedRng, EstimatorPool, POOL_COLUMNS, RNG_BUFFER_LEN};
 use rand::Rng;
 use tristream_graph::snapshot::{put_u64s, SnapshotError, SnapshotReader, SnapshotWriter};
 use tristream_graph::Edge;
-use tristream_sample::{mean, median_of_means, salted_seed, splitmix64, GeometricSkip};
+use tristream_sample::{mean, salted_seed, splitmix64, GeometricSkip};
+
+/// The aggregation tag written into every snapshot's meta section,
+/// followed by a group count of 0: the estimate is the mean of the
+/// estimators. Tag 1 marked a median-of-means counter, which no entry
+/// point built; restore refuses it like any other value.
+const AGGREGATION_TAG_MEAN: u8 = 0;
 
 /// Level-1 tag written into every snapshot's meta section: the geometric
 /// skip walk of Step 1. Snapshots written before the per-estimator walk was
@@ -246,7 +251,7 @@ struct BatchScratch {
 impl BatchScratch {
     /// Scratch for a pool of `r` estimators, with the hash seeds derived
     /// from `hash_seed` (itself derived from the counter's seed — see
-    /// [`BulkTriangleCounter::with_aggregation`]).
+    /// [`BulkTriangleCounter::new`]).
     fn new(r: usize, hash_seed: u64) -> Self {
         let mut waiting = FastMap::with_seed(hash_seed ^ 0xC7C7);
         // The table holds at most one entry per estimator; reserving the
@@ -578,20 +583,10 @@ pub struct BulkTriangleCounter {
     /// Construction seed, kept so snapshots can rebuild the scratch-table
     /// hash seeds (a pure SplitMix64 derivation of it) on restore.
     seed: u64,
-    aggregation: Aggregation,
 }
 
 impl BulkTriangleCounter {
-    /// Creates a bulk counter with `r` estimators and plain-mean aggregation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is zero.
-    pub fn new(r: usize, seed: u64) -> Self {
-        Self::with_aggregation(r, seed, Aggregation::Mean)
-    }
-
-    /// Creates a bulk counter with an explicit aggregation strategy.
+    /// Creates a bulk counter with `r` estimators.
     ///
     /// The scratch hash tables are seeded with a SplitMix64 derivation of
     /// `seed` (not with draws from the estimator RNG stream, which must
@@ -600,13 +595,9 @@ impl BulkTriangleCounter {
     ///
     /// # Panics
     ///
-    /// Panics if `r` is zero, or if a median-of-means aggregation requests
-    /// zero groups.
-    pub fn with_aggregation(r: usize, seed: u64, aggregation: Aggregation) -> Self {
+    /// Panics if `r` is zero.
+    pub fn new(r: usize, seed: u64) -> Self {
         assert!(r > 0, "at least one estimator is required");
-        if let Aggregation::MedianOfMeans { groups } = aggregation {
-            assert!(groups > 0, "median-of-means needs at least one group");
-        }
         let hash_seed = Self::hash_seed(seed);
         Self {
             pool: EstimatorPool::new(r),
@@ -614,7 +605,6 @@ impl BulkTriangleCounter {
             edges_seen: 0,
             rng: BufferedRng::seed_from_u64(seed),
             seed,
-            aggregation,
         }
     }
 
@@ -792,23 +782,15 @@ impl BulkTriangleCounter {
             .collect()
     }
 
-    /// The aggregated triangle-count estimate.
+    /// The triangle-count estimate: the mean of the per-estimator
+    /// estimates (Theorem 3.3).
     pub fn estimate(&self) -> f64 {
-        self.estimate_with(self.aggregation)
+        mean(&self.raw_estimates())
     }
 
     /// Number of estimators currently holding a triangle.
     pub fn estimators_with_triangle(&self) -> usize {
         self.pool.triangles_held()
-    }
-
-    /// The aggregated estimate under an explicit aggregation (ablations).
-    pub fn estimate_with(&self, aggregation: Aggregation) -> f64 {
-        let raw = self.raw_estimates();
-        match aggregation {
-            Aggregation::Mean => mean(&raw),
-            Aggregation::MedianOfMeans { groups } => median_of_means(&raw, groups),
-        }
     }
 
     /// Debug-build invariant sweep: [`EstimatorPool::validate`] over the
@@ -845,16 +827,8 @@ impl BulkTriangleCounter {
         let mut meta = Vec::with_capacity(35);
         meta.push(crate::snapshot::KIND_BULK);
         put_u64s(&mut meta, &[r as u64, self.seed, self.edges_seen]);
-        match self.aggregation {
-            Aggregation::Mean => {
-                meta.push(0);
-                put_u64s(&mut meta, &[0]);
-            }
-            Aggregation::MedianOfMeans { groups } => {
-                meta.push(1);
-                put_u64s(&mut meta, &[groups as u64]);
-            }
-        }
+        meta.push(AGGREGATION_TAG_MEAN);
+        put_u64s(&mut meta, &[0]);
         meta.push(LEVEL1_TAG_GEOMETRIC_SKIP);
 
         let mut columns = Vec::with_capacity(POOL_COLUMNS * r * 8);
@@ -905,7 +879,8 @@ impl BulkTriangleCounter {
         let seed = meta.u64("construction seed")?;
         let edges_seen = meta.u64("edges seen")?;
         let agg_tag = meta.u8("aggregation tag")?;
-        let groups = meta.u64("aggregation group count")?;
+        // The group count after the tag is 0 in every snapshot written.
+        meta.u64("aggregation group count")?;
         let strategy_tag = meta.u8("level-1 strategy tag")?;
         meta.finish()?;
 
@@ -913,21 +888,12 @@ impl BulkTriangleCounter {
             .ok()
             .filter(|&r| r > 0)
             .ok_or_else(|| incompatible(format!("estimator count {r64} is not usable")))?;
-        let aggregation = match agg_tag {
-            0 => Aggregation::Mean,
-            1 => {
-                let groups = usize::try_from(groups)
-                    .ok()
-                    .filter(|&g| g > 0)
-                    .ok_or_else(|| {
-                        incompatible(format!(
-                            "median-of-means group count {groups} is not usable"
-                        ))
-                    })?;
-                Aggregation::MedianOfMeans { groups }
-            }
-            other => return Err(incompatible(format!("unknown aggregation tag {other}"))),
-        };
+        if agg_tag != AGGREGATION_TAG_MEAN {
+            return Err(incompatible(format!(
+                "aggregation tag {agg_tag} is not the mean aggregation (tag \
+                 {AGGREGATION_TAG_MEAN}), the only one this build restores"
+            )));
+        }
         if strategy_tag > LEVEL1_TAG_GEOMETRIC_SKIP {
             return Err(incompatible(format!(
                 "unknown level-1 strategy tag {strategy_tag}"
@@ -972,7 +938,6 @@ impl BulkTriangleCounter {
             edges_seen,
             rng,
             seed,
-            aggregation,
         })
     }
 }
@@ -1563,14 +1528,11 @@ mod tests {
     #[test]
     fn median_of_means_aggregation_is_available() {
         let edges = k_n_edges(9);
-        let mut c = BulkTriangleCounter::with_aggregation(
-            2_000,
-            3,
-            Aggregation::MedianOfMeans { groups: 8 },
-        );
+        let mut c = BulkTriangleCounter::new(2_000, 3);
         c.process_stream(&edges, 50);
         let truth = 84.0;
+        let mom = tristream_sample::median_of_means(&c.raw_estimates(), 8);
+        assert!((mom - truth).abs() < 0.3 * truth);
         assert!((c.estimate() - truth).abs() < 0.3 * truth);
-        assert!((c.estimate_with(Aggregation::Mean) - truth).abs() < 0.3 * truth);
     }
 }

@@ -7,34 +7,19 @@
 //! type remains the reference implementation the bulk version is tested
 //! against, and is perfectly adequate for moderate `r`.
 //!
-//! Two aggregations are provided:
-//!
-//! * [`Aggregation::Mean`] — the plain average of Theorem 3.3, whose
-//!   sufficient `r` is `(6/ε²)(mΔ/τ)ln(2/δ)`.
-//! * [`Aggregation::MedianOfMeans`] — the Theorem 3.4 aggregation: group the
-//!   estimators, average within groups, take the median of the group means.
-//!   Its sufficient `r` is governed by the tangle coefficient γ(G), which is
-//!   often far smaller than 2Δ.
+//! [`TriangleCounter::estimate`] is the plain average of Theorem 3.3, whose
+//! sufficient `r` is `(6/ε²)(mΔ/τ)ln(2/δ)`. The Theorem 3.4 aggregation —
+//! group the estimators, average within groups, take the median of the
+//! group means — is [`tristream_sample::median_of_means`] applied to
+//! [`TriangleCounter::raw_estimates`]. Its sufficient `r` is governed by the
+//! tangle coefficient γ(G), which is often far smaller than 2Δ
+//! ([`crate::theory::sufficient_estimators_tangle`]).
 
 use crate::estimator::EstimatorState;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tristream_graph::Edge;
-use tristream_sample::{mean, median_of_means};
-
-/// How the per-estimator values are combined into one estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Aggregation {
-    /// Plain averaging over all estimators (Theorem 3.3).
-    #[default]
-    Mean,
-    /// Median of `groups` group-means (Theorem 3.4). The group count is
-    /// typically `Θ(log(1/δ))`; the paper uses `12·ln(1/δ)`.
-    MedianOfMeans {
-        /// Number of groups the estimators are split into.
-        groups: usize,
-    },
-}
+use tristream_sample::mean;
 
 /// Streaming triangle counter built from `r` neighborhood-sampling
 /// estimators, processing edges one at a time.
@@ -43,36 +28,20 @@ pub struct TriangleCounter {
     estimators: Vec<EstimatorState>,
     edges_seen: u64,
     rng: SmallRng,
-    aggregation: Aggregation,
 }
 
 impl TriangleCounter {
-    /// Creates a counter with `r` estimators and the plain-mean aggregation,
-    /// seeded deterministically.
+    /// Creates a counter with `r` estimators, seeded deterministically.
     ///
     /// # Panics
     ///
     /// Panics if `r` is zero.
     pub fn new(r: usize, seed: u64) -> Self {
-        Self::with_aggregation(r, seed, Aggregation::Mean)
-    }
-
-    /// Creates a counter with an explicit aggregation strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is zero, or if a median-of-means aggregation requests
-    /// zero groups.
-    pub fn with_aggregation(r: usize, seed: u64, aggregation: Aggregation) -> Self {
         assert!(r > 0, "at least one estimator is required");
-        if let Aggregation::MedianOfMeans { groups } = aggregation {
-            assert!(groups > 0, "median-of-means needs at least one group");
-        }
         Self {
             estimators: vec![EstimatorState::new(); r],
             edges_seen: 0,
             rng: SmallRng::seed_from_u64(seed),
-            aggregation,
         }
     }
 
@@ -84,11 +53,6 @@ impl TriangleCounter {
     /// Number of edges observed so far (`m`).
     pub fn edges_seen(&self) -> u64 {
         self.edges_seen
-    }
-
-    /// The aggregation strategy in use.
-    pub fn aggregation(&self) -> Aggregation {
-        self.aggregation
     }
 
     /// Read-only view of the estimator states (used by the sampler, the
@@ -121,23 +85,10 @@ impl TriangleCounter {
             .collect()
     }
 
-    /// The aggregated triangle-count estimate.
+    /// The triangle-count estimate: the mean of the per-estimator
+    /// estimates (Theorem 3.3).
     pub fn estimate(&self) -> f64 {
-        let raw = self.raw_estimates();
-        match self.aggregation {
-            Aggregation::Mean => mean(&raw),
-            Aggregation::MedianOfMeans { groups } => median_of_means(&raw, groups),
-        }
-    }
-
-    /// The aggregated estimate under an explicit aggregation, regardless of
-    /// the one configured at construction (useful for ablation studies).
-    pub fn estimate_with(&self, aggregation: Aggregation) -> f64 {
-        let raw = self.raw_estimates();
-        match aggregation {
-            Aggregation::Mean => mean(&raw),
-            Aggregation::MedianOfMeans { groups } => median_of_means(&raw, groups),
-        }
+        mean(&self.raw_estimates())
     }
 
     /// Number of estimators currently holding a triangle — a cheap health
@@ -201,12 +152,6 @@ mod tests {
     #[should_panic]
     fn zero_estimators_panics() {
         let _ = TriangleCounter::new(0, 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_groups_panics() {
-        let _ = TriangleCounter::with_aggregation(10, 1, Aggregation::MedianOfMeans { groups: 0 });
     }
 
     #[test]
@@ -302,13 +247,12 @@ mod tests {
         // must land near the truth on a triangle-rich stream.
         let stream = tristream_gen::planted_triangles(100, 200, 3);
         let truth = 100.0;
-        let mut c =
-            TriangleCounter::with_aggregation(10_000, 11, Aggregation::MedianOfMeans { groups: 5 });
+        let mut c = TriangleCounter::new(10_000, 11);
         for e in stream.iter() {
             c.process_edge(e);
         }
-        let mom = c.estimate();
-        let plain = c.estimate_with(Aggregation::Mean);
+        let mom = tristream_sample::median_of_means(&c.raw_estimates(), 5);
+        let plain = c.estimate();
         assert!(
             (plain - truth).abs() < 0.3 * truth,
             "plain {plain}, truth {truth}"

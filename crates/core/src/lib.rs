@@ -20,7 +20,7 @@
 //! | Paper section | Module |
 //! |---|---|
 //! | §3.1 Algorithm 1 (neighborhood sampling) | [`estimator`] |
-//! | §3.2 Theorems 3.3 & 3.4 (counting, tangle-aware aggregation) | [`counter`], [`theory`] |
+//! | §3.2 Theorems 3.3 & 3.4 (counting: the mean of `r` estimators; tangle-aware aggregation: `tristream_sample::median_of_means` over `raw_estimates()`) | [`counter`], [`theory`] |
 //! | §3.3 Theorem 3.5 (bulk processing) | [`bulk`] (SoA hot path: [`pool`], [`fastmap`]; pre-pool reference: [`reference`](mod@reference)) |
 //! | §3.4 `unifTri` (uniform triangle sampling) | [`sampler`] |
 //! | §3.5 transitivity coefficient | [`transitivity`] |
@@ -67,7 +67,7 @@ pub mod transitivity;
 
 pub use bulk::BulkTriangleCounter;
 pub use clique::FourCliqueCounter;
-pub use counter::{Aggregation, TriangleCounter};
+pub use counter::TriangleCounter;
 pub use estimator::{EstimatorState, NeighborhoodSampler, PositionedEdge};
 pub use fastmap::FastMap;
 pub use parallel::{shard_seed, ShardedEstimator, SHARD_SEED_STRIDE};

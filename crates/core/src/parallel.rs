@@ -267,75 +267,11 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
     }
 
     /// Per-shard snapshots, in shard order — the building blocks the
-    /// [`TriangleEstimator::snapshot`] container nests, exposed so callers
-    /// can also ship shard state to independent processes.
+    /// [`TriangleEstimator::snapshot`] container nests.
     pub fn shard_snapshots(&self) -> Result<Vec<Vec<u8>>, SnapshotError> {
         self.map_synced(|shard| shard.snapshot())
             .into_iter()
             .collect()
-    }
-
-    /// Merge snapshots taken by `N` *independent* single-process
-    /// estimators into this `N`-shard estimator, under the shard-seed
-    /// contract: process `i` must have been seeded `shard_seed(seed, i)`
-    /// (the seed [`from_factory`](Self::from_factory) hands shard `i`) and
-    /// fed the same stream as its peers. Because every shard sees the
-    /// whole stream and the combined estimate is the shard mean, the
-    /// merged estimator's `estimate()` is bit-identical to the
-    /// single-process `N`-shard run over that stream.
-    ///
-    /// Snapshot `i` replaces shard `i`'s state. All snapshots must agree
-    /// on `edges_seen` (they claim to describe the same stream) and the
-    /// count must match [`num_shards`](Self::num_shards); mismatches are
-    /// [`SnapshotError::Incompatible`] and leave earlier shards already
-    /// restored — callers treat a failed merge as fatal for the receiver,
-    /// exactly as a failed [`TriangleEstimator::restore`] would be.
-    pub fn merge_shard_snapshots(&mut self, snapshots: &[Vec<u8>]) -> Result<(), SnapshotError> {
-        if snapshots.len() != self.num_shards() {
-            return Err(SnapshotError::Incompatible {
-                reason: format!(
-                    "merging {} snapshots into {} shards",
-                    snapshots.len(),
-                    self.num_shards()
-                ),
-            });
-        }
-        let mut edges = None;
-        for (i, bytes) in snapshots.iter().enumerate() {
-            let claimed = snapshot_edges_seen(bytes)?;
-            match edges {
-                None => edges = Some(claimed),
-                Some(prev) if prev != claimed => {
-                    return Err(SnapshotError::Incompatible {
-                        reason: format!(
-                            "snapshot {i} claims {claimed} edges seen but its peers claim {prev}; \
-                             merged shards must describe the same stream"
-                        ),
-                    });
-                }
-                Some(_) => {}
-            }
-        }
-        self.restore_shards(snapshots, edges.unwrap_or(0))
-    }
-
-    /// Hands shard `i` snapshot `i` (the callers check there is one per
-    /// shard), then adopts `edges_seen`; returns the first shard's error.
-    fn restore_shards(
-        &mut self,
-        snapshots: &[impl AsRef<[u8]>],
-        edges_seen: u64,
-    ) -> Result<(), SnapshotError> {
-        let mut snapshots = snapshots.iter();
-        self.map_synced(|shard| {
-            snapshots
-                .next()
-                .map_or(Ok(()), |bytes| shard.restore(bytes.as_ref()))
-        })
-        .into_iter()
-        .collect::<Result<(), _>>()?;
-        self.edges_seen = edges_seen;
-        Ok(())
     }
 }
 
@@ -349,27 +285,6 @@ impl<C: TriangleEstimator + Send + 'static> Drop for ShardedEstimator<C> {
             // panic on the caller's thread; don't double-panic in drop.
             let _ = shard.worker.join();
         }
-    }
-}
-
-/// Decode the `edges_seen` a (bulk or sharded) estimator snapshot claims.
-fn snapshot_edges_seen(bytes: &[u8]) -> Result<u64, SnapshotError> {
-    let reader = SnapshotReader::parse(bytes)?;
-    let mut meta = reader.section(crate::snapshot::SEC_META)?;
-    let kind = meta.u8("snapshot kind tag")?;
-    match kind {
-        crate::snapshot::KIND_BULK => {
-            let _r = meta.u64("estimator count")?;
-            let _seed = meta.u64("construction seed")?;
-            meta.u64("edges seen")
-        }
-        crate::snapshot::KIND_SHARDED => {
-            let _shards = meta.u64("shard count")?;
-            meta.u64("edges seen")
-        }
-        other => Err(SnapshotError::Incompatible {
-            reason: format!("unknown snapshot kind {other}"),
-        }),
     }
 }
 
@@ -439,6 +354,11 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
     /// Restore from a `KIND_SHARDED` snapshot with a matching shard
     /// count: shard `i` is handed nested snapshot `i`, and `edges_seen`
     /// is adopted from the container.
+    ///
+    /// After an error this receiver is unspecified and must be discarded.
+    /// The container's framing, kind and shard count are checked before
+    /// any shard changes, but each shard then validates its own section,
+    /// and one may refuse it after its peers have taken theirs.
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), SnapshotError> {
         let reader = SnapshotReader::parse(snapshot)?;
         let mut meta = reader.section(crate::snapshot::SEC_META)?;
@@ -472,7 +392,12 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
             let mut section = reader.section(crate::snapshot::SEC_SHARD_BASE + offset)?;
             nested.push(section.rest());
         }
-        self.restore_shards(&nested, edges_seen)
+        let mut nested = nested.into_iter();
+        self.map_synced(|shard| nested.next().map_or(Ok(()), |bytes| shard.restore(bytes)))
+            .into_iter()
+            .collect::<Result<(), _>>()?;
+        self.edges_seen = edges_seen;
+        Ok(())
     }
 }
 
@@ -480,7 +405,6 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
 mod tests {
     use super::*;
     use crate::bulk::BulkTriangleCounter;
-    use crate::counter::Aggregation;
     use tristream_graph::exact::count_triangles;
     use tristream_graph::Adjacency;
 
@@ -832,7 +756,7 @@ mod tests {
     #[test]
     fn sharded_estimator_uses_the_shard_seed_stride_contract() {
         // The factory must be handed exactly the `shard_seed` seeds, so
-        // independently built shards stay comparable (and mergeable).
+        // independently built shards stay comparable.
         let mut seeds_seen = Vec::new();
         let sharded = ShardedEstimator::from_factory(3, 21, |seed| {
             seeds_seen.push(seed);
@@ -869,20 +793,15 @@ mod tests {
 
     #[test]
     fn median_of_means_aggregation_is_supported() {
-        // Each shard aggregates its own pool; the sharded estimate is the
-        // mean of the shard medians-of-means.
+        // Theorem 3.4 over a sharded run: each shard estimate is the mean
+        // of its own group of estimators, so the median of the shard
+        // estimates is the median of the group means.
         let stream = tristream_gen::planted_triangles(60, 120, 5);
-        let mut c = ShardedEstimator::from_factory(4, 3, |seed| {
-            BulkTriangleCounter::with_aggregation(
-                2_000,
-                seed,
-                Aggregation::MedianOfMeans { groups: 8 },
-            )
-        });
+        let mut c = sharded_bulk(2_000, 4, 3);
         for batch in stream.batches(2_048) {
             c.process_batch(batch);
         }
-        let est = TriangleEstimator::estimate(&c);
+        let est = tristream_sample::median_of_means(&c.shard_estimates(), 4);
         assert!((est - 60.0).abs() < 0.35 * 60.0, "estimate {est}");
     }
 

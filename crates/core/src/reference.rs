@@ -21,7 +21,6 @@
 //! this file intentionally preserves the old control flow (including its
 //! per-batch `HashMap` allocations) without restating the rationale.
 
-use crate::counter::Aggregation;
 use crate::estimator::{EstimatorState, PositionedEdge};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -260,18 +259,6 @@ impl ReferenceBulkCounter {
     /// The plain-mean triangle-count estimate.
     pub fn estimate(&self) -> f64 {
         mean(&self.raw_estimates())
-    }
-
-    /// The estimate under an explicit aggregation (parity with the pooled
-    /// counter's ablation hook).
-    pub fn estimate_with(&self, aggregation: Aggregation) -> f64 {
-        let raw = self.raw_estimates();
-        match aggregation {
-            Aggregation::Mean => mean(&raw),
-            Aggregation::MedianOfMeans { groups } => {
-                tristream_sample::median_of_means(&raw, groups)
-            }
-        }
     }
 }
 

@@ -13,10 +13,7 @@
 //!
 //! The rejection step needs the maximum degree Δ. [`TriangleSampler`] tracks
 //! the running maximum degree of the stream exactly (an `O(n)`-space degree
-//! table — acceptable for a library; the paper treats Δ as known). Callers
-//! that do know an upper bound ahead of time can supply it with
-//! [`TriangleSampler::with_max_degree_hint`] and keep the per-item cost
-//! strictly `O(r)`.
+//! table — acceptable for a library; the paper treats Δ as known).
 
 use crate::counter::TriangleCounter;
 use crate::fastmap::FastMap;
@@ -38,13 +35,12 @@ const SAMPLER_DEGREE_SALT: u64 = 0xDE6_4EE5_0000_7AB1;
 pub struct TriangleSampler {
     counter: TriangleCounter,
     rng: SmallRng,
-    /// Exact running degrees (used for Δ) unless a hint was supplied.
-    /// A [`FastMap`] rather than a std `HashMap`: the table is hit twice
+    /// Exact running degrees (used for Δ). A [`FastMap`] rather than a std `HashMap`: the table is hit twice
     /// per stream edge, which makes the hasher a hot-path cost, and the
     /// deterministic seeding keeps the run a pure function of `seed`. The
     /// swap cannot change any estimate — only the scalar maximum is ever
     /// read — which `degree_tracking_matches_a_std_hashmap_reference` pins.
-    degrees: Option<FastMap<u64>>,
+    degrees: FastMap<u64>,
     max_degree: u64,
 }
 
@@ -59,28 +55,8 @@ impl TriangleSampler {
         Self {
             counter: TriangleCounter::new(r, seed),
             rng: SmallRng::seed_from_u64(salted_seed(seed, SAMPLER_RNG_SALT)),
-            degrees: Some(FastMap::with_seed(salted_seed(seed, SAMPLER_DEGREE_SALT))),
+            degrees: FastMap::with_seed(salted_seed(seed, SAMPLER_DEGREE_SALT)),
             max_degree: 0,
-        }
-    }
-
-    /// Creates a sampler that uses the supplied upper bound on the maximum
-    /// degree instead of tracking degrees (keeps memory independent of `n`).
-    ///
-    /// The bound must really be an upper bound on the final maximum degree;
-    /// a too-small value biases the sample toward triangles with busy first
-    /// edges (their acceptance probability gets clamped at 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is zero or `max_degree_bound` is zero.
-    pub fn with_max_degree_hint(r: usize, seed: u64, max_degree_bound: u64) -> Self {
-        assert!(max_degree_bound > 0, "the degree bound must be positive");
-        Self {
-            counter: TriangleCounter::new(r, seed),
-            rng: SmallRng::seed_from_u64(salted_seed(seed, SAMPLER_RNG_SALT)),
-            degrees: None,
-            max_degree: max_degree_bound,
         }
     }
 
@@ -94,19 +70,17 @@ impl TriangleSampler {
         self.counter.edges_seen()
     }
 
-    /// The maximum degree used for the rejection step (tracked or hinted).
+    /// The running maximum degree Δ the rejection step uses.
     pub fn max_degree(&self) -> u64 {
         self.max_degree
     }
 
     /// Processes the next edge of the stream.
     pub fn process_edge(&mut self, edge: Edge) {
-        if let Some(degrees) = &mut self.degrees {
-            for v in [edge.u(), edge.v()] {
-                let d = degrees.get_mut_or_insert((v.raw(), 0), 0);
-                *d += 1;
-                self.max_degree = self.max_degree.max(*d);
-            }
+        for v in [edge.u(), edge.v()] {
+            let d = self.degrees.get_mut_or_insert((v.raw(), 0), 0);
+            *d += 1;
+            self.max_degree = self.max_degree.max(*d);
         }
         self.counter.process_edge(edge);
     }
@@ -315,18 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_hint_variant_works_and_tracks_no_table() {
-        let stream = two_triangle_stream();
-        let mut sampler = TriangleSampler::with_max_degree_hint(512, 3, 10);
-        sampler.process_edges(stream.edges());
-        assert_eq!(sampler.max_degree(), 10);
-        // Sampling still produces real triangles.
-        if let Some(t) = sampler.sample_one() {
-            assert!(Edge::forms_triangle(&t[0], &t[1], &t[2]));
-        }
-    }
-
-    #[test]
     fn exact_degree_tracking_matches_the_graph() {
         let stream = two_triangle_stream();
         let mut sampler = TriangleSampler::new(8, 2);
@@ -355,22 +317,6 @@ mod tests {
             }
             assert_eq!(sampler.max_degree(), reference_max);
         }
-        // And therefore the rejection-filtered output is exactly what the
-        // same seed produced before the swap: re-running with an explicit
-        // hint equal to the tracked maximum is bit-identical.
-        let mut hinted = TriangleSampler::with_max_degree_hint(64, 5, reference_max);
-        hinted.process_edges(stream.edges());
-        assert_eq!(
-            sampler.accepted_triangles(),
-            hinted.accepted_triangles(),
-            "the degree table only feeds Δ; sampling must not depend on its layout"
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_degree_hint_panics() {
-        let _ = TriangleSampler::with_max_degree_hint(8, 1, 0);
     }
 
     #[test]

@@ -351,35 +351,37 @@ mod tests {
 
     #[test]
     fn timestamped_tsb_replay_reproduces_the_in_memory_estimate() {
-        // Persist a stream as a timestamped `.tsb` (timestamp = 1-based
-        // stream position), replay it, and check the replayed counter is
-        // bit-identical to one fed the in-memory stream directly.
-        use tristream_graph::binary::{
-            read_edges_binary_timestamped, write_edges_binary_timestamped,
-        };
+        // A `.tsb` with the timestamp column (flag bit 0, 24-byte records)
+        // holding the 1-based stream position, as earlier builds wrote it
+        // for sliding-window replay. Readers skip the column; replaying the
+        // file must be bit-identical to feeding the in-memory stream, whose
+        // positions the window counts by.
+        use tristream_graph::binary::{read_edges_binary, TSB_MAGIC, TSB_VERSION};
 
         let mut edges = k_n_edges(0, 7);
         edges.extend((0..40u64).map(|i| Edge::new(500 + i, 501 + i)));
-        let records: Vec<(Edge, u64)> = edges
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| (e, i as u64 + 1))
-            .collect();
-        let mut buf = Vec::new();
-        write_edges_binary_timestamped(&records, &mut buf).unwrap();
-        let replayed = read_edges_binary_timestamped(buf.as_slice()).unwrap();
-        assert_eq!(replayed, records, "the timestamp column must round-trip");
+        let mut buf = TSB_MAGIC.to_vec();
+        buf.extend_from_slice(&TSB_VERSION.to_le_bytes());
+        buf.extend_from_slice(&1u16.to_le_bytes()); // flag bit 0: timestamps
+        buf.extend_from_slice(&(edges.len() as u64).to_le_bytes());
+        for (i, e) in edges.iter().enumerate() {
+            for word in [e.u().raw(), e.v().raw(), i as u64 + 1] {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        let replayed = read_edges_binary(buf.as_slice()).unwrap();
+        assert_eq!(replayed.edges(), edges.as_slice());
 
         let (r, w, seed) = (512, 25u64, 11);
         let mut in_memory = SlidingWindowTriangleCounter::new(r, w, seed);
         in_memory.process_edges(&edges);
         let mut from_replay = SlidingWindowTriangleCounter::new(r, w, seed);
-        for (i, &(e, ts)) in replayed.iter().enumerate() {
+        for (i, e) in replayed.iter().enumerate() {
             from_replay.process_edge(e);
             assert_eq!(
-                ts,
                 from_replay.edges_seen(),
-                "record {i}: timestamp must equal the stream position"
+                i as u64 + 1,
+                "record {i}: the window's position must be the one the column held"
             );
         }
         assert_eq!(from_replay.estimate(), in_memory.estimate());

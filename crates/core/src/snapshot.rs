@@ -14,9 +14,12 @@
 //!
 //! * [`KIND_BULK`] — [`crate::BulkTriangleCounter`]. Sections:
 //!   * `SEC_META`: kind `u8`, `r u64`, construction seed `u64`,
-//!     `edges_seen u64`, aggregation tag `u8` (0 mean, 1 median-of-means)
-//!     plus group count `u64`, and a level-1 tag `u8`. Writers always
-//!     put 1, the §4 geometric-skip walk, the only Step-1 walk left.
+//!     `edges_seen u64`, aggregation tag `u8` plus group count `u64`, and a
+//!     level-1 tag `u8`. The aggregation tag is always 0, the mean, with
+//!     group count 0; readers refuse any other aggregation tag (1 once
+//!     meant median-of-means) as [`SnapshotError::Incompatible`]. For the
+//!     level-1 tag writers always put 1, the §4 geometric-skip walk, the
+//!     only Step-1 walk left.
 //!     Readers accept 0 as well: snapshots from builds that still had a
 //!     per-estimator walk, which `neighborhood-bulk` used, carry it. The
 //!     tag never described saved state, only how later batches draw, so a
@@ -33,17 +36,6 @@
 //!   * [`SEC_SHARD_BASE`]` + i`: shard `i`'s own complete snapshot
 //!     container, nested verbatim (checksummed twice: once by the shard's
 //!     own sections, once by the enclosing section).
-//!
-//! # Merge semantics
-//!
-//! Neighborhood-sampling shards are independent estimators over the *same*
-//! stream whose estimates combine by averaging (`ShardedEstimator`'s
-//! estimate is the shard mean). `N` single-process counters seeded
-//! `shard_seed(seed, i)` and fed identical batches are therefore exactly
-//! the shards of one `N`-shard run — so merging their snapshots
-//! ([`crate::ShardedEstimator::merge_shard_snapshots`]) reproduces the
-//! single-process `N`-shard estimate bit-for-bit. That contract (and the
-//! corruption behaviour) is pinned by `tests/snapshot_roundtrip.rs`.
 
 pub use tristream_graph::snapshot::SnapshotError;
 use tristream_graph::snapshot::SnapshotReader;

@@ -122,9 +122,9 @@ pub trait TriangleEstimator {
     }
 
     /// Replace this estimator's state with a previously captured
-    /// snapshot. On error the receiver is left unchanged (decode and
-    /// validation happen before any state is swapped in). Defaults to
-    /// [`SnapshotError::Unsupported`].
+    /// snapshot. On error a single estimator is left unchanged; a
+    /// [`ShardedEstimator`](crate::ShardedEstimator) is unspecified and
+    /// must be discarded. Defaults to [`SnapshotError::Unsupported`].
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), SnapshotError> {
         let _ = snapshot;
         Err(SnapshotError::Unsupported {

@@ -9,7 +9,7 @@
 //! `κ̂ = 3·τ̂/ζ̂` with the same asymptotic space as triangle counting
 //! (Theorem 3.12).
 
-use crate::counter::{Aggregation, TriangleCounter};
+use crate::counter::TriangleCounter;
 use tristream_graph::Edge;
 use tristream_sample::mean;
 
@@ -22,11 +22,8 @@ use tristream_sample::mean;
 #[derive(Debug, Clone)]
 pub struct TransitivityEstimator {
     triangle_pool: TriangleCounter,
-    /// Independent pool used for the wedge estimate; when `None`, the wedge
-    /// estimate is read from `triangle_pool`'s estimators instead (the
-    /// "shared pool" mode — half the memory, at the cost of correlation
-    /// between the numerator and denominator of κ̂).
-    wedge_pool: Option<TriangleCounter>,
+    /// Independent pool used for the wedge estimate.
+    wedge_pool: TriangleCounter,
 }
 
 impl TransitivityEstimator {
@@ -40,41 +37,8 @@ impl TransitivityEstimator {
         Self {
             triangle_pool: TriangleCounter::new(r, seed),
             // A different RNG stream keeps the two pools independent.
-            wedge_pool: Some(TriangleCounter::new(r, seed ^ 0xA5A5_A5A5_5A5A_5A5A)),
+            wedge_pool: TriangleCounter::new(r, seed ^ 0xA5A5_A5A5_5A5A_5A5A),
         }
-    }
-
-    /// Creates an estimator that reuses a *single* pool of `r` estimators
-    /// for both the triangle and the wedge estimate. This is exactly the
-    /// observation behind Lemma 3.10 — the ζ estimator only needs the `c`
-    /// value that neighborhood sampling already tracks — and halves the
-    /// memory; the price is that τ̂ and ζ̂ are no longer independent, so the
-    /// union-bound argument of Theorem 3.12 does not literally apply (the
-    /// estimate remains consistent and works well in practice).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is zero.
-    pub fn new_shared_pool(r: usize, seed: u64) -> Self {
-        Self {
-            triangle_pool: TriangleCounter::new(r, seed),
-            wedge_pool: None,
-        }
-    }
-
-    /// Creates an estimator whose pools use an explicit aggregation for the
-    /// triangle estimate (the wedge estimate always uses the mean, as in
-    /// Lemma 3.11).
-    pub fn with_aggregation(r: usize, seed: u64, aggregation: Aggregation) -> Self {
-        Self {
-            triangle_pool: TriangleCounter::with_aggregation(r, seed, aggregation),
-            wedge_pool: Some(TriangleCounter::new(r, seed ^ 0xA5A5_A5A5_5A5A_5A5A)),
-        }
-    }
-
-    /// Whether this estimator runs in shared-pool mode.
-    pub fn is_shared_pool(&self) -> bool {
-        self.wedge_pool.is_none()
     }
 
     /// Number of estimators per pool.
@@ -87,12 +51,10 @@ impl TransitivityEstimator {
         self.triangle_pool.edges_seen()
     }
 
-    /// Processes the next edge through the pool(s).
+    /// Processes the next edge through both pools.
     pub fn process_edge(&mut self, edge: Edge) {
         self.triangle_pool.process_edge(edge);
-        if let Some(wedge_pool) = &mut self.wedge_pool {
-            wedge_pool.process_edge(edge);
-        }
+        self.wedge_pool.process_edge(edge);
     }
 
     /// Processes a whole slice of edges in order.
@@ -110,9 +72,9 @@ impl TransitivityEstimator {
     /// The current wedge-count estimate ζ̂ (Lemma 3.11: the mean of the
     /// per-estimator `m·c` values).
     pub fn wedge_estimate(&self) -> f64 {
-        let pool = self.wedge_pool.as_ref().unwrap_or(&self.triangle_pool);
-        let m = pool.edges_seen();
-        let raw: Vec<f64> = pool
+        let m = self.wedge_pool.edges_seen();
+        let raw: Vec<f64> = self
+            .wedge_pool
             .estimators()
             .iter()
             .map(|e| e.wedge_estimate(m))
@@ -175,6 +137,8 @@ mod tests {
         let truth = 0.6;
         let mut t = TransitivityEstimator::new(8_000, 7);
         t.process_edges(stream.edges());
+        assert_eq!(t.num_estimators(), 8_000);
+        assert_eq!(t.edges_seen(), 4);
         let est = t.estimate();
         assert!((est - truth).abs() < 0.1, "κ̂ = {est}, κ = {truth}");
     }
@@ -215,34 +179,5 @@ mod tests {
             (est - truth).abs() < 0.25 * truth,
             "κ̂ = {est}, exact κ = {truth}"
         );
-    }
-
-    #[test]
-    fn shared_pool_mode_is_accurate_and_cheaper() {
-        let stream = tristream_gen::watts_strogatz(300, 4, 0.2, 21);
-        let truth = transitivity_coefficient(&Adjacency::from_stream(&stream));
-        let mut shared = TransitivityEstimator::new_shared_pool(8_000, 13);
-        assert!(shared.is_shared_pool());
-        shared.process_edges(stream.edges());
-        let est = shared.estimate();
-        assert!(
-            (est - truth).abs() < 0.25 * truth,
-            "shared-pool κ̂ = {est}, exact κ = {truth}"
-        );
-        // The two-pool estimator is not in shared mode.
-        assert!(!TransitivityEstimator::new(8, 1).is_shared_pool());
-    }
-
-    #[test]
-    fn aggregation_variant_is_constructible() {
-        let mut t = TransitivityEstimator::with_aggregation(
-            1_000,
-            3,
-            Aggregation::MedianOfMeans { groups: 5 },
-        );
-        t.process_edges(paw_stream().edges());
-        assert!(t.estimate() >= 0.0);
-        assert_eq!(t.num_estimators(), 1_000);
-        assert_eq!(t.edges_seen(), 4);
     }
 }

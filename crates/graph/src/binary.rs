@@ -19,11 +19,11 @@
 //!     16     …  records
 //! ```
 //!
-//! Each record is two `u64` vertex ids (`16` bytes), or three `u64`s
-//! (`24` bytes — `u`, `v`, `timestamp`) when the timestamp flag is set.
-//! Timestamps are opaque `u64`s owned by the producer; the sliding-window
-//! workloads use the 1-based stream position so a `.tsb` replay reproduces
-//! in-memory processing exactly.
+//! Each record is two `u64` vertex ids (`16` bytes). The writers set no
+//! flags. Files from earlier builds may set flag bit 0, which gives every
+//! record a third `u64`, a timestamp (`24` bytes — `u`, `v`, `timestamp`);
+//! readers accept such files and skip the column, so they decode to the
+//! same edges as the plain file.
 //!
 //! Readers validate the header and the record count: a bad magic, an
 //! unsupported version, unknown flag bits, a truncated record, a self-loop
@@ -45,7 +45,8 @@ pub const TSB_MAGIC: [u8; 4] = *b"TSB\0";
 /// The format version this module reads and writes.
 pub const TSB_VERSION: u16 = 1;
 
-/// Flag bit 0: every record carries a trailing `u64` timestamp.
+/// Flag bit 0: every record carries a trailing `u64` timestamp, which
+/// readers skip. Only files from earlier builds set it.
 const FLAG_TIMESTAMPS: u16 = 1;
 
 /// Size of the fixed header in bytes.
@@ -141,11 +142,10 @@ pub fn read_tsb_header<R: Read>(reader: &mut R) -> Result<TsbHeader, GraphError>
     })
 }
 
-fn write_header<W: Write>(out: &mut W, timestamped: bool, edges: u64) -> Result<(), GraphError> {
+fn write_header<W: Write>(out: &mut W, edges: u64) -> Result<(), GraphError> {
     out.write_all(&TSB_MAGIC)?;
     out.write_all(&TSB_VERSION.to_le_bytes())?;
-    let flags = if timestamped { FLAG_TIMESTAMPS } else { 0u16 };
-    out.write_all(&flags.to_le_bytes())?;
+    out.write_all(&0u16.to_le_bytes())?;
     out.write_all(&edges.to_le_bytes())?;
     Ok(())
 }
@@ -154,7 +154,7 @@ fn write_header<W: Write>(out: &mut W, timestamped: bool, edges: u64) -> Result<
 /// a [`BufWriter`].
 pub fn write_edges_binary<W: Write>(edges: &[Edge], writer: W) -> Result<(), GraphError> {
     let mut out = BufWriter::with_capacity(1 << 16, writer);
-    write_header(&mut out, false, edges.len() as u64)?;
+    write_header(&mut out, edges.len() as u64)?;
     for e in edges {
         out.write_all(&e.u().raw().to_le_bytes())?;
         out.write_all(&e.v().raw().to_le_bytes())?;
@@ -163,34 +163,9 @@ pub fn write_edges_binary<W: Write>(edges: &[Edge], writer: W) -> Result<(), Gra
     Ok(())
 }
 
-/// Writes `(edge, timestamp)` records as a version-1 `.tsb` stream with the
-/// timestamp column, through a [`BufWriter`].
-pub fn write_edges_binary_timestamped<W: Write>(
-    records: &[(Edge, u64)],
-    writer: W,
-) -> Result<(), GraphError> {
-    let mut out = BufWriter::with_capacity(1 << 16, writer);
-    write_header(&mut out, true, records.len() as u64)?;
-    for (e, ts) in records {
-        out.write_all(&e.u().raw().to_le_bytes())?;
-        out.write_all(&e.v().raw().to_le_bytes())?;
-        out.write_all(&ts.to_le_bytes())?;
-    }
-    out.flush()?;
-    Ok(())
-}
-
 /// Writes edges as a `.tsb` file.
 pub fn write_edges_binary_file<P: AsRef<Path>>(edges: &[Edge], path: P) -> Result<(), GraphError> {
     write_edges_binary(edges, File::create(path)?)
-}
-
-/// Writes timestamped records as a `.tsb` file.
-pub fn write_edges_binary_timestamped_file<P: AsRef<Path>>(
-    records: &[(Edge, u64)],
-    path: P,
-) -> Result<(), GraphError> {
-    write_edges_binary_timestamped(records, File::create(path)?)
 }
 
 /// Decodes one record. `offset` is the record's byte offset, for errors.
@@ -238,20 +213,15 @@ impl<R: Read> RecordReader<R> {
         HEADER_LEN + self.decoded * self.header.record_len() as u64
     }
 
-    /// Reads and decodes up to `max` records into `out` (and their
-    /// timestamps into `timestamps`, when requested and present).
+    /// Reads and decodes up to `max` records into `out`, skipping the
+    /// timestamp column if the stream has one.
     ///
     /// Errors come in stream order at the offset of the record they concern,
     /// whatever `max` is: a stream that ends mid-block first has its whole
     /// records decoded (so an earlier self-loop wins), then reports the
     /// first incomplete record. The whole-stream and batched readers
     /// therefore fail identically on the same bytes.
-    fn read_records(
-        &mut self,
-        max: usize,
-        out: &mut Vec<Edge>,
-        mut timestamps: Option<&mut Vec<u64>>,
-    ) -> Result<(), GraphError> {
+    fn read_records(&mut self, max: usize, out: &mut Vec<Edge>) -> Result<(), GraphError> {
         let rec = self.header.record_len();
         let count = (self.remaining().min(max as u64)) as usize;
         self.block.resize(count * rec, 0);
@@ -263,19 +233,6 @@ impl<R: Read> RecordReader<R> {
         for (i, raw) in self.block[..whole * rec].chunks_exact(rec).enumerate() {
             let offset = self.offset() + (i * rec) as u64;
             out.push(decode_edge(raw, offset)?);
-            if let Some(ts) = timestamps.as_deref_mut() {
-                #[allow(clippy::expect_used)]
-                let value = if self.header.timestamped {
-                    // analyze: allow(P1, reason = "infallible: timestamped records are chunks_exact(24) slices, so the constant-width subslice always converts")
-                    u64::from_le_bytes(raw[16..24].try_into().expect("8-byte slice"))
-                } else {
-                    // Plain streams get their 1-based stream position, so
-                    // sequence-based consumers (the sliding window) can
-                    // replay any `.tsb` uniformly.
-                    self.decoded + i as u64 + 1
-                };
-                ts.push(value);
-            }
         }
         if whole < count {
             let offset = self.offset() + (whole * rec) as u64;
@@ -303,7 +260,7 @@ impl<R: Read> RecordReader<R> {
 const BLOCK_RECORDS: usize = 1 << 16;
 
 /// Reads a whole `.tsb` stream into an [`EdgeStream`]. A timestamp column,
-/// if present, is decoded and discarded. No deduplication is performed —
+/// if present, is skipped. No deduplication is performed —
 /// `.tsb` files are machine-written and carry stream semantics, so
 /// duplicates are preserved as-is.
 ///
@@ -316,36 +273,15 @@ pub fn read_edges_binary<R: Read>(reader: R) -> Result<EdgeStream, GraphError> {
     let mut records = RecordReader::new(reader)?;
     let mut edges = Vec::new();
     while records.remaining() > 0 {
-        records.read_records(BLOCK_RECORDS, &mut edges, None)?;
+        records.read_records(BLOCK_RECORDS, &mut edges)?;
     }
     records.check_no_trailing_bytes()?;
     Ok(EdgeStream::new(edges))
 }
 
-/// Reads a whole `.tsb` stream as `(edge, timestamp)` records. Streams
-/// written without the timestamp column yield the 1-based stream position
-/// as the timestamp.
-pub fn read_edges_binary_timestamped<R: Read>(reader: R) -> Result<Vec<(Edge, u64)>, GraphError> {
-    let mut records = RecordReader::new(reader)?;
-    let mut edges = Vec::new();
-    let mut timestamps = Vec::new();
-    while records.remaining() > 0 {
-        records.read_records(BLOCK_RECORDS, &mut edges, Some(&mut timestamps))?;
-    }
-    records.check_no_trailing_bytes()?;
-    Ok(edges.into_iter().zip(timestamps).collect())
-}
-
 /// Opens a `.tsb` file and reads it whole.
 pub fn read_edges_binary_file<P: AsRef<Path>>(path: P) -> Result<EdgeStream, GraphError> {
     read_edges_binary(File::open(path)?)
-}
-
-/// Opens a `.tsb` file and reads it whole with timestamps.
-pub fn read_edges_binary_timestamped_file<P: AsRef<Path>>(
-    path: P,
-) -> Result<Vec<(Edge, u64)>, GraphError> {
-    read_edges_binary_timestamped(File::open(path)?)
 }
 
 /// Streaming batched reader over a `.tsb` stream: yields `Vec<Edge>`
@@ -415,7 +351,7 @@ impl<R: Read> Iterator for TsbBatches<R> {
             };
         }
         let mut batch = Vec::with_capacity(self.batch_size.min(self.records.remaining() as usize));
-        if let Err(e) = self.records.read_records(self.batch_size, &mut batch, None) {
+        if let Err(e) = self.records.read_records(self.batch_size, &mut batch) {
             self.done = true;
             return Some(Err(e));
         }
@@ -453,32 +389,54 @@ mod tests {
         assert_eq!(encode(reread.edges()), buf);
     }
 
-    #[test]
-    fn timestamped_round_trip_preserves_timestamps() {
-        let records: Vec<(Edge, u64)> = (0..100u64)
-            .map(|i| (Edge::new(i, i + 1), 1_000 + 3 * i))
-            .collect();
-        let mut buf = Vec::new();
-        write_edges_binary_timestamped(&records, &mut buf).unwrap();
-        let reread = read_edges_binary_timestamped(buf.as_slice()).unwrap();
-        assert_eq!(reread, records);
-        // The plain reader decodes the same edges, dropping the column.
-        let plain = read_edges_binary(buf.as_slice()).unwrap();
-        let expected: Vec<Edge> = records.iter().map(|&(e, _)| e).collect();
-        assert_eq!(plain.edges(), expected.as_slice());
+    /// `edges` as a stream with the timestamp column (flag bit 0, 24-byte
+    /// records), as earlier builds wrote it.
+    fn encode_timestamped(edges: &[Edge], timestamps: &[u64]) -> Vec<u8> {
+        let mut buf = TSB_MAGIC.to_vec();
+        buf.extend_from_slice(&TSB_VERSION.to_le_bytes());
+        buf.extend_from_slice(&FLAG_TIMESTAMPS.to_le_bytes());
+        buf.extend_from_slice(&(edges.len() as u64).to_le_bytes());
+        for (e, ts) in edges.iter().zip(timestamps) {
+            for word in [e.u().raw(), e.v().raw(), *ts] {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        buf
     }
 
     #[test]
-    fn plain_streams_synthesize_positions_as_timestamps() {
-        let edges = path_edges(5);
-        let buf = encode(&edges);
-        let reread = read_edges_binary_timestamped(buf.as_slice()).unwrap();
-        let expected: Vec<(Edge, u64)> = edges
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| (e, i as u64 + 1))
-            .collect();
-        assert_eq!(reread, expected);
+    fn timestamped_streams_decode_to_the_plain_streams_edges() {
+        // Timestamps that are not stream positions: the column is skipped,
+        // never read as data.
+        let edges = path_edges(20);
+        let timestamps: Vec<u64> = (0..20u64).map(|i| u64::MAX - 7 * i).collect();
+        let buf = encode_timestamped(&edges, &timestamps);
+        assert_eq!(buf.len(), HEADER_LEN as usize + 20 * 24);
+        let header = read_tsb_header(&mut buf.as_slice()).unwrap();
+        assert!(header.timestamped);
+        assert_eq!(header.record_len(), 24);
+
+        let plain = read_edges_binary(encode(&edges).as_slice()).unwrap();
+        assert_eq!(read_edges_binary(buf.as_slice()).unwrap(), plain);
+        for batch in [1, 7, 64] {
+            let batches: Vec<Vec<Edge>> = read_edges_binary_batched(buf.as_slice(), batch)
+                .unwrap()
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let plain_batches: Vec<Vec<Edge>> =
+                read_edges_binary_batched(encode(&edges).as_slice(), batch)
+                    .unwrap()
+                    .collect::<Result<_, _>>()
+                    .unwrap();
+            assert_eq!(batches, plain_batches, "batch {batch}");
+        }
+        // Errors are located by 24-byte records.
+        let err = read_edges_binary(&buf[..buf.len() - 5]).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("byte {}", HEADER_LEN + 19 * 24)),
+            "{err}"
+        );
     }
 
     #[test]
@@ -549,7 +507,7 @@ mod tests {
     #[test]
     fn self_loop_records_error_with_their_offset() {
         let mut buf = Vec::new();
-        write_header(&mut buf, false, 2).unwrap();
+        write_header(&mut buf, 2).unwrap();
         buf.extend_from_slice(&7u64.to_le_bytes());
         buf.extend_from_slice(&8u64.to_le_bytes());
         buf.extend_from_slice(&5u64.to_le_bytes());
@@ -577,7 +535,7 @@ mod tests {
         let mut truncated = encode(&path_edges(40));
         truncated.truncate(HEADER_LEN as usize + 25 * 16 + 5);
         let mut self_loop = Vec::new();
-        write_header(&mut self_loop, false, 40).unwrap();
+        write_header(&mut self_loop, 40).unwrap();
         for i in 0..40u64 {
             let v = if i == 25 { i } else { i + 1 };
             self_loop.extend_from_slice(&i.to_le_bytes());
@@ -619,7 +577,7 @@ mod tests {
     #[test]
     fn unnormalised_records_decode_to_normalised_edges() {
         let mut buf = Vec::new();
-        write_header(&mut buf, false, 1).unwrap();
+        write_header(&mut buf, 1).unwrap();
         buf.extend_from_slice(&9u64.to_le_bytes());
         buf.extend_from_slice(&2u64.to_le_bytes());
         let s = read_edges_binary(buf.as_slice()).unwrap();
@@ -771,17 +729,5 @@ mod tests {
             writes < 10,
             "10k records reached the writer in {writes} writes — buffering is broken"
         );
-
-        let records: Vec<(Edge, u64)> = edges.iter().map(|&e| (e, 1)).collect();
-        let mut writes = 0usize;
-        write_edges_binary_timestamped(
-            &records,
-            CountingWriter {
-                writes: &mut writes,
-            },
-        )
-        .unwrap();
-        assert!(writes > 0);
-        assert!(writes < 10, "timestamped writer not buffered: {writes}");
     }
 }

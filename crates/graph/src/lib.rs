@@ -21,8 +21,8 @@
 //!   counts.
 //! * [`io`] — SNAP-style edge-list text I/O.
 //! * [`binary`] — the compact `.tsb` binary edge-stream codec (fixed-width
-//!   little-endian records, optional timestamp column) that the batched
-//!   readers decode at memcpy speed.
+//!   little-endian records; readers skip the timestamp column of files from
+//!   earlier builds) that the batched readers decode at memcpy speed.
 //! * [`frame`] — length-prefixed frame transport over any `Read`/`Write`
 //!   pair, the wire substrate of the `tristream serve` protocol
 //!   (`docs/PROTOCOL.md`).

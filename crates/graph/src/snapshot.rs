@@ -1,7 +1,7 @@
 //! Versioned binary snapshot container — the `.tss` sibling of the `.tsb`
 //! edge codec ([`crate::binary`]).
 //!
-//! Estimator checkpoints (`ROADMAP` item 4: durable, mergeable state) are
+//! Estimator checkpoints (`ROADMAP` item 4: durable state) are
 //! serialized as a *sectioned container* so that every layer — the core
 //! estimator pool, the sharded engine, the serve stream table — can own its
 //! own payload without inventing a new framing discipline each time:

@@ -17,8 +17,8 @@
 //!   described in §4 for updating only the estimators whose level-1 edge is
 //!   actually replaced.
 //! * [`aggregate`] — estimator aggregation: plain averaging (Theorem 3.3),
-//!   median-of-means (Theorem 3.4), and the relative error the experiment
-//!   harness reports.
+//!   median-of-means over a counter's `raw_estimates()` (Theorem 3.4), and
+//!   the relative error the experiment harness reports.
 //! * [`seeding`] — the workspace's blessed seed-derivation helpers
 //!   ([`splitmix64`], [`salted_seed`]); the `S1-seeding` rule of
 //!   `tristream-analyze` requires every derived `seed_from_u64` argument to

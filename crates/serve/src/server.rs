@@ -44,6 +44,10 @@ use tristream_graph::{frame, GraphError};
 /// so connection lifetime decisions stay count-based and clock-free.
 const DRAIN_POLL: Duration = Duration::from_millis(50);
 
+/// Socket write deadline, so a handler blocked on a stalled peer's full
+/// TCP window errors out instead of hanging a drain.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Configuration for [`Server::bind_with`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
@@ -63,9 +67,6 @@ pub struct ServerOptions {
     /// connections forever. Draining never waits on an idle connection
     /// either way — idle handlers notice the flag within one poll.
     pub idle_timeout: Option<Duration>,
-    /// Socket write deadline, so a handler blocked on a stalled peer's
-    /// full TCP window errors out instead of hanging a drain.
-    pub write_timeout: Option<Duration>,
 }
 
 impl Default for ServerOptions {
@@ -74,7 +75,6 @@ impl Default for ServerOptions {
             state_dir: None,
             checkpoint_interval: 8,
             idle_timeout: None,
-            write_timeout: Some(Duration::from_secs(30)),
         }
     }
 }
@@ -87,7 +87,6 @@ struct Shared {
     checkpoint_interval: u64,
     /// Idle deadline in whole [`DRAIN_POLL`] ticks; `None` = never.
     idle_polls: Option<u64>,
-    write_timeout: Option<Duration>,
 }
 
 impl Shared {
@@ -142,7 +141,6 @@ impl Server {
             state_dir: options.state_dir,
             checkpoint_interval: options.checkpoint_interval.max(1),
             idle_polls,
-            write_timeout: options.write_timeout,
         });
         let mut recovered = Vec::new();
         let mut skipped = Vec::new();
@@ -287,7 +285,7 @@ fn drive_connection(
 ) -> Result<(), GraphError> {
     conn.set_read_timeout(Some(DRAIN_POLL))
         .map_err(GraphError::Io)?;
-    conn.set_write_timeout(shared.write_timeout)
+    conn.set_write_timeout(Some(WRITE_TIMEOUT))
         .map_err(GraphError::Io)?;
     // The peer waits for each reply whole. With Nagle on, a reply larger
     // than one segment would keep its last small segment until the peer

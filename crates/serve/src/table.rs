@@ -17,8 +17,9 @@
 //! Entries are `Arc`-shared: a connection resolves a name to an
 //! `Arc<StreamEntry>` under the table lock, then works on the stream with
 //! the table lock released. `DELETE` removes the entry from the table; the
-//! engine's worker threads are joined when the last `Arc` drops (for a
-//! stream nobody else is touching, that is inside the `DELETE` handler).
+//! engine's worker threads are joined, outside the table lock, when the
+//! last `Arc` drops (for a stream nobody else is touching, that is inside
+//! the `DELETE` handler).
 
 use crate::checkpoint::StreamCheckpoint;
 use crate::metrics::LatencyCounter;
@@ -309,13 +310,14 @@ impl StreamTable {
         })
     }
 
-    /// Removes a stream. The engine's queued batches are flushed and its
-    /// workers joined when the last `Arc` drops.
+    /// Removes a stream. Its engine flushes queued batches and joins its
+    /// workers when the last `Arc` drops, after the table lock is released.
     pub fn delete(&self, name: &str) -> Result<(), WireError> {
         let mut streams = self.lock();
-        let before = streams.len();
-        streams.retain(|s| s.name() != name);
-        if streams.len() == before {
+        let index = streams.iter().position(|s| s.name() == name);
+        let removed = index.map(|i| streams.remove(i));
+        drop(streams);
+        if removed.is_none() {
             return Err(WireError::new(
                 ErrorCode::UnknownStream,
                 format!("no stream named {name:?}"),
@@ -342,10 +344,11 @@ impl StreamTable {
         self.lock().is_empty()
     }
 
-    /// Drops every stream, flushing queued batches and joining all engine
-    /// worker threads — the final step of a graceful drain.
+    /// Drops every stream outside the table lock, flushing queued batches
+    /// and joining all engine worker threads — a graceful drain's last step.
     pub fn clear(&self) {
-        self.lock().clear();
+        let streams = std::mem::take(&mut *self.lock());
+        drop(streams);
     }
 }
 

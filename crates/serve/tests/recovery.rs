@@ -12,10 +12,14 @@ use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tristream_baselines::registry::{find_algo, AlgoParams};
+use tristream_core::snapshot::{SEC_META, SEC_SHARD_BASE};
 use tristream_core::{ShardedEstimator, TriangleEstimator};
+use tristream_graph::snapshot::{SnapshotReader, SnapshotWriter};
 use tristream_graph::Edge;
 use tristream_serve::protocol::{ErrorCode, FrameType, Request};
-use tristream_serve::{Client, CreateStream, Server, ServerOptions, SERVE_STREAM_HINT};
+use tristream_serve::{
+    Client, CreateStream, Server, ServerOptions, StreamCheckpoint, SERVE_STREAM_HINT,
+};
 
 /// A fresh, uniquely named state directory for one test.
 fn state_dir(tag: &str) -> PathBuf {
@@ -198,6 +202,64 @@ fn restore_of_corrupt_bytes_is_refused_with_bad_snapshot() {
     client
         .create_stream(&CreateStream::new("alive", "exact"))
         .expect("create after refusal");
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+}
+
+#[test]
+fn restore_refused_by_one_shard_answers_bad_snapshot_and_leaves_no_stream() {
+    // A checkpoint wrapping a 2-shard engine snapshot whose shard-1
+    // section holds a bulk snapshot re-tagged with level-1 tag 2, every
+    // checksum re-framed to hold. Shard 0 may take its section before
+    // shard 1 refuses, so the half-restored engine must be thrown away
+    // with the stream it was built for.
+    let (algo, seed, budget_words, shards) = ("neighborhood-bulk", 3u64, 1u64 << 14, 2u16);
+    let mut engine = offline_engine(algo, seed, budget_words, shards as usize);
+    let edges = test_edges();
+    engine.process_batch(&edges[..300]);
+    let bytes = engine.snapshot().expect("engine snapshot");
+    let mut outer = SnapshotWriter::new();
+    for (id, payload) in SnapshotReader::parse(&bytes).expect("parse").iter() {
+        if id != SEC_SHARD_BASE + 1 {
+            outer.section(id, payload).expect("section");
+            continue;
+        }
+        let mut shard = SnapshotWriter::new();
+        for (id, payload) in SnapshotReader::parse(payload).expect("parse shard").iter() {
+            let mut payload = payload.to_vec();
+            if id == SEC_META {
+                *payload.last_mut().expect("level-1 tag") = 2;
+            }
+            shard.section(id, &payload).expect("shard section");
+        }
+        outer.section(id, &shard.finish()).expect("section");
+    }
+    let checkpoint = StreamCheckpoint {
+        name: "mixed".into(),
+        algo: algo.into(),
+        seed,
+        budget_words,
+        shards,
+        window: 0,
+        replay_edges: 300,
+        ingest_batches: 1,
+        engine: outer.finish(),
+    };
+
+    let (addr, _, _, server) = spawn_server_with(ServerOptions::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let err = client
+        .restore(&checkpoint.encode().expect("encode"))
+        .expect_err("tampered restore refused");
+    let refusal = err.server_error().expect("a server refusal");
+    assert_eq!(refusal.code, ErrorCode::BadSnapshot);
+    assert!(refusal.message.contains("level-1"), "{}", refusal.message);
+    let err = client.query("mixed").expect_err("no stream was left");
+    assert_eq!(
+        err.server_error().map(|e| e.code),
+        Some(ErrorCode::UnknownStream)
+    );
+    assert!(client.stats().expect("stats").is_empty());
     client.shutdown().expect("shutdown");
     server.join().expect("join").expect("server run");
 }

@@ -50,7 +50,6 @@ pub use tristream_sample as sample;
 pub mod prelude {
     pub use tristream_baselines::registry::{find_algo, registry, AlgoParams, AlgoSpec};
     pub use tristream_baselines::ExactStreamingCounter;
-    pub use tristream_core::counter::Aggregation;
     pub use tristream_core::{
         BulkTriangleCounter, FourCliqueCounter, ShardedEstimator, SlidingWindowTriangleCounter,
         TransitivityEstimator, TriangleCounter, TriangleEstimator, TriangleSampler,

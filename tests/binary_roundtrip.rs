@@ -1,12 +1,12 @@
 //! Property-based tests for the `.tsb` binary edge-stream codec: random
-//! streams must round-trip bit-identically through every reader (whole,
-//! timestamped, batched), and random corruption must surface as a
+//! streams must round-trip bit-identically through every reader (whole and
+//! batched), streams with the timestamp column of earlier builds must
+//! decode to the same edges, and random corruption must surface as a
 //! `GraphError`, never a panic.
 
 use proptest::prelude::*;
 use tristream::graph::binary::{
-    read_edges_binary, read_edges_binary_batched, read_edges_binary_timestamped,
-    write_edges_binary, write_edges_binary_timestamped,
+    read_edges_binary, read_edges_binary_batched, write_edges_binary, TSB_MAGIC, TSB_VERSION,
 };
 use tristream::graph::GraphError;
 use tristream::prelude::*;
@@ -42,16 +42,31 @@ proptest! {
     fn random_timestamped_streams_round_trip(
         edges in random_edges(120),
         ts_seed in 0u64..u64::MAX,
+        batch_size in 1usize..64,
     ) {
-        // Arbitrary (not even monotone) timestamps: the column is opaque.
-        let records: Vec<(Edge, u64)> = edges
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| (e, ts_seed.wrapping_mul(i as u64 + 1)))
+        // A stream with the timestamp column (flag bit 0, 24-byte records),
+        // as earlier builds wrote it, holding arbitrary (not even monotone)
+        // timestamps: every reader skips the column and yields the edges.
+        let mut buf = TSB_MAGIC.to_vec();
+        buf.extend_from_slice(&TSB_VERSION.to_le_bytes());
+        buf.extend_from_slice(&1u16.to_le_bytes());
+        buf.extend_from_slice(&(edges.len() as u64).to_le_bytes());
+        for (i, e) in edges.iter().enumerate() {
+            let ts = ts_seed.wrapping_mul(i as u64 + 1);
+            for word in [e.u().raw(), e.v().raw(), ts] {
+                buf.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        let reread = read_edges_binary(buf.as_slice()).unwrap();
+        prop_assert_eq!(reread.edges(), edges.as_slice());
+        let flat: Vec<Edge> = read_edges_binary_batched(buf.as_slice(), batch_size)
+            .unwrap()
+            .collect::<Result<Vec<Vec<Edge>>, _>>()
+            .unwrap()
+            .into_iter()
+            .flatten()
             .collect();
-        let mut buf = Vec::new();
-        write_edges_binary_timestamped(&records, &mut buf).unwrap();
-        prop_assert_eq!(read_edges_binary_timestamped(buf.as_slice()).unwrap(), records);
+        prop_assert_eq!(flat, edges);
     }
 
     #[test]

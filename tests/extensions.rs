@@ -1,6 +1,6 @@
 //! Integration tests for the extensions beyond the paper's core algorithms:
-//! the multi-core sharded counter (§6 follow-up), the shared-pool
-//! transitivity estimator, and the command-line front end.
+//! the multi-core sharded counter (§6 follow-up) and the command-line front
+//! end.
 
 use tristream::graph::exact;
 use tristream::prelude::*;
@@ -30,27 +30,6 @@ fn parallel_counter_matches_truth_and_uses_all_shards() {
         (est - truth).abs() < 0.25 * truth,
         "parallel estimate {est} vs truth {truth}"
     );
-}
-
-#[test]
-fn shared_pool_transitivity_matches_two_pool_variant() {
-    let stream = workload();
-    let kappa = exact::transitivity_coefficient(&Adjacency::from_stream(&stream));
-
-    let mut two_pool = TransitivityEstimator::new(15_000, 5);
-    two_pool.process_edges(stream.edges());
-    let mut shared = TransitivityEstimator::new_shared_pool(15_000, 5);
-    shared.process_edges(stream.edges());
-
-    for (name, est) in [
-        ("two-pool", two_pool.estimate()),
-        ("shared-pool", shared.estimate()),
-    ] {
-        assert!(
-            (est - kappa).abs() < 0.25 * kappa,
-            "{name}: kappa-hat {est} vs exact {kappa}"
-        );
-    }
 }
 
 #[test]

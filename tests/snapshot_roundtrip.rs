@@ -1,7 +1,7 @@
-//! Checkpoint/restore/merge contract of the estimator snapshots.
+//! Checkpoint/restore contract of the estimator snapshots.
 //!
-//! Three properties, each proptest-driven over random streams, seeds and
-//! batch splits:
+//! Three properties, the first two proptest-driven over random streams,
+//! seeds and batch splits:
 //!
 //! 1. **Round-trip bit-identity** — snapshotting a counter mid-stream,
 //!    restoring into a fresh instance, and continuing produces `estimate()`
@@ -9,17 +9,14 @@
 //!    the restore. Holds for the sequential bulk counter and for the
 //!    sharded wrapper, and for bulk snapshots written with the retired
 //!    level-1 tag 0 as well as the current tag 1.
-//! 2. **Merge equivalence** — `N` *independent* single-process counters
-//!    seeded `shard_seed(seed, i)` over the same batches are exactly the
-//!    shards of one `N`-shard run: merging their snapshots reproduces the
-//!    single-process `N`-shard estimate bit-for-bit.
-//! 3. **Corruption totality** — every truncation, any single bit flip, and
+//! 2. **Corruption totality** — every truncation, any single bit flip, and
 //!    section reordering of a valid snapshot surface as a typed
-//!    [`SnapshotError`], never a panic, and a failed restore leaves the
-//!    receiver's state untouched.
+//!    [`SnapshotError`], never a panic. A failed restore leaves a bulk
+//!    counter untouched; a sharded one is reported and discarded.
+//! 3. **A stable layout** — the bulk meta section is pinned byte for byte,
+//!    so `TSS\0` snapshots and the checkpoints that nest them do not move.
 
 use proptest::prelude::*;
-use tristream::core::shard_seed;
 use tristream::core::snapshot::SnapshotError;
 use tristream::graph::snapshot::{SnapshotReader, SnapshotWriter};
 use tristream::prelude::*;
@@ -103,50 +100,6 @@ proptest! {
     }
 
     #[test]
-    fn merge_of_independent_processes_equals_the_sharded_run(
-        pairs in random_edge_pairs(30, 90),
-        seed in 0u64..1_000,
-        shards in 1usize..4,
-        cut in 1usize..8,
-    ) {
-        prop_assume!(!pairs.is_empty());
-        let edges = edges_of(&pairs);
-        let batches = batched(&edges, &[cut]);
-        let r_shard = 32;
-
-        // The single-process N-shard run: the reference the merge must hit.
-        let mut reference = ShardedEstimator::from_factory(shards, seed, |s| {
-            BulkTriangleCounter::new(r_shard, s)
-        });
-        for batch in &batches {
-            reference.process_batch(batch);
-        }
-        let want = TriangleEstimator::estimate(&reference).to_bits();
-
-        // N independent "processes": each runs the whole stream under its
-        // shard seed, then snapshots.
-        let snapshots: Vec<Vec<u8>> = (0..shards)
-            .map(|i| {
-                let mut counter = BulkTriangleCounter::new(r_shard, shard_seed(seed, i));
-                for batch in &batches {
-                    counter.process_batch(batch);
-                }
-                counter.to_snapshot().expect("shard snapshot")
-            })
-            .collect();
-
-        let mut merged = ShardedEstimator::from_factory(shards, seed, |s| {
-            BulkTriangleCounter::new(r_shard, s)
-        });
-        merged.merge_shard_snapshots(&snapshots).expect("merge");
-        prop_assert_eq!(TriangleEstimator::estimate(&merged).to_bits(), want);
-        prop_assert_eq!(
-            TriangleEstimator::edges_seen(&merged),
-            TriangleEstimator::edges_seen(&reference)
-        );
-    }
-
-    #[test]
     fn every_corruption_is_a_typed_error_never_a_panic(
         pairs in random_edge_pairs(20, 60),
         seed in 0u64..500,
@@ -173,19 +126,75 @@ proptest! {
     }
 }
 
-/// Rewrites a bulk snapshot's level-1 tag — the last byte of its meta
-/// section — and re-frames the container, so the checksums stay valid.
-fn with_level1_tag(bytes: &[u8], tag: u8) -> Result<Vec<u8>, SnapshotError> {
+/// Offsets in a bulk snapshot's meta section of its aggregation tag and
+/// its level-1 tag (the last byte): kind `u8`; `r`, seed and edges seen,
+/// `u64`s; aggregation tag `u8`; group count `u64`; level-1 tag `u8`.
+const AGGREGATION_TAG_AT: usize = 25;
+const LEVEL1_TAG_AT: usize = 34;
+
+/// Rewrites byte `at` of a bulk snapshot's meta section and re-frames the
+/// container, so the checksums stay valid.
+fn with_meta_byte(bytes: &[u8], at: usize, value: u8) -> Result<Vec<u8>, SnapshotError> {
     let reader = SnapshotReader::parse(bytes)?;
     let mut writer = SnapshotWriter::new();
     for (id, payload) in reader.iter() {
         let mut payload = payload.to_vec();
-        if let (tristream::core::snapshot::SEC_META, Some(last)) = (id, payload.last_mut()) {
-            *last = tag;
+        if let (tristream::core::snapshot::SEC_META, Some(byte)) = (id, payload.get_mut(at)) {
+            *byte = value;
         }
         writer.section(id, &payload)?;
     }
     Ok(writer.finish())
+}
+
+/// Rewrites a bulk snapshot's level-1 tag and re-frames the container.
+fn with_level1_tag(bytes: &[u8], tag: u8) -> Result<Vec<u8>, SnapshotError> {
+    with_meta_byte(bytes, LEVEL1_TAG_AT, tag)
+}
+
+#[test]
+fn bulk_meta_layout_is_pinned_and_only_the_mean_aggregation_restores() {
+    // The meta section of this snapshot as the build that still had a
+    // median-of-means mode wrote it: kind 1, r = 8, seed 3, 5 edges seen,
+    // aggregation tag 0 (the mean) with group count 0, level-1 tag 1.
+    const GOLDEN_META: [u8; 35] = [
+        1, // kind: bulk
+        8, 0, 0, 0, 0, 0, 0, 0, // r
+        3, 0, 0, 0, 0, 0, 0, 0, // construction seed
+        5, 0, 0, 0, 0, 0, 0, 0, // edges seen
+        0, // aggregation tag: the mean
+        0, 0, 0, 0, 0, 0, 0, 0, // group count
+        1, // level-1 tag: the geometric-skip walk
+    ];
+    let mut counter = BulkTriangleCounter::new(8, 3);
+    let edges: Vec<Edge> = (0..5u64).map(|i| Edge::new(i, i + 1)).collect();
+    counter.process_batch(&edges);
+    let bytes = counter.to_snapshot().expect("snapshot");
+    let reader = SnapshotReader::parse(&bytes).expect("parse");
+    let meta = reader
+        .iter()
+        .find_map(|(id, payload)| (id == tristream::core::snapshot::SEC_META).then_some(payload))
+        .expect("meta section");
+    assert_eq!(meta, GOLDEN_META);
+    assert_eq!(meta[AGGREGATION_TAG_AT], 0);
+    assert_eq!(meta[LEVEL1_TAG_AT], 1);
+    assert_eq!(
+        with_meta_byte(&bytes, AGGREGATION_TAG_AT, 0).expect("re-framed"),
+        bytes,
+        "re-framing alone changes no byte"
+    );
+
+    // Tag 1 once marked median-of-means; it and every other value are
+    // refused, naming the aggregation.
+    for tag in [1u8, 2, u8::MAX] {
+        let retagged = with_meta_byte(&bytes, AGGREGATION_TAG_AT, tag).expect("re-framed");
+        match BulkTriangleCounter::from_snapshot(&retagged) {
+            Err(SnapshotError::Incompatible { reason }) => {
+                assert!(reason.contains("aggregation"), "tag {tag}: {reason}");
+            }
+            other => panic!("tag {tag}: expected Incompatible, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -276,21 +285,47 @@ fn sharded_restore_refuses_a_shard_count_mismatch() {
 }
 
 #[test]
-fn merge_refuses_snapshots_of_different_streams() {
-    let make = |seed: u64, n: u64| {
-        let mut c = BulkTriangleCounter::new(8, seed);
-        let edges: Vec<Edge> = (0..n).map(|i| Edge::new(i, i + 1)).collect();
-        c.process_batch(&edges);
-        c.to_snapshot().expect("snapshot")
-    };
-    let snapshots = vec![make(shard_seed(5, 0), 10), make(shard_seed(5, 1), 11)];
-    let mut merged = ShardedEstimator::from_factory(2, 5, |s| BulkTriangleCounter::new(8, s));
-    match merged.merge_shard_snapshots(&snapshots) {
-        Err(SnapshotError::Incompatible { reason }) => {
-            assert!(reason.contains("edges"), "reason was {reason:?}");
+fn a_sharded_restore_refused_by_one_shard_is_an_error_and_the_receiver_is_discarded() {
+    // A 2-shard container whose shard-1 section holds a bulk snapshot
+    // re-tagged with level-1 tag 2, re-framed so every checksum holds. The
+    // container's own checks pass; shard 1 refuses its section, possibly
+    // after shard 0 took its own, so the receiver is unspecified and is
+    // dropped, as every caller does.
+    let edges: Vec<Edge> = (0..40u64).map(|i| Edge::new(i, i + 1)).collect();
+    let mut source = ShardedEstimator::from_factory(2, 5, |s| BulkTriangleCounter::new(16, s));
+    source.process_batch(&edges[..20]);
+    let bytes = TriangleEstimator::snapshot(&source).expect("snapshot");
+    let reader = SnapshotReader::parse(&bytes).expect("parse");
+    let mut writer = SnapshotWriter::new();
+    for (id, payload) in reader.iter() {
+        if id == tristream::core::snapshot::SEC_SHARD_BASE + 1 {
+            let retagged = with_level1_tag(payload, 2).expect("re-framed shard");
+            writer.section(id, &retagged).expect("section");
+        } else {
+            writer.section(id, payload).expect("section");
         }
-        other => panic!("expected an edges-seen mismatch, got {other:?}"),
     }
+    let tampered = writer.finish();
+
+    let mut receiver = ShardedEstimator::from_factory(2, 5, |s| BulkTriangleCounter::new(16, s));
+    receiver.process_batch(&edges[..10]);
+    match TriangleEstimator::restore(&mut receiver, &tampered) {
+        Err(SnapshotError::Incompatible { reason }) => {
+            assert!(reason.contains("level-1 strategy tag 2"), "{reason}");
+        }
+        other => panic!("expected Incompatible, got {other:?}"),
+    }
+    drop(receiver);
+
+    // The untampered container restores into a fresh receiver.
+    let mut fresh = ShardedEstimator::from_factory(2, 5, |s| BulkTriangleCounter::new(16, s));
+    TriangleEstimator::restore(&mut fresh, &bytes).expect("restore");
+    source.process_batch(&edges[20..]);
+    fresh.process_batch(&edges[20..]);
+    assert_eq!(
+        TriangleEstimator::estimate(&fresh).to_bits(),
+        TriangleEstimator::estimate(&source).to_bits()
+    );
 }
 
 #[test]
