@@ -477,6 +477,10 @@ fn run_client(
             // engine batch, so `--batch` here means what it means offline.
             let stream = read_stream_auto(&input)?;
             let frames = client.send_edges_batched(&name, stream.edges(), batch)?;
+            // A QUERY on another connection answers at the frontier, which
+            // may trail acknowledged edges; one on this connection returns
+            // once they are all in, so a later `client query` sees them.
+            client.query(&name)?;
             Ok(format!(
                 "sent {} edges to {name:?} in {frames} EDGES frame(s) of up to {batch}\n",
                 stream.len()

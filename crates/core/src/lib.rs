@@ -70,7 +70,7 @@ pub use clique::FourCliqueCounter;
 pub use counter::TriangleCounter;
 pub use estimator::{EstimatorState, NeighborhoodSampler, PositionedEdge};
 pub use fastmap::FastMap;
-pub use parallel::{shard_seed, ShardedEstimator, SHARD_SEED_STRIDE};
+pub use parallel::{shard_seed, Frontier, Reading, ShardedEstimator, SHARD_SEED_STRIDE};
 pub use pool::{BitSet, BufferedRng, EstimatorPool};
 pub use reference::ReferenceBulkCounter;
 pub use sampler::TriangleSampler;

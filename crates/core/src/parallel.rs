@@ -10,13 +10,19 @@
 //! shards of `ceil(r/K)` neighborhood-sampling estimators compute the same
 //! *distribution* of estimates as one pool of `r`.
 //!
-//! Each worker drains one bounded FIFO queue that carries batches and
-//! markers. [`ShardedEstimator::process_batch`] enqueues the batch and
-//! returns, so the hot path has no spawn or join. A read sends a marker
-//! down every queue and waits for every worker's answer, so it sees every
-//! batch queued before it; it then runs on the caller's thread under the
-//! shard mutexes. A worker that panics drops its queue and its reply
-//! channel, so the caller's next send or wait fails instead of hanging.
+//! Each worker drains one bounded FIFO queue of batches.
+//! [`ShardedEstimator::process_batch`] enqueues the batch and returns, so
+//! the hot path has no spawn or join. After each batch a worker publishes a
+//! fixed-size summary of its shard — the engine's cumulative edge count,
+//! the shard's estimate and its memory words — into that shard's ring in
+//! the shared [`Frontier`]. The *frontier* is the newest edge count every
+//! shard has published, and the engine's estimate is complete there (the
+//! paper's bulk algorithm is exact at every batch boundary). A read waits
+//! until the frontier covers the edges it must see and answers from the
+//! summaries, without touching a shard; reads that need whole shards
+//! (snapshot, restore) wait for every submitted batch and then lock them.
+//! A worker that exits, by a panic or because its queue closed, marks its
+//! shard closed, so a reader waiting on it fails instead of hanging.
 //! ARCHITECTURE.md § "The persistent sharded engine" has the whole design.
 //!
 //! How a registry algorithm's space parameter is split across shards is
@@ -26,11 +32,10 @@
 
 use crate::traits::TriangleEstimator;
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use tristream_graph::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use tristream_graph::Edge;
-use tristream_sample::mean;
 
 /// Multiplier used to decorrelate per-shard seeds (the golden-ratio mixing
 /// constant). Part of the counter's deterministic seeding contract: shard
@@ -69,42 +74,224 @@ pub fn drain_batch_source<E>(
     Ok(edges)
 }
 
-/// Per-shard queue capacity, in jobs. A few batches of slack overlap
+/// Per-shard queue capacity, in batches. A few batches of slack overlap
 /// reading the stream with processing it; past that,
 /// [`ShardedEstimator::process_batch`] blocks instead of growing memory.
 const QUEUE_DEPTH: usize = 4;
 
-enum Job {
-    /// One `process_edges` call, so batch boundaries are the caller's.
-    Batch(Arc<[Edge]>),
-    /// Answer on the reply channel, after every job queued before it.
-    Marker,
+/// Summaries each shard's ring keeps. `process_batch` hands a batch to the
+/// shards in order and blocks on a full queue. So while the slowest shard
+/// works on the batch after its newest summary, with `QUEUE_DEPTH` more
+/// queued behind it, a shard earlier in the order can have published up
+/// to `QUEUE_DEPTH + 2` batches past that summary. One more entry keeps
+/// the slowest shard's newest summary — the frontier — in every ring.
+const RING_DEPTH: usize = QUEUE_DEPTH + 3;
+
+/// One `process_edges` call, so batch boundaries are the caller's, and
+/// the engine's edge count after it, which keys the summary that follows.
+struct Job {
+    batch: Arc<[Edge]>,
+    edges: u64,
 }
 
-/// A shard's estimator, the queue into its worker, the channel the worker
-/// answers markers on, and the worker itself.
+/// What a worker publishes after each batch.
+#[derive(Debug, Clone, Copy)]
+struct Summary {
+    /// The engine's cumulative edge count after the batch. Every shard
+    /// sees the same batches, so the keys agree across shards.
+    edges: u64,
+    estimate: f64,
+    memory_words: usize,
+}
+
+impl Summary {
+    fn of(shard: &impl TriangleEstimator, edges: u64) -> Self {
+        Self {
+            edges,
+            estimate: shard.estimate(),
+            memory_words: shard.memory_words(),
+        }
+    }
+}
+
+/// One shard's newest summaries, the oldest overwritten first.
+#[derive(Debug, Clone, Copy)]
+struct Ring {
+    slots: [Summary; RING_DEPTH],
+    /// Summaries published since the ring was last reset, at least one.
+    published: usize,
+    /// Set once the shard's worker has exited.
+    closed: bool,
+}
+
+impl Ring {
+    fn new(summary: Summary) -> Self {
+        Self {
+            slots: [summary; RING_DEPTH],
+            published: 1,
+            closed: false,
+        }
+    }
+
+    fn push(&mut self, summary: Summary) {
+        self.slots[self.published % RING_DEPTH] = summary;
+        self.published += 1;
+    }
+
+    fn newest(&self) -> u64 {
+        self.slots[(self.published - 1) % RING_DEPTH].edges
+    }
+
+    /// The summary keyed `edges`, which every ring holds while `edges` is
+    /// the frontier.
+    fn at(&self, edges: u64) -> &Summary {
+        let held = &self.slots[..self.published.min(RING_DEPTH)];
+        #[allow(clippy::expect_used)]
+        held.iter()
+            .find(|summary| summary.edges == edges)
+            // analyze: allow(P1, reason = "RING_DEPTH covers the QUEUE_DEPTH + 2 batches a shard can publish past the slowest shard, so every ring holds the frontier; parallel::tests pins that lead")
+            .expect("a shard's ring lost the frontier summary")
+    }
+}
+
+/// The per-shard summary rings a [`ShardedEstimator`] shares with its
+/// workers and, through [`ShardedEstimator::frontier`], with readers that
+/// must not wait for the estimator's owner.
+///
+/// Workers publish under the frontier's mutex while they still hold their
+/// shard's, and readers never lock a shard while they hold the frontier:
+/// the lock order is shard, then frontier.
+#[derive(Debug)]
+pub struct Frontier {
+    rings: Mutex<Vec<Ring>>,
+    published: Condvar,
+}
+
+/// The engine's answer at the frontier.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reading {
+    /// The frontier: the newest edge count every shard has published.
+    pub edges: u64,
+    /// The mean of the shard estimates there, in shard order — the bits
+    /// [`TriangleEstimator::estimate`] gives once those edges are in.
+    pub estimate: f64,
+    /// The sum of the shard memory words there.
+    pub memory_words: usize,
+}
+
+impl Frontier {
+    fn new(summaries: impl IntoIterator<Item = Summary>) -> Self {
+        Self {
+            rings: Mutex::new(summaries.into_iter().map(Ring::new).collect()),
+            published: Condvar::new(),
+        }
+    }
+
+    /// The rings. A reader that panicked while holding them left them
+    /// whole, since each update is a plain store, so poisoning is healed.
+    fn lock(&self) -> MutexGuard<'_, Vec<Ring>> {
+        self.rings.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn publish(&self, shard: usize, summary: Summary) {
+        self.lock()[shard].push(summary);
+        self.published.notify_all();
+    }
+
+    /// Makes each shard's summary the only one in its ring, as after a
+    /// restore.
+    fn reset(&self, summaries: &[Summary]) {
+        for (ring, &summary) in self.lock().iter_mut().zip(summaries) {
+            ring.published = 0;
+            ring.push(summary);
+        }
+        self.published.notify_all();
+    }
+
+    /// Waits until the frontier reaches `edges`, and returns the rings with
+    /// the frontier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard's worker has exited, which only follows a panic on
+    /// that shard while the estimator lives.
+    fn wait(&self, edges: u64) -> (MutexGuard<'_, Vec<Ring>>, u64) {
+        let mut rings = self.lock();
+        loop {
+            let frontier = rings
+                .iter()
+                .map(|ring| (!ring.closed).then(|| ring.newest()))
+                .try_fold(u64::MAX, |frontier, newest| Some(frontier.min(newest?)));
+            #[allow(clippy::expect_used)]
+            let frontier = frontier
+                // analyze: allow(P1, reason = "a worker exits while its estimator lives only after a panic on its shard; resurfacing it on the reader's thread beats waiting forever for a summary it will never publish")
+                .expect("shard lost to an earlier panic");
+            if frontier >= edges {
+                return (rings, frontier);
+            }
+            rings = self
+                .published
+                .wait(rings)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Waits until every shard has published a summary at `edges` edges or
+    /// later, then answers at the frontier. It takes no shard lock and
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard's worker has exited: after a panic on that shard,
+    /// or once the estimator has been dropped.
+    pub fn read(&self, edges: u64) -> Reading {
+        let (rings, frontier) = self.wait(edges);
+        let at_frontier = || rings.iter().map(|ring| ring.at(frontier));
+        Reading {
+            edges: frontier,
+            estimate: at_frontier().map(|s| s.estimate).sum::<f64>() / rings.len() as f64,
+            memory_words: at_frontier().map(|s| s.memory_words).sum(),
+        }
+    }
+}
+
+/// Marks a shard closed, waking every reader, when its worker exits.
+struct CloseOnExit<'a> {
+    frontier: &'a Frontier,
+    shard: usize,
+}
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        self.frontier.lock()[self.shard].closed = true;
+        self.frontier.published.notify_all();
+    }
+}
+
+/// A shard's estimator, the queue into its worker, and the worker itself.
 struct Shard<C> {
     estimator: Arc<Mutex<C>>,
     queue: SyncSender<Job>,
-    replies: Receiver<()>,
     worker: JoinHandle<()>,
 }
 
-/// Runs a shard's jobs in queue order until the queue closes. Stops early,
-/// failing the caller's next send or wait, if a panic on the caller's
-/// thread poisoned the shard or no one waits for answers any more.
-fn work<C: TriangleEstimator>(estimator: &Mutex<C>, jobs: Receiver<Job>, replies: SyncSender<()>) {
+/// Runs a shard's batches in queue order until the queue closes,
+/// publishing a summary after each. Stops early if a panic on a reader's
+/// thread poisoned the shard. Either way, or by a panic here, the shard is
+/// marked closed on the way out.
+fn work<C: TriangleEstimator>(
+    estimator: &Mutex<C>,
+    jobs: Receiver<Job>,
+    frontier: &Frontier,
+    shard: usize,
+) {
+    let _closed = CloseOnExit { frontier, shard };
     for job in jobs {
-        let carried_on = match job {
-            Job::Batch(batch) => estimator
-                .lock()
-                .map(|mut shard| shard.process_edges(&batch))
-                .is_ok(),
-            Job::Marker => replies.send(()).is_ok(),
-        };
-        if !carried_on {
+        let Ok(mut estimator) = estimator.lock() else {
             return;
-        }
+        };
+        estimator.process_edges(&job.batch);
+        frontier.publish(shard, Summary::of(&*estimator, job.edges));
     }
 }
 
@@ -120,8 +307,9 @@ fn work<C: TriangleEstimator>(estimator: &Mutex<C>, jobs: Receiver<Job>, replies
 ///
 /// This is the execution path behind `tristream-cli count --parallel` and
 /// every served stream: the registry's boxed constructors plug straight in
-/// as `ShardedEstimator<Box<dyn TriangleEstimator + Send>>`. It is `Send`
-/// but not `Sync` (reads wait on reply channels), so one thread reads it.
+/// as `ShardedEstimator<Box<dyn TriangleEstimator + Send>>`. Its reads see
+/// every batch submitted before them; [`frontier`](Self::frontier) hands
+/// out reads that need not.
 ///
 /// ```
 /// use tristream_core::{BulkTriangleCounter, ShardedEstimator, TriangleEstimator};
@@ -136,6 +324,7 @@ fn work<C: TriangleEstimator>(estimator: &Mutex<C>, jobs: Receiver<Job>, replies
 /// ```
 pub struct ShardedEstimator<C: TriangleEstimator + Send + 'static> {
     shards: Vec<Shard<C>>,
+    frontier: Arc<Frontier>,
     edges_seen: u64,
 }
 
@@ -150,8 +339,9 @@ impl<C: TriangleEstimator + Send + 'static> std::fmt::Debug for ShardedEstimator
 
 impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
     /// Builds `shards` estimators via `factory` — called with each shard's
-    /// decorrelated seed, in shard order — and then spawns one worker per
-    /// shard. The workers live until the estimator is dropped.
+    /// decorrelated seed, in shard order — publishes each at 0 edges, and
+    /// then spawns one worker per shard. The workers live until the
+    /// estimator is dropped.
     ///
     /// # Panics
     ///
@@ -159,27 +349,28 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
     pub fn from_factory(shards: usize, seed: u64, mut factory: impl FnMut(u64) -> C) -> Self {
         assert!(shards > 0, "at least one shard is required");
         let estimators: Vec<C> = (0..shards).map(|i| factory(shard_seed(seed, i))).collect();
+        let summaries = estimators.iter().map(|shard| Summary::of(shard, 0));
         // Built up in place, so that if a spawn fails, dropping `sharded`
         // joins the workers already running.
         let mut sharded = Self {
             shards: Vec::with_capacity(shards),
+            frontier: Arc::new(Frontier::new(summaries)),
             edges_seen: 0,
         };
         for (i, estimator) in estimators.into_iter().enumerate() {
             let estimator = Arc::new(Mutex::new(estimator));
             let (queue, jobs) = mpsc::sync_channel(QUEUE_DEPTH);
-            let (reply, replies) = mpsc::sync_channel(1);
             let state = Arc::clone(&estimator);
+            let frontier = Arc::clone(&sharded.frontier);
             #[allow(clippy::expect_used)]
             let worker = std::thread::Builder::new()
                 .name(format!("tristream-shard-{i}"))
-                .spawn(move || work(&state, jobs, reply))
+                .spawn(move || work(&state, jobs, &frontier, i))
                 // analyze: allow(P1, reason = "the OS refusing a thread unwinds only the caller building this estimator, which does not exist yet; in the daemon that is one CREATE's connection thread, holding no table or stream lock, so every other stream keeps serving")
                 .expect("spawning shard worker thread");
             sharded.shards.push(Shard {
                 estimator,
                 queue,
-                replies,
                 worker,
             });
         }
@@ -189,6 +380,13 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
     /// Number of shards (persistent worker threads).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
+    }
+
+    /// A shared handle on the summaries the workers publish. Its
+    /// [`Frontier::read`] answers without this estimator, so a holder can
+    /// read while another thread owns the estimator and submits batches.
+    pub fn frontier(&self) -> Arc<Frontier> {
+        Arc::clone(&self.frontier)
     }
 
     /// Enqueues one batch on every shard and returns without waiting for
@@ -202,16 +400,21 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
         if batch.is_empty() {
             return;
         }
+        let edges = self.edges_seen + batch.len() as u64;
         let batch: Arc<[Edge]> = Arc::from(batch);
         for shard in &self.shards {
+            let job = Job {
+                batch: Arc::clone(&batch),
+                edges,
+            };
             #[allow(clippy::expect_used)]
             shard
                 .queue
-                .send(Job::Batch(Arc::clone(&batch)))
+                .send(job)
                 // analyze: allow(P1, reason = "a worker drops its queue only by exiting, which it does only after a panic on its shard; the send error resurfaces that panic on the caller's thread")
                 .expect("shard worker terminated unexpectedly");
         }
-        self.edges_seen += batch.len() as u64;
+        self.edges_seen = edges;
     }
 
     /// Ingests a whole *batch source* — any fallible iterator of edge
@@ -227,43 +430,39 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
         drain_batch_source(source, |batch| self.process_batch(batch))
     }
 
-    /// The one read path: sends a marker down every queue and waits for
-    /// every worker's answer, so every batch queued before this call is
-    /// processed; then applies `f` to each shard in order, under its mutex,
-    /// on the caller's thread. It allocates nothing beyond its result.
+    /// The read path for reads of whole shards: waits until the frontier
+    /// reaches every batch submitted, then applies `f` to each shard in
+    /// order, under its mutex, on the caller's thread. It allocates nothing
+    /// beyond its result.
     ///
     /// # Panics
     ///
     /// Panics if a worker died or a shard is poisoned, which only happens
     /// after a panic on that shard.
     fn map_synced<T>(&self, mut f: impl FnMut(&mut C) -> T) -> Vec<T> {
-        for shard in &self.shards {
-            // A dead worker fails this send and the wait below alike; the
-            // wait reports it.
-            let _ = shard.queue.send(Job::Marker);
-        }
-        // Wait on every shard, even past a dead one, so that no answer is
-        // left queued to release a later read early.
-        let mut answered = true;
-        for shard in &self.shards {
-            answered &= shard.replies.recv().is_ok();
-        }
+        drop(self.frontier.wait(self.edges_seen));
         self.shards
             .iter()
             .map(|shard| {
-                let estimator = shard.estimator.lock().ok().filter(|_| answered);
                 #[allow(clippy::expect_used)]
-                let mut estimator = estimator
-                    // analyze: allow(P1, reason = "a worker stops answering, and a shard is poisoned, only after a panic on that shard; resurfacing it on the reader's thread beats reading a shard the panic left behind")
+                let mut estimator = shard
+                    .estimator
+                    .lock()
+                    // analyze: allow(P1, reason = "a shard is poisoned only by a panic on it; resurfacing that panic on the reader's thread beats reading a shard the panic left behind")
                     .expect("shard lost to an earlier panic");
                 f(&mut estimator)
             })
             .collect()
     }
 
-    /// Per-shard estimates, in shard order (waits for in-flight batches).
+    /// Per-shard estimates, in shard order, once every batch submitted is
+    /// in.
     pub fn shard_estimates(&self) -> Vec<f64> {
-        self.map_synced(|shard| shard.estimate())
+        let (rings, frontier) = self.frontier.wait(self.edges_seen);
+        rings
+            .iter()
+            .map(|ring| ring.at(frontier).estimate)
+            .collect()
     }
 
     /// Per-shard snapshots, in shard order — the building blocks the
@@ -279,8 +478,8 @@ impl<C: TriangleEstimator + Send + 'static> Drop for ShardedEstimator<C> {
     fn drop(&mut self) {
         for shard in self.shards.drain(..) {
             // Closing the queue ends the worker's loop once it has run the
-            // jobs already queued.
-            drop((shard.queue, shard.replies));
+            // batches already queued.
+            drop(shard.queue);
             // A worker that panicked has surfaced (or will surface) the
             // panic on the caller's thread; don't double-panic in drop.
             let _ = shard.worker.join();
@@ -297,12 +496,13 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
         self.process_batch(edges);
     }
 
-    /// Mean of the shard estimates. Every shard sees the whole stream, so
-    /// each shard estimate is already unbiased and the mean only reduces
-    /// variance; with equal per-shard pools this equals pooling all
-    /// estimators in one counter.
+    /// Mean of the shard estimates, read at the frontier once every batch
+    /// submitted is in. Every shard sees the whole stream, so each shard
+    /// estimate is already unbiased and the mean only reduces variance;
+    /// with equal per-shard pools this equals pooling all estimators in
+    /// one counter.
     fn estimate(&self) -> f64 {
-        mean(&self.shard_estimates())
+        self.frontier.read(self.edges_seen).estimate
     }
 
     fn edges_seen(&self) -> u64 {
@@ -311,7 +511,7 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
 
     /// Sum of the shard estimators' state.
     fn memory_words(&self) -> usize {
-        self.map_synced(|shard| shard.memory_words()).iter().sum()
+        self.frontier.read(self.edges_seen).memory_words
     }
 
     /// Sum over the shards, when every shard keeps the count.
@@ -352,8 +552,9 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
     }
 
     /// Restore from a `KIND_SHARDED` snapshot with a matching shard
-    /// count: shard `i` is handed nested snapshot `i`, and `edges_seen`
-    /// is adopted from the container.
+    /// count: shard `i` is handed nested snapshot `i`, `edges_seen` is
+    /// adopted from the container, and every shard is published again at
+    /// that edge count, so reads answer the restored state at once.
     ///
     /// After an error this receiver is unspecified and must be discarded.
     /// The container's framing, kind and shard count are checked before
@@ -393,9 +594,14 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
             nested.push(section.rest());
         }
         let mut nested = nested.into_iter();
-        self.map_synced(|shard| nested.next().map_or(Ok(()), |bytes| shard.restore(bytes)))
+        let summaries = self
+            .map_synced(|shard| {
+                nested.next().map_or(Ok(()), |bytes| shard.restore(bytes))?;
+                Ok(Summary::of(shard, edges_seen))
+            })
             .into_iter()
-            .collect::<Result<(), _>>()?;
+            .collect::<Result<Vec<_>, SnapshotError>>()?;
+        self.frontier.reset(&summaries);
         self.edges_seen = edges_seen;
         Ok(())
     }
@@ -928,5 +1134,205 @@ mod tests {
             Ok(true),
             "dropping the estimator must return"
         );
+    }
+
+    /// A bulk counter that, when `permits` is set, takes a permit before
+    /// each batch — one slow shard, held for as long as the test withholds
+    /// permits, and released for good when the sender drops — and that
+    /// panics on batch `panic_at` if set.
+    struct Held {
+        inner: BulkTriangleCounter,
+        permits: Option<Receiver<()>>,
+        panic_at: Option<u32>,
+        batches: u32,
+    }
+
+    impl Held {
+        fn free(inner: BulkTriangleCounter) -> Self {
+            Self {
+                inner,
+                permits: None,
+                panic_at: None,
+                batches: 0,
+            }
+        }
+    }
+
+    impl TriangleEstimator for Held {
+        fn process_edge(&mut self, edge: Edge) {
+            self.process_edges(&[edge]);
+        }
+
+        fn process_edges(&mut self, edges: &[Edge]) {
+            if let Some(permits) = &self.permits {
+                let _ = permits.recv();
+            }
+            self.batches += 1;
+            if self.panic_at == Some(self.batches) {
+                panic!("injected shard failure");
+            }
+            self.inner.process_batch(edges);
+        }
+
+        fn estimate(&self) -> f64 {
+            self.inner.estimate()
+        }
+
+        fn edges_seen(&self) -> u64 {
+            self.inner.edges_seen()
+        }
+
+        fn memory_words(&self) -> usize {
+            TriangleEstimator::memory_words(&self.inner)
+        }
+    }
+
+    /// Blocks until `done` holds for the rings.
+    fn wait_for(frontier: &Frontier, done: impl Fn(&[Ring]) -> bool) {
+        let mut rings = frontier.lock();
+        while !done(&rings) {
+            rings = frontier.published.wait(rings).unwrap();
+        }
+    }
+
+    #[test]
+    fn frontier_reads_match_a_sequential_twin_at_the_maximum_lead() {
+        // Shard 1 (last in submit order) is held inside its third batch,
+        // so its newest summary is at two batches. Shard 0 runs ahead
+        // until the submitter blocks on shard 1's full queue: QUEUE_DEPTH
+        // + 2 batches past the frontier. Every read taken before, at and
+        // after that lead must equal sequential shards cut at the edge
+        // count it reports, bit for bit.
+        let stream = tristream_gen::holme_kim(200, 3, 0.5, 7);
+        let batches: Vec<Vec<Edge>> = stream.batches(40).map(<[Edge]>::to_vec).collect();
+        let (held_at, lead) = (2, QUEUE_DEPTH + 2);
+        assert!(batches.len() > held_at + lead + 2, "{}", batches.len());
+        let (r, seed) = (96, 13);
+
+        // The twin: (edges, estimate bits, memory words) at every cut.
+        let mut twin = bulk_shards(r, 2, seed);
+        let mut cuts = std::collections::BTreeMap::new();
+        let cut = |twin: &[BulkTriangleCounter], cuts: &mut std::collections::BTreeMap<_, _>| {
+            let estimates: Vec<f64> = twin.iter().map(BulkTriangleCounter::estimate).collect();
+            let words = twin
+                .iter()
+                .map(TriangleEstimator::memory_words)
+                .sum::<usize>();
+            cuts.insert(
+                twin[0].edges_seen(),
+                (tristream_sample::mean(&estimates).to_bits(), words),
+            );
+        };
+        cut(&twin, &mut cuts);
+        for batch in &batches {
+            for counter in &mut twin {
+                counter.process_batch(batch);
+            }
+            cut(&twin, &mut cuts);
+        }
+        let ends: Vec<u64> = cuts.keys().copied().collect();
+        let edges_after = |n: usize| ends[n];
+        let check = |reading: Reading| {
+            let (bits, words) = cuts[&reading.edges];
+            assert_eq!(
+                (reading.estimate.to_bits(), reading.memory_words),
+                (bits, words),
+                "the frontier read at {} edges differs from the twin",
+                reading.edges
+            );
+        };
+
+        let (permit, permits) = mpsc::channel();
+        let mut permits = Some(permits);
+        let mut sharded = ShardedEstimator::from_factory(2, seed, |s| {
+            let mut shard = Held::free(BulkTriangleCounter::new(r, s));
+            if s == shard_seed(seed, 1) {
+                shard.permits = permits.take();
+            }
+            shard
+        });
+        let frontier = sharded.frontier();
+        check(frontier.read(0));
+        for _ in 0..held_at {
+            permit.send(()).unwrap();
+        }
+        let total = stream.len() as u64;
+        let submitter = std::thread::spawn(move || {
+            for batch in &batches {
+                sharded.process_batch(batch);
+            }
+            sharded
+        });
+
+        wait_for(&frontier, |rings| {
+            rings[0].newest() == edges_after(held_at + lead)
+        });
+        // Shard 1 is inside batch `held_at + 1`, with its queue full behind
+        // it, so neither shard can move until it gets a permit.
+        assert_eq!(frontier.lock()[1].newest(), edges_after(held_at));
+        let reading = frontier.read(0);
+        assert_eq!(reading.edges, edges_after(held_at));
+        check(reading);
+
+        // Release the held shard and read while both run to the end.
+        drop(permit);
+        loop {
+            let reading = frontier.read(0);
+            check(reading);
+            if reading.edges == total {
+                break;
+            }
+        }
+        let sharded = submitter.join().unwrap();
+        check(Reading {
+            edges: total,
+            estimate: TriangleEstimator::estimate(&sharded),
+            memory_words: TriangleEstimator::memory_words(&sharded),
+        });
+    }
+
+    #[test]
+    fn a_shard_dying_while_a_reader_waits_for_its_writes_fails_that_reader() {
+        // The writer submits two batches and waits for both; shard 1 is
+        // held, then panics on its second batch while the writer waits.
+        let (permit, permits) = mpsc::channel();
+        let mut permits = Some(permits);
+        let mut sharded = ShardedEstimator::from_factory(2, 1, |s| {
+            let mut shard = Held::free(BulkTriangleCounter::new(16, s));
+            if s == shard_seed(1, 1) {
+                shard.permits = permits.take();
+                shard.panic_at = Some(2);
+            }
+            shard
+        });
+        let frontier = sharded.frontier();
+        let (done, outcome) = mpsc::channel();
+        std::thread::spawn(move || {
+            let batch = [Edge::new(1u64, 2u64)];
+            sharded.process_batch(&batch);
+            sharded.process_batch(&batch);
+            let read =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sharded.estimate()));
+            done.send(read.is_err()).unwrap();
+            drop(sharded);
+            done.send(true).unwrap();
+        });
+        // Shard 0 has both batches in; shard 1 waits for its first permit,
+        // so the writer's read can only wait.
+        wait_for(&frontier, |rings| rings[0].newest() == 2);
+        assert_eq!(frontier.lock()[1].newest(), 0);
+        drop(permit);
+        let timeout = std::time::Duration::from_secs(10);
+        assert_eq!(
+            outcome.recv_timeout(timeout),
+            Ok(true),
+            "the waiting read must fail, not hang or succeed"
+        );
+        assert_eq!(
+            outcome.recv_timeout(timeout),
+            Ok(true),
+            "dropping the estimator must return"
+        );
+        assert!(frontier.lock()[1].closed, "the dead shard is marked closed");
     }
 }

@@ -129,7 +129,8 @@ impl CreateStream {
 pub struct EstimateReply {
     /// The stream's current estimate, bit-identical to the server's value.
     pub estimate: f64,
-    /// Edges ingested so far.
+    /// Edges the estimate covers: the frontier the server answered at,
+    /// which includes every edge this connection had sent to the stream.
     pub edges: u64,
     /// Measured `memory_words()` across the stream's shards.
     pub memory_words: u64,

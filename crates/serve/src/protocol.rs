@@ -311,8 +311,8 @@ pub struct StreamStats {
     pub ingest_nanos: u64,
     /// QUERY frames answered.
     pub queries: u64,
-    /// Total nanoseconds spent answering QUERY frames (includes engine
-    /// synchronisation).
+    /// Total nanoseconds spent answering QUERY frames (includes any wait
+    /// for the frontier to cover the querying connection's writes).
     pub query_nanos: u64,
 }
 

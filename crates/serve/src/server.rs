@@ -8,10 +8,11 @@
 //!   engine work dominates; a thread per connection keeps the control flow
 //!   linear and lets the OS do the scheduling.
 //! * **Engine work happens on engine threads.** A handler only *enqueues*
-//!   EDGES batches (bounded queues, backpressure) and *synchronises* for
-//!   queries; per-stream mutexes (see [`crate::table`]) keep tenants
-//!   isolated, so a slow query on one stream never stalls ingest on
-//!   another.
+//!   EDGES batches (bounded queues, backpressure); per-stream mutexes (see
+//!   [`crate::table`]) keep tenants isolated. A QUERY takes no stream lock:
+//!   it answers at the engine's frontier once that covers every EDGES
+//!   frame its own connection had acknowledged on the stream, so a
+//!   dashboard never waits for another connection's ingest.
 //! * **Drain is cooperative.** A SHUTDOWN frame flips the draining flag;
 //!   the accept loop stops accepting (woken by a loopback self-connect),
 //!   handlers notice within one poll interval (their reads time out at
@@ -27,12 +28,12 @@ use crate::protocol::{
     transport_error, ErrorCode, Request, Response, WireError, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
 };
-use crate::table::{checkpoint_stream, ingest_batch, query_stream, StreamEntry, StreamTable};
+use crate::table::{checkpoint_stream, ingest, query_at, StreamEntry, StreamTable};
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tristream_graph::{frame, GraphError};
@@ -278,6 +279,37 @@ enum Flow {
     Close,
 }
 
+/// Read-your-writes for one connection: for each stream it wrote to, the
+/// stream's edge count after its last acknowledged EDGES frame. Streams are
+/// told apart by identity, not name, so a stream deleted and created again
+/// under the same name starts from nothing; entries of dropped streams are
+/// pruned on the next write.
+#[derive(Default)]
+struct Written(Vec<(Weak<StreamEntry>, u64)>);
+
+impl Written {
+    fn record(&mut self, entry: &Arc<StreamEntry>, edges: u64) {
+        self.0.retain(|(stream, _)| stream.strong_count() > 0);
+        match self
+            .0
+            .iter_mut()
+            .find(|(stream, _)| stream.as_ptr() == Arc::as_ptr(entry))
+        {
+            Some((_, written)) => *written = edges,
+            None => self.0.push((Arc::downgrade(entry), edges)),
+        }
+    }
+
+    /// What a QUERY of `entry` on this connection must see: 0 when the
+    /// connection never wrote to it.
+    fn edges(&self, entry: &Arc<StreamEntry>) -> u64 {
+        self.0
+            .iter()
+            .find(|(stream, _)| stream.as_ptr() == Arc::as_ptr(entry))
+            .map_or(0, |&(_, edges)| edges)
+    }
+}
+
 fn drive_connection(
     conn: &TcpStream,
     shared: &Shared,
@@ -292,6 +324,7 @@ fn drive_connection(
     // ACKs the rest, and the peer delays that ACK (40 ms on Linux).
     conn.set_nodelay(true).map_err(GraphError::Io)?;
     let mut hello_done = false;
+    let mut written = Written::default();
     // Consecutive boundary-poll timeouts with no frame: the idle deadline,
     // measured in polls so the decision is a count, not a clock read.
     let mut idle_polls = 0u64;
@@ -334,7 +367,9 @@ fn drive_connection(
         };
         let (response, flow) = match Request::decode(frame_type, &payload) {
             Err(err) => (Response::Error(err), Flow::Continue),
-            Ok(request) => handle_request(request, shared, &mut hello_done, wake_addr),
+            Ok(request) => {
+                handle_request(request, shared, &mut hello_done, &mut written, wake_addr)
+            }
         };
         respond(conn, &response)?;
         if matches!(flow, Flow::Close) {
@@ -358,6 +393,7 @@ fn handle_request(
     request: Request,
     shared: &Shared,
     hello_done: &mut bool,
+    written: &mut Written,
     wake_addr: SocketAddr,
 ) -> (Response, Flow) {
     // The handshake comes first on every connection.
@@ -447,8 +483,9 @@ fn handle_request(
             (
                 match shared.table.require(&name) {
                     Ok(entry) => {
-                        let batches = ingest_batch(&entry, &edges);
-                        maybe_checkpoint(shared, &entry, batches);
+                        let ingested = ingest(&entry, &edges);
+                        written.record(&entry, ingested.edges);
+                        maybe_checkpoint(shared, &entry, ingested.batches);
                         Response::Ok
                     }
                     Err(err) => Response::Error(err),
@@ -456,16 +493,23 @@ fn handle_request(
                 Flow::Continue,
             )
         }
-        // Reads stay answerable during a drain: in-flight dashboards see
-        // the final state while the engines flush.
+        // A QUERY answers at the frontier once it covers this connection's
+        // acknowledged writes. Reads stay answerable during a drain, and
+        // then wait for every acknowledged edge: mutations are refused, so
+        // in-flight dashboards see the final state while the engines flush.
         Request::Query { name } => (
             match shared.table.require(&name) {
                 Ok(entry) => {
-                    let (estimate, edges, memory_words) = query_stream(&entry);
+                    let edges = if shared.draining() {
+                        entry.ingested()
+                    } else {
+                        written.edges(&entry)
+                    };
+                    let reading = query_at(&entry, edges);
                     Response::Estimate {
-                        estimate,
-                        edges,
-                        memory_words,
+                        estimate: reading.estimate,
+                        edges: reading.edges,
+                        memory_words: reading.memory_words as u64,
                     }
                 }
                 Err(err) => Response::Error(err),

@@ -11,8 +11,13 @@
 //!
 //! * the table's own mutex guards only the `Vec` of entries (lookup,
 //!   create, delete) and is held for microseconds;
-//! * each stream has its own mutex around engine + counters, so a slow
-//!   query on stream A never blocks ingest on stream B.
+//! * each stream has its own mutex around engine + ingest counter, so a
+//!   slow SNAPSHOT of stream A never blocks ingest on stream B.
+//!
+//! QUERY takes neither lock beyond the lookup. It reads the engine's
+//! [`Frontier`] — the summaries every shard publishes after each batch —
+//! through a handle the entry keeps outside its mutex, and waits only
+//! until the frontier covers the edges its caller must see.
 //!
 //! Entries are `Arc`-shared: a connection resolves a name to an
 //! `Arc<StreamEntry>` under the table lock, then works on the stream with
@@ -24,9 +29,10 @@
 use crate::checkpoint::StreamCheckpoint;
 use crate::metrics::LatencyCounter;
 use crate::protocol::{ErrorCode, StreamStats, WireError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tristream_baselines::registry::{find_algo, AlgoParams, AlgoSpec, StreamHint};
-use tristream_core::{ShardedEstimator, TriangleEstimator};
+use tristream_core::{Frontier, Reading, ShardedEstimator, TriangleEstimator};
 use tristream_graph::Edge;
 
 /// What the budget heuristic assumes about a served stream when `CREATE`
@@ -52,11 +58,10 @@ pub struct StreamState {
     pub engine: StreamEngine,
     /// EDGES-frame enqueue latency.
     pub ingest: LatencyCounter,
-    /// QUERY latency (includes engine synchronisation).
-    pub query: LatencyCounter,
 }
 
-/// One named stream: immutable identity plus mutexed state.
+/// One named stream: immutable identity, the read side QUERY uses without
+/// the stream lock, and mutexed state.
 pub struct StreamEntry {
     name: String,
     algo: &'static str,
@@ -73,6 +78,13 @@ pub struct StreamEntry {
     /// Whether the registry flags this stream's algorithm as supporting
     /// snapshots (see `AlgoSpec::snapshotable`).
     snapshotable: bool,
+    /// The engine's published summaries, which QUERY reads.
+    frontier: Arc<Frontier>,
+    /// Edges ingested, updated under the stream lock: what a QUERY waits
+    /// for when it must see every edge.
+    ingested: AtomicU64,
+    /// QUERY latency, including any wait for the frontier.
+    query: Mutex<LatencyCounter>,
     state: Mutex<StreamState>,
 }
 
@@ -107,6 +119,15 @@ impl StreamEntry {
         self.snapshotable
     }
 
+    /// Edges ingested into the stream so far.
+    pub(crate) fn ingested(&self) -> u64 {
+        self.ingested.load(Ordering::SeqCst)
+    }
+
+    fn query_latency(&self) -> MutexGuard<'_, LatencyCounter> {
+        self.query.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Locks the stream's state. Poisoning (an engine panic on another
     /// connection's thread) is healed by taking the inner value: the
     /// engine itself re-surfaces a shard's panic on the next engine call
@@ -118,10 +139,12 @@ impl StreamEntry {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Per-stream counters for a STATS report. Synchronises the engine
-    /// (the estimate is the value a QUERY at this instant would see).
+    /// Per-stream counters for a STATS report. Waits for every batch
+    /// ingested, under the stream lock (the estimate is the value a QUERY
+    /// that must see every edge would answer).
     pub fn stats(&self) -> StreamStats {
         let state = self.lock();
+        let query = *self.query_latency();
         StreamStats {
             name: self.name.clone(),
             algo: self.algo.to_string(),
@@ -130,8 +153,8 @@ impl StreamEntry {
             memory_words: state.engine.memory_words() as u64,
             ingest_batches: state.ingest.ops(),
             ingest_nanos: state.ingest.total_nanos(),
-            queries: state.query.ops(),
-            query_nanos: state.query.total_nanos(),
+            queries: query.ops(),
+            query_nanos: query.total_nanos(),
         }
     }
 }
@@ -234,6 +257,8 @@ impl StreamTable {
             .state
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
+        // The restore publishes every shard at the restored edge count, so
+        // a QUERY answers the restored bits as soon as the entry is listed.
         state
             .engine
             .restore(&cp.engine)
@@ -241,6 +266,7 @@ impl StreamTable {
         // The recovered batch count keeps the checkpoint cadence counting
         // from where the lost process left off.
         state.ingest = LatencyCounter::with_ops(cp.ingest_batches);
+        *entry.ingested.get_mut() = state.engine.edges_seen();
         self.insert(entry)
     }
 
@@ -277,10 +303,12 @@ impl StreamTable {
             shards,
             window,
             snapshotable: spec.snapshotable,
+            frontier: engine.frontier(),
+            ingested: AtomicU64::new(0),
+            query: Mutex::new(LatencyCounter::new()),
             state: Mutex::new(StreamState {
                 engine,
                 ingest: LatencyCounter::new(),
-                query: LatencyCounter::new(),
             }),
         })
     }
@@ -360,31 +388,52 @@ fn duplicate_stream(name: &str) -> WireError {
     )
 }
 
+/// What one EDGES frame did to its stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Ingested {
+    /// The stream's total EDGES-frame count — what the server's
+    /// count-based checkpoint cadence keys on.
+    pub(crate) batches: u64,
+    /// The stream's edge count with this frame's edges in — what a QUERY
+    /// on the same connection waits for.
+    pub(crate) edges: u64,
+}
+
 /// Ingests one batch into an entry, recording enqueue latency. The batch is
 /// enqueued on the engine's bounded queues and this returns without waiting
-/// for processing (backpressure applies when the queues are full). Returns
-/// the stream's total EDGES-frame count — what the server's count-based
-/// checkpoint cadence keys on.
-pub fn ingest_batch(entry: &StreamEntry, batch: &[Edge]) -> u64 {
+/// for processing (backpressure applies when the queues are full).
+pub(crate) fn ingest(entry: &StreamEntry, batch: &[Edge]) -> Ingested {
     let mut state = entry.lock();
     let (_, nanos) = crate::metrics::timed(|| state.engine.process_batch(batch));
     state.ingest.record(nanos);
-    state.ingest.ops()
+    let edges = state.engine.edges_seen();
+    entry.ingested.store(edges, Ordering::SeqCst);
+    Ingested {
+        batches: state.ingest.ops(),
+        edges,
+    }
 }
 
-/// Answers a query against an entry, recording query latency (which
-/// includes waiting for the engine to drain its queues).
+/// Ingests one batch into an entry, as an EDGES frame does, and returns
+/// the stream's total EDGES-frame count.
+pub fn ingest_batch(entry: &StreamEntry, batch: &[Edge]) -> u64 {
+    ingest(entry, batch).batches
+}
+
+/// Answers a QUERY at the engine's frontier once it covers `edges`,
+/// recording query latency. It takes no stream lock, so it never waits
+/// for another connection's ingest or SNAPSHOT, only for the frontier.
+pub(crate) fn query_at(entry: &StreamEntry, edges: u64) -> Reading {
+    let (reading, nanos) = crate::metrics::timed(|| entry.frontier.read(edges));
+    entry.query_latency().record(nanos);
+    reading
+}
+
+/// Answers a query that sees every batch ingested before the call:
+/// `(estimate, edges, memory words)`.
 pub fn query_stream(entry: &StreamEntry) -> (f64, u64, u64) {
-    let mut state = entry.lock();
-    let ((estimate, edges, words), nanos) = crate::metrics::timed(|| {
-        (
-            state.engine.estimate(),
-            state.engine.edges_seen(),
-            state.engine.memory_words() as u64,
-        )
-    });
-    state.query.record(nanos);
-    (estimate, edges, words)
+    let reading = query_at(entry, entry.ingested());
+    (reading.estimate, reading.edges, reading.memory_words as u64)
 }
 
 /// Takes a checkpoint of a stream: CREATE parameters, replay offset, and
@@ -622,6 +671,69 @@ mod tests {
         alien.algo = "no-such-algo".to_string();
         let err = fresh.create_restored(&alien).unwrap_err();
         assert_eq!(err.code, ErrorCode::UnknownAlgorithm);
+    }
+
+    #[test]
+    fn frontier_queries_never_take_the_stream_lock() {
+        // A QUERY from a connection with no writes to the stream waits for
+        // nothing, so it must return while another thread holds the
+        // stream's mutex, as ingest does while it waits for queue space.
+        let table = StreamTable::new();
+        table
+            .create("s", "neighborhood-bulk", 5, 1 << 12, 2, 0)
+            .unwrap();
+        let entry = table.require("s").unwrap();
+        for chunk in batch(300).chunks(50) {
+            ingest_batch(&entry, chunk);
+        }
+        let (estimate, edges, words) = query_stream(&entry);
+        let held = entry.lock();
+        let (done, reply) = std::sync::mpsc::channel();
+        let reader = {
+            let entry = Arc::clone(&entry);
+            std::thread::spawn(move || done.send(query_at(&entry, 0)).unwrap())
+        };
+        let reading = reply.recv_timeout(std::time::Duration::from_secs(10));
+        drop(held);
+        reader.join().unwrap();
+        let reading = reading.expect("a frontier QUERY waited for the stream lock");
+        assert_eq!(
+            (
+                reading.estimate.to_bits(),
+                reading.edges,
+                reading.memory_words as u64
+            ),
+            (estimate.to_bits(), edges, words)
+        );
+        assert_eq!(table.stats()[0].queries, 2);
+    }
+
+    #[test]
+    fn a_restored_stream_answers_frontier_reads_at_once() {
+        let table = StreamTable::new();
+        table
+            .create("s", "neighborhood-bulk", 8, 1 << 12, 2, 0)
+            .unwrap();
+        let entry = table.require("s").unwrap();
+        for chunk in batch(200).chunks(40) {
+            ingest_batch(&entry, chunk);
+        }
+        let (estimate, edges, words) = query_stream(&entry);
+        let cp = checkpoint_stream(&entry).unwrap();
+
+        let other = StreamTable::new();
+        other.create_restored(&cp).unwrap();
+        let restored = other.require("s").unwrap();
+        assert_eq!(restored.ingested(), edges);
+        let reading = query_at(&restored, 0);
+        assert_eq!(
+            (
+                reading.estimate.to_bits(),
+                reading.edges,
+                reading.memory_words as u64
+            ),
+            (estimate.to_bits(), edges, words)
+        );
     }
 
     #[test]

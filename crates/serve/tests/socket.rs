@@ -1,6 +1,7 @@
 //! Integration tests driving a real daemon over a real TCP socket: offline
 //! parity (bit-identical estimates), multi-tenant isolation, malformed-frame
-//! survival, round trips without delayed-ACK stalls, and graceful drain.
+//! survival, round trips without delayed-ACK stalls, graceful drain, and
+//! QUERY's reads at the frontier.
 
 // Test harness: helper fns may abort on setup failure (clippy's
 // allow-expect-in-tests only covers `#[test]` bodies, not helpers).
@@ -13,7 +14,9 @@ use tristream_baselines::registry::{find_algo, registry, AlgoParams};
 use tristream_core::{ShardedEstimator, TriangleEstimator};
 use tristream_graph::Edge;
 use tristream_serve::protocol::{ErrorCode, FrameType, Request};
-use tristream_serve::{Client, ClientError, CreateStream, Server, SERVE_STREAM_HINT};
+use tristream_serve::{
+    Client, ClientError, CreateStream, EstimateReply, Server, StreamCheckpoint, SERVE_STREAM_HINT,
+};
 
 /// Binds a daemon on an ephemeral loopback port and runs it on a
 /// background thread. The returned handle joins cleanly once a client
@@ -416,6 +419,151 @@ fn version_mismatches_are_refused_with_unsupported_version() {
 
     let mut client = Client::connect(addr).expect("current version still welcome");
     client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+}
+
+#[test]
+fn frontier_reads_on_another_connection_match_the_twin_at_their_cut() {
+    // A dashboard connection never writes, so each QUERY answers at the
+    // frontier at once: whatever edge count it reports, the estimate and
+    // memory words must be the offline twin's after that many edges.
+    let (addr, server) = spawn_server();
+    let edges = test_edges();
+    let batch = 64;
+    let mut writer = Client::connect(addr).expect("connect writer");
+    let mut spec = CreateStream::new("live", "neighborhood-bulk");
+    spec.seed = 6;
+    spec.shards = 2;
+    writer.create_stream(&spec).expect("create");
+
+    let total = edges.len() as u64;
+    let dashboard = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect dashboard");
+        let mut replies = Vec::new();
+        loop {
+            let reply = client.query("live").expect("frontier query");
+            replies.push(reply);
+            if reply.edges == total {
+                return replies;
+            }
+        }
+    });
+    for chunk in edges.chunks(batch) {
+        writer.send_edges("live", chunk).expect("edges");
+    }
+    let replies = dashboard.join().expect("dashboard");
+
+    let mut twin = offline_engine("neighborhood-bulk", 6, spec.budget_words, 2);
+    let mut cuts = std::collections::BTreeMap::new();
+    cuts.insert(0, (twin.estimate().to_bits(), twin.memory_words() as u64));
+    for chunk in edges.chunks(batch) {
+        twin.process_batch(chunk);
+        cuts.insert(
+            twin.edges_seen(),
+            (twin.estimate().to_bits(), twin.memory_words() as u64),
+        );
+    }
+    for reply in &replies {
+        assert_eq!(
+            cuts.get(&reply.edges),
+            Some(&(reply.estimate.to_bits(), reply.memory_words)),
+            "a QUERY at {} edges differs from the twin",
+            reply.edges
+        );
+    }
+    assert!(replies.windows(2).all(|w| w[0].edges <= w[1].edges));
+
+    writer.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+}
+
+/// Sends one QUERY from a helper thread and fails the test if no reply
+/// arrives within 10 s, instead of hanging it.
+fn query_promptly(mut client: Client, name: &'static str) -> (Client, EstimateReply) {
+    let (done, reply) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let estimate = client.query(name).expect("query");
+        done.send((client, estimate)).expect("send");
+    });
+    reply
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the QUERY waited for edges of a deleted stream")
+}
+
+#[test]
+fn frontier_reads_follow_the_stream_not_its_name() {
+    // One connection writes to "s", deletes it and creates "s" again. Its
+    // QUERYs wait for its writes to the new stream only — none at first,
+    // then fewer edges than before; waiting for the old stream's edge
+    // count would never end.
+    let (addr, server) = spawn_server();
+    let edges = test_edges();
+    let mut client = Client::connect(addr).expect("connect");
+    let mut spec = CreateStream::new("s", "neighborhood-bulk");
+    spec.seed = 9;
+    spec.shards = 2;
+    client.create_stream(&spec).expect("create");
+    client
+        .send_edges_batched("s", &edges, 128)
+        .expect("first ingest");
+    client.delete("s").expect("delete");
+    client.create_stream(&spec).expect("create again");
+    let mut twin = offline_engine("neighborhood-bulk", 9, spec.budget_words, 2);
+
+    let (mut client, fresh) = query_promptly(client, "s");
+    assert_eq!(
+        (fresh.estimate.to_bits(), fresh.edges),
+        (twin.estimate().to_bits(), 0)
+    );
+
+    let fewer = &edges[..300];
+    client
+        .send_edges_batched("s", fewer, 128)
+        .expect("second ingest");
+    let (mut client, got) = query_promptly(client, "s");
+    for chunk in fewer.chunks(128) {
+        twin.process_batch(chunk);
+    }
+    assert_eq!(
+        (got.estimate.to_bits(), got.edges),
+        (twin.estimate().to_bits(), fewer.len() as u64)
+    );
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+}
+
+#[test]
+fn frontier_reads_answer_a_restored_stream_at_once() {
+    // RESTORE publishes the restored state: a QUERY on another connection,
+    // which waits for no write, answers the restored bits straight away.
+    let (addr, server) = spawn_server();
+    let edges = test_edges();
+    let mut writer = Client::connect(addr).expect("connect writer");
+    let mut spec = CreateStream::new("orig", "neighborhood-bulk");
+    spec.seed = 4;
+    spec.shards = 2;
+    writer.create_stream(&spec).expect("create");
+    writer
+        .send_edges_batched("orig", &edges, 100)
+        .expect("ingest");
+    let want = writer.query("orig").expect("query");
+    assert_eq!(want.edges, edges.len() as u64);
+
+    let bytes = writer.snapshot("orig").expect("snapshot");
+    let mut cp = StreamCheckpoint::decode(&bytes).expect("decode");
+    cp.name = "copy".to_string();
+    writer
+        .restore(&cp.encode().expect("encode"))
+        .expect("restore");
+    let mut reader = Client::connect(addr).expect("connect reader");
+    let got = reader.query("copy").expect("query the restored stream");
+    assert_eq!(
+        (got.estimate.to_bits(), got.edges, got.memory_words),
+        (want.estimate.to_bits(), want.edges, want.memory_words)
+    );
+
+    writer.shutdown().expect("shutdown");
     server.join().expect("join").expect("server run");
 }
 

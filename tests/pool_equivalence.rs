@@ -26,6 +26,7 @@ use std::collections::HashMap;
 use tristream::core::reference::ReferenceBulkCounter;
 use tristream::graph::exact::edge_neighborhood_sizes;
 use tristream::prelude::*;
+use tristream::sample::mean;
 
 /// Strategy: random endpoint pairs over at most `max_vertex + 1` vertices,
 /// self-loops removed. Repeats stay; `EdgeStream::from_pairs_dedup` turns
@@ -96,6 +97,12 @@ proptest! {
             TriangleEstimator::estimate(&pooled).to_bits(),
             reference.estimate().to_bits()
         );
+        // The allocation-free sum over held triangles against the mean of
+        // the materialised per-estimator estimates.
+        prop_assert_eq!(
+            pooled.estimate().to_bits(),
+            mean(&pooled.raw_estimates()).to_bits()
+        );
     }
 
     #[test]
@@ -125,6 +132,10 @@ proptest! {
             reference.process_batch(batch);
             prop_assert!(pooled.validate());
             prop_assert_eq!(pooled.estimators(), reference.estimators());
+            prop_assert_eq!(
+                pooled.estimate().to_bits(),
+                mean(&pooled.raw_estimates()).to_bits()
+            );
         }
         prop_assert_eq!(
             TriangleEstimator::estimate(&pooled).to_bits(),
@@ -236,4 +247,23 @@ fn pooled_bulk_and_one_at_a_time_reach_the_same_state_distribution() {
         (bulk_c - single_c).abs() < 0.15 * single_c.max(1.0),
         "mean c: bulk {bulk_c}, one-at-a-time {single_c}"
     );
+}
+
+#[test]
+fn a_pool_holding_no_triangle_estimates_positive_zero_like_the_mean() {
+    // A path has wedges but no triangle, so no estimator ever closes one:
+    // the sum over held triangles is empty, and it must still give the
+    // bits of the mean over r zero estimates.
+    let path: Vec<Edge> = (0..200u64).map(|i| Edge::new(i, i + 1)).collect();
+    let mut counter = BulkTriangleCounter::new(64, 3);
+    assert_eq!(counter.estimate().to_bits(), 0.0f64.to_bits());
+    for batch in path.chunks(16) {
+        counter.process_batch(batch);
+        assert_eq!(counter.estimators_with_triangle(), 0);
+        assert_eq!(
+            counter.estimate().to_bits(),
+            mean(&counter.raw_estimates()).to_bits()
+        );
+        assert_eq!(counter.estimate().to_bits(), 0.0f64.to_bits());
+    }
 }
