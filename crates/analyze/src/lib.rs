@@ -23,9 +23,8 @@
 //! suppresses nothing is itself an error. See ARCHITECTURE.md § "Enforced
 //! invariants" for the full rule table and annotation grammar.
 //!
-//! Run as `cargo run -p tristream-analyze -- check` (or
-//! `tristream-cli analyze`); `--json` emits the machine-readable schema
-//! documented in [`report`].
+//! Run as `cargo run -p tristream-analyze -- check`; `--json` emits the
+//! machine-readable schema documented in [`report`].
 
 pub mod directives;
 pub mod engine;
@@ -35,9 +34,8 @@ pub mod rules;
 
 use std::path::Path;
 
-/// Shared entry point for the `tristream-analyze` binary and the
-/// `tristream-cli analyze` subcommand. `args` are the arguments after the
-/// program/subcommand name; returns the process exit code (0 clean,
+/// Entry point of the `tristream-analyze` binary. `args` are the arguments
+/// after the program name; returns the process exit code (0 clean,
 /// 1 diagnostics, 2 usage or I/O error). Output goes to stdout (report)
 /// and stderr (usage/I/O errors).
 pub fn cli_main(args: &[String]) -> i32 {

@@ -1,5 +1,5 @@
 //! The `tristream-analyze` binary: `tristream-analyze check [--json] […]`.
-//! All logic lives in the library so `tristream-cli analyze` shares it.
+//! All logic lives in the library, beside its unit tests.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

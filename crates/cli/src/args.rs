@@ -1,8 +1,14 @@
 //! Hand-rolled argument parsing for the `tristream-cli` binary.
+//!
+//! Each subcommand reads its positionals, then walks its flags with one
+//! cursor and one `match` arm per flag. `client`, `checkpoint` and
+//! `restore` hand `--addr` and `--retries` to one shared reader, and every
+//! count-valued flag refuses 0 through one check.
 
 use std::fmt;
 use std::path::PathBuf;
-use tristream_baselines::registry::algo_names_joined;
+use std::str::FromStr;
+use tristream_baselines::registry::{algo_names_joined, find_algo};
 use tristream_graph::binary::is_tsb_path;
 
 /// Errors produced while parsing the command line.
@@ -132,14 +138,6 @@ pub enum Command {
         output: PathBuf,
         /// Override the ingest stream size (mainly for tests).
         edges: Option<usize>,
-    },
-    /// Run the workspace invariant linter (`tristream-analyze`).
-    Analyze {
-        /// Arguments handed through to `tristream_analyze::cli_main`
-        /// verbatim (with `check` prepended when no subcommand was given,
-        /// so `tristream-cli analyze` and `tristream-cli analyze --json`
-        /// just work).
-        args: Vec<String>,
     },
     /// Run the multi-tenant streaming estimation daemon (wire protocol:
     /// `docs/PROTOCOL.md`; operations: `docs/OPERATIONS.md`).
@@ -271,7 +269,6 @@ USAGE:
   tristream-cli checkpoint   NAME --output FILE [--addr HOST:PORT] [--retries N]
   tristream-cli restore      <CHECKPOINT>      [--addr HOST:PORT] [--retries N]
   tristream-cli generate     <DATASET>   [--scale D] [--seed S] --output FILE
-  tristream-cli analyze      [check] [--json] [--allows] [--fix-allow] [PATHS…]
   tristream-cli help
 
 `count --algo NAME` selects the counting algorithm from the registry:
@@ -323,21 +320,82 @@ drain, STATS, the checkpoint/restore runbook) in docs/OPERATIONS.md.
 
 Datasets for `generate`: amazon, dblp, youtube, livejournal, orkut,
 syn-d-regular, hep-th, syn-3-reg.
-
-`analyze` lints every workspace .rs file against the statically enforced
-invariants (determinism, no-alloc regions, panic-free libraries, seeding
-discipline) — the same gate CI runs; see ARCHITECTURE.md § Enforced
-invariants. Exits non-zero when violations are found.
 ";
 
-fn parse_flag_value<T: std::str::FromStr>(
-    flag: &str,
-    value: Option<&String>,
-) -> Result<T, CliError> {
-    value
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| CliError::BadFlagValue(flag.to_string()))
+/// A cursor over a subcommand's flags: the arguments after its
+/// positionals.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    /// The arguments of `rest` after its first `positionals`.
+    fn after(rest: &'a [String], positionals: usize) -> Self {
+        Self(rest.get(positionals..).unwrap_or_default().iter())
+    }
+
+    /// The next flag token.
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// Takes the token after a flag and parses it. A missing or unparsable
+    /// value is reported under `flag`, the canonical name, whichever alias
+    /// was typed.
+    fn value<T: FromStr>(&mut self, flag: &str) -> Result<T, CliError> {
+        self.0
+            .next()
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| CliError::BadFlagValue(flag.to_string()))
+    }
 }
+
+/// The daemon connection flags of `client`, `checkpoint` and `restore`.
+struct Remote {
+    addr: String,
+    retries: u32,
+}
+
+impl Remote {
+    fn new() -> Self {
+        Self {
+            addr: DEFAULT_SERVE_ADDR.to_string(),
+            retries: 0,
+        }
+    }
+
+    /// Reads `--addr` or `--retries`; any other flag is unknown.
+    fn read(&mut self, flag: &str, flags: &mut Flags) -> Result<(), CliError> {
+        match flag {
+            "--addr" => self.addr = flags.value("--addr")?,
+            "--retries" => self.retries = flags.value("--retries")?,
+            other => return Err(CliError::UnknownFlag(other.to_string())),
+        }
+        Ok(())
+    }
+
+    /// Reads a tail that holds connection flags only.
+    fn parse(mut flags: Flags) -> Result<Self, CliError> {
+        let mut remote = Self::new();
+        while let Some(flag) = flags.next() {
+            remote.read(flag, &mut flags)?;
+        }
+        Ok(remote)
+    }
+}
+
+/// Refuses a count-valued flag set to 0.
+fn refuse_zero<T: Default + PartialEq>(
+    flag: &'static str,
+    value: Option<T>,
+    reason: &'static str,
+) -> Result<(), CliError> {
+    if value == Some(T::default()) {
+        return Err(CliError::InvalidFlagValue { flag, reason });
+    }
+    Ok(())
+}
+
+/// Why `--estimators 0` is refused, by every subcommand that takes it.
+const NO_ESTIMATORS: &str = "the estimator count must be at least 1";
 
 /// Parses the command line (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
@@ -348,7 +406,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "summary" => {
             let input = positional(&rest, 0, "edge-list path")?;
-            reject_unknown_flags(&rest[1..], &[])?;
+            if let Some(flag) = rest[1..].iter().find(|arg| arg.starts_with('-')) {
+                return Err(CliError::UnknownFlag(flag.clone()));
+            }
             Ok(Command::Summary {
                 input: PathBuf::from(input),
             })
@@ -362,62 +422,27 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut shards = None;
             let mut algo: Option<String> = None;
             let mut window = None;
-            let mut i = 1;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--estimators" | "-r" => {
-                        estimators = Some(parse_flag_value("--estimators", rest.get(i + 1))?);
-                        i += 2;
-                    }
-                    "--batch" | "-w" => {
-                        batch = Some(parse_flag_value("--batch", rest.get(i + 1))?);
-                        i += 2;
-                    }
-                    "--seed" => {
-                        seed = parse_flag_value("--seed", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--parallel" => {
-                        parallel = true;
-                        i += 1;
-                    }
-                    "--shards" => {
-                        shards = Some(parse_flag_value("--shards", rest.get(i + 1))?);
-                        i += 2;
-                    }
-                    "--algo" | "-a" => {
-                        algo = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::BadFlagValue("--algo".into()))?
-                                .clone(),
-                        );
-                        i += 2;
-                    }
-                    "--window" => {
-                        window = Some(parse_flag_value("--window", rest.get(i + 1))?);
-                        i += 2;
-                    }
+            let mut flags = Flags::after(&rest, 1);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--estimators" | "-r" => estimators = Some(flags.value("--estimators")?),
+                    "--batch" | "-w" => batch = Some(flags.value("--batch")?),
+                    "--seed" => seed = flags.value("--seed")?,
+                    "--parallel" => parallel = true,
+                    "--shards" => shards = Some(flags.value("--shards")?),
+                    "--algo" | "-a" => algo = Some(flags.value("--algo")?),
+                    "--window" => window = Some(flags.value("--window")?),
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
             }
-            if batch == Some(0) {
-                return Err(CliError::InvalidFlagValue {
-                    flag: "--batch",
-                    reason: "batch size must be at least 1",
-                });
-            }
-            if shards == Some(0) {
-                return Err(CliError::InvalidFlagValue {
-                    flag: "--shards",
-                    reason: "shard count must be at least 1",
-                });
-            }
-            if window == Some(0) {
-                return Err(CliError::InvalidFlagValue {
-                    flag: "--window",
-                    reason: "the window must contain at least one edge",
-                });
-            }
+            refuse_zero("--estimators", estimators, NO_ESTIMATORS)?;
+            refuse_zero("--batch", batch, "batch size must be at least 1")?;
+            refuse_zero("--shards", shards, "shard count must be at least 1")?;
+            refuse_zero(
+                "--window",
+                window,
+                "the window must contain at least one edge",
+            )?;
             // `--shards` does nothing without `--parallel`: reject it rather
             // than ignore it.
             if shards.is_some() && !parallel {
@@ -426,13 +451,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     reason: "requires --parallel",
                 });
             }
-            // `--algo` is validated against the registry here, at parse
-            // time, so misuse is a usage error (exit 2) whose message can
-            // enumerate the registered names.
             if let Some(name) = &algo {
-                if tristream_baselines::registry::find_algo(name).is_none() {
-                    return Err(CliError::AlgoUsage(format!("unknown algorithm {name:?}")));
-                }
+                registered(name)?;
             }
             if window.is_some() && algo.as_deref() != Some("sliding") {
                 return Err(CliError::InvalidFlagValue {
@@ -455,20 +475,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let input = positional(&rest, 0, "edge-list path")?;
             let mut estimators = 100_000usize;
             let mut seed = 1u64;
-            let mut i = 1;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--estimators" | "-r" => {
-                        estimators = parse_flag_value("--estimators", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        seed = parse_flag_value("--seed", rest.get(i + 1))?;
-                        i += 2;
-                    }
+            let mut flags = Flags::after(&rest, 1);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--estimators" | "-r" => estimators = flags.value("--estimators")?,
+                    "--seed" => seed = flags.value("--seed")?,
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
             }
+            refuse_zero("--estimators", Some(estimators), NO_ESTIMATORS)?;
             Ok(Command::Transitivity {
                 input: PathBuf::from(input),
                 estimators,
@@ -480,24 +495,17 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut k = 1usize;
             let mut estimators = 50_000usize;
             let mut seed = 1u64;
-            let mut i = 1;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "-k" | "--samples" => {
-                        k = parse_flag_value("-k", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--estimators" | "-r" => {
-                        estimators = parse_flag_value("--estimators", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        seed = parse_flag_value("--seed", rest.get(i + 1))?;
-                        i += 2;
-                    }
+            let mut flags = Flags::after(&rest, 1);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "-k" | "--samples" => k = flags.value("-k")?,
+                    "--estimators" | "-r" => estimators = flags.value("--estimators")?,
+                    "--seed" => seed = flags.value("--seed")?,
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
             }
+            refuse_zero("-k", Some(k), "the sample size must be at least 1")?;
+            refuse_zero("--estimators", Some(estimators), NO_ESTIMATORS)?;
             Ok(Command::Sample {
                 input: PathBuf::from(input),
                 k,
@@ -506,22 +514,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "convert" => {
-            let input = positional(&rest, 0, "input path")?;
+            let input = PathBuf::from(positional(&rest, 0, "input path")?);
             let mut output: Option<PathBuf> = None;
-            let mut i = 1;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--output" | "-o" => {
-                        output = Some(PathBuf::from(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::BadFlagValue("--output".into()))?,
-                        ));
-                        i += 2;
-                    }
+            let mut flags = Flags::after(&rest, 1);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--output" | "-o" => output = Some(flags.value("--output")?),
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
             }
-            let input = PathBuf::from(input);
             let output = output.ok_or(CliError::MissingArgument("--output FILE"))?;
             // The conversion direction comes from the extensions, so an
             // ambiguous pair is a usage error, not a guess.
@@ -539,41 +540,22 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut seed = 1u64;
             let mut output = PathBuf::from("BENCH.json");
             let mut edges = None;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--smoke" => {
-                        smoke = true;
-                        i += 1;
-                    }
-                    "--check" => {
-                        check = true;
-                        i += 1;
-                    }
-                    "--seed" => {
-                        seed = parse_flag_value("--seed", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--output" | "-o" => {
-                        output = PathBuf::from(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::BadFlagValue("--output".into()))?,
-                        );
-                        i += 2;
-                    }
-                    "--edges" => {
-                        edges = Some(parse_flag_value("--edges", rest.get(i + 1))?);
-                        i += 2;
-                    }
+            let mut flags = Flags::after(&rest, 0);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--smoke" => smoke = true,
+                    "--check" => check = true,
+                    "--seed" => seed = flags.value("--seed")?,
+                    "--output" | "-o" => output = flags.value("--output")?,
+                    "--edges" => edges = Some(flags.value("--edges")?),
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
             }
-            if edges == Some(0) {
-                return Err(CliError::InvalidFlagValue {
-                    flag: "--edges",
-                    reason: "the ingest stream needs at least one edge",
-                });
-            }
+            refuse_zero(
+                "--edges",
+                edges,
+                "the ingest stream needs at least one edge",
+            )?;
             Ok(Command::Bench {
                 smoke,
                 check,
@@ -582,64 +564,39 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 edges,
             })
         }
-        "analyze" => {
-            // Hand everything through to the linter's own CLI; default the
-            // subcommand to `check` so bare `analyze` (and `analyze --json`)
-            // does the obvious thing.
-            let mut args = rest;
-            if args.first().map(String::as_str) != Some("check") {
-                args.insert(0, "check".to_string());
-            }
-            Ok(Command::Analyze { args })
-        }
         "serve" => {
             let mut addr = DEFAULT_SERVE_ADDR.to_string();
             let mut state_dir: Option<PathBuf> = None;
-            let mut checkpoint_every: Option<u64> = None;
-            let mut idle_timeout_secs: Option<u64> = None;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--addr" => {
-                        addr = string_flag("--addr", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--state-dir" => {
-                        state_dir =
-                            Some(PathBuf::from(string_flag("--state-dir", rest.get(i + 1))?));
-                        i += 2;
-                    }
+            let mut checkpoint_every = None;
+            let mut idle_timeout_secs = None;
+            let mut flags = Flags::after(&rest, 0);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--addr" => addr = flags.value("--addr")?,
+                    "--state-dir" => state_dir = Some(flags.value("--state-dir")?),
                     "--checkpoint-every" => {
-                        checkpoint_every =
-                            Some(parse_flag_value("--checkpoint-every", rest.get(i + 1))?);
-                        i += 2;
+                        checkpoint_every = Some(flags.value("--checkpoint-every")?);
                     }
-                    "--idle-timeout" => {
-                        idle_timeout_secs =
-                            Some(parse_flag_value("--idle-timeout", rest.get(i + 1))?);
-                        i += 2;
-                    }
+                    "--idle-timeout" => idle_timeout_secs = Some(flags.value("--idle-timeout")?),
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
             }
-            if checkpoint_every == Some(0) {
-                return Err(CliError::InvalidFlagValue {
-                    flag: "--checkpoint-every",
-                    reason: "the checkpoint cadence must be at least 1 EDGES frame",
-                });
-            }
+            refuse_zero(
+                "--checkpoint-every",
+                checkpoint_every,
+                "the checkpoint cadence must be at least 1 EDGES frame",
+            )?;
             if checkpoint_every.is_some() && state_dir.is_none() {
                 return Err(CliError::InvalidFlagValue {
                     flag: "--checkpoint-every",
                     reason: "requires --state-dir (there is nowhere to checkpoint to)",
                 });
             }
-            if idle_timeout_secs == Some(0) {
-                return Err(CliError::InvalidFlagValue {
-                    flag: "--idle-timeout",
-                    reason: "the idle deadline must be at least 1 second",
-                });
-            }
+            refuse_zero(
+                "--idle-timeout",
+                idle_timeout_secs,
+                "the idle deadline must be at least 1 second",
+            )?;
             Ok(Command::Serve {
                 addr,
                 state_dir,
@@ -651,56 +608,29 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "checkpoint" => {
             let name = positional(&rest, 0, "stream name")?;
             let mut output: Option<PathBuf> = None;
-            let mut addr = DEFAULT_SERVE_ADDR.to_string();
-            let mut retries = 0u32;
-            let mut i = 1;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--output" | "-o" => {
-                        output = Some(PathBuf::from(string_flag("--output", rest.get(i + 1))?));
-                        i += 2;
-                    }
-                    "--addr" => {
-                        addr = string_flag("--addr", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--retries" => {
-                        retries = parse_flag_value("--retries", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    other => return Err(CliError::UnknownFlag(other.to_string())),
+            let mut remote = Remote::new();
+            let mut flags = Flags::after(&rest, 1);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--output" | "-o" => output = Some(flags.value("--output")?),
+                    other => remote.read(other, &mut flags)?,
                 }
             }
             let output = output.ok_or(CliError::MissingArgument("--output FILE"))?;
             Ok(Command::Checkpoint {
                 name,
                 output,
-                addr,
-                retries,
+                addr: remote.addr,
+                retries: remote.retries,
             })
         }
         "restore" => {
             let input = positional(&rest, 0, "checkpoint file")?;
-            let mut addr = DEFAULT_SERVE_ADDR.to_string();
-            let mut retries = 0u32;
-            let mut i = 1;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--addr" => {
-                        addr = string_flag("--addr", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--retries" => {
-                        retries = parse_flag_value("--retries", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    other => return Err(CliError::UnknownFlag(other.to_string())),
-                }
-            }
+            let remote = Remote::parse(Flags::after(&rest, 1))?;
             Ok(Command::Restore {
                 input: PathBuf::from(input),
-                addr,
-                retries,
+                addr: remote.addr,
+                retries: remote.retries,
             })
         }
         "generate" => {
@@ -708,27 +638,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut scale = 1u64;
             let mut seed = 1u64;
             let mut output: Option<PathBuf> = None;
-            let mut i = 1;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--scale" => {
-                        scale = parse_flag_value("--scale", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--seed" => {
-                        seed = parse_flag_value("--seed", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--output" | "-o" => {
-                        output = Some(PathBuf::from(
-                            rest.get(i + 1)
-                                .ok_or_else(|| CliError::BadFlagValue("--output".into()))?,
-                        ));
-                        i += 2;
-                    }
+            let mut flags = Flags::after(&rest, 1);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--scale" => scale = flags.value("--scale")?,
+                    "--seed" => seed = flags.value("--seed")?,
+                    "--output" | "-o" => output = Some(flags.value("--output")?),
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
             }
+            refuse_zero("--scale", Some(scale), "the scale must be at least 1")?;
             let output = output.ok_or(CliError::MissingArgument("--output FILE"))?;
             Ok(Command::Generate {
                 dataset,
@@ -750,9 +669,8 @@ fn parse_client(rest: &[String]) -> Result<Command, CliError> {
         0,
         "client action (create|send|query|stats|delete|shutdown)",
     )?;
-    let mut addr = DEFAULT_SERVE_ADDR.to_string();
-    let mut retries = 0u32;
-    match action.as_str() {
+    let mut remote = Remote::new();
+    let action = match action.as_str() {
         "create" => {
             let name = positional(rest, 1, "stream name")?;
             let mut algo: Option<String> = None;
@@ -760,154 +678,74 @@ fn parse_client(rest: &[String]) -> Result<Command, CliError> {
             let mut budget_words = 1u64 << 14;
             let mut shards = 0u16;
             let mut window = 0u64;
-            let mut i = 2;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--addr" => {
-                        addr = string_flag("--addr", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--retries" => {
-                        retries = parse_flag_value("--retries", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--algo" | "-a" => {
-                        algo = Some(string_flag("--algo", rest.get(i + 1))?);
-                        i += 2;
-                    }
-                    "--seed" => {
-                        seed = parse_flag_value("--seed", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--budget" => {
-                        budget_words = parse_flag_value("--budget", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--shards" => {
-                        shards = parse_flag_value("--shards", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--window" => {
-                        window = parse_flag_value("--window", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    other => return Err(CliError::UnknownFlag(other.to_string())),
+            let mut flags = Flags::after(rest, 2);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--algo" | "-a" => algo = Some(flags.value("--algo")?),
+                    "--seed" => seed = flags.value("--seed")?,
+                    "--budget" => budget_words = flags.value("--budget")?,
+                    "--shards" => shards = flags.value("--shards")?,
+                    "--window" => window = flags.value("--window")?,
+                    other => remote.read(other, &mut flags)?,
                 }
             }
-            // Validated against the registry at parse time, exactly like
-            // `count --algo`, so misuse lists the registered names.
             let algo = algo.ok_or(CliError::MissingArgument("--algo NAME"))?;
-            if tristream_baselines::registry::find_algo(&algo).is_none() {
-                return Err(CliError::AlgoUsage(format!("unknown algorithm {algo:?}")));
+            registered(&algo)?;
+            ClientAction::Create {
+                name,
+                algo,
+                seed,
+                budget_words,
+                shards,
+                window,
             }
-            Ok(Command::Client {
-                addr,
-                retries,
-                action: ClientAction::Create {
-                    name,
-                    algo,
-                    seed,
-                    budget_words,
-                    shards,
-                    window,
-                },
-            })
         }
         "send" => {
             let name = positional(rest, 1, "stream name")?;
-            let input = positional(rest, 2, "edge-list path")?;
+            let input = PathBuf::from(positional(rest, 2, "edge-list path")?);
             let mut batch = 4_096usize;
-            let mut i = 3;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--addr" => {
-                        addr = string_flag("--addr", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--retries" => {
-                        retries = parse_flag_value("--retries", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    "--batch" | "-w" => {
-                        batch = parse_flag_value("--batch", rest.get(i + 1))?;
-                        i += 2;
-                    }
-                    other => return Err(CliError::UnknownFlag(other.to_string())),
+            let mut flags = Flags::after(rest, 3);
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--batch" | "-w" => batch = flags.value("--batch")?,
+                    other => remote.read(other, &mut flags)?,
                 }
             }
-            if batch == 0 {
-                return Err(CliError::InvalidFlagValue {
-                    flag: "--batch",
-                    reason: "batch size must be at least 1",
-                });
-            }
-            Ok(Command::Client {
-                addr,
-                retries,
-                action: ClientAction::Send {
-                    name,
-                    input: PathBuf::from(input),
-                    batch,
-                },
-            })
+            refuse_zero("--batch", Some(batch), "batch size must be at least 1")?;
+            ClientAction::Send { name, input, batch }
         }
         "query" | "delete" => {
             let name = positional(rest, 1, "stream name")?;
-            (addr, retries) = client_common_flags(&rest[2..])?;
-            let action = if action == "query" {
+            remote = Remote::parse(Flags::after(rest, 2))?;
+            if action == "query" {
                 ClientAction::Query { name }
             } else {
                 ClientAction::Delete { name }
-            };
-            Ok(Command::Client {
-                addr,
-                retries,
-                action,
-            })
+            }
         }
         "stats" | "shutdown" => {
-            (addr, retries) = client_common_flags(&rest[1..])?;
-            let action = if action == "stats" {
+            remote = Remote::parse(Flags::after(rest, 1))?;
+            if action == "stats" {
                 ClientAction::Stats
             } else {
                 ClientAction::Shutdown
-            };
-            Ok(Command::Client {
-                addr,
-                retries,
-                action,
-            })
+            }
         }
-        other => Err(CliError::UnknownCommand(format!("client {other}"))),
-    }
+        other => return Err(CliError::UnknownCommand(format!("client {other}"))),
+    };
+    Ok(Command::Client {
+        addr: remote.addr,
+        retries: remote.retries,
+        action,
+    })
 }
 
-/// Parses the tail of a client action that takes no flags beyond `--addr`
-/// and `--retries`.
-fn client_common_flags(rest: &[String]) -> Result<(String, u32), CliError> {
-    let mut addr = DEFAULT_SERVE_ADDR.to_string();
-    let mut retries = 0u32;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--addr" => {
-                addr = string_flag("--addr", rest.get(i + 1))?;
-                i += 2;
-            }
-            "--retries" => {
-                retries = parse_flag_value("--retries", rest.get(i + 1))?;
-                i += 2;
-            }
-            other => return Err(CliError::UnknownFlag(other.to_string())),
-        }
-    }
-    Ok((addr, retries))
-}
-
-fn string_flag(flag: &str, value: Option<&String>) -> Result<String, CliError> {
-    value
-        .cloned()
-        .ok_or_else(|| CliError::BadFlagValue(flag.to_string()))
+/// Checks an `--algo` name against the registry at parse time, so misuse
+/// is a usage error (exit 2) whose message lists the registered names.
+fn registered(algo: &str) -> Result<(), CliError> {
+    find_algo(algo)
+        .map(|_| ())
+        .ok_or_else(|| CliError::AlgoUsage(format!("unknown algorithm {algo:?}")))
 }
 
 fn positional(rest: &[String], index: usize, what: &'static str) -> Result<String, CliError> {
@@ -915,15 +753,6 @@ fn positional(rest: &[String], index: usize, what: &'static str) -> Result<Strin
         .filter(|v| !v.starts_with('-'))
         .cloned()
         .ok_or(CliError::MissingArgument(what))
-}
-
-fn reject_unknown_flags(rest: &[String], allowed: &[&str]) -> Result<(), CliError> {
-    for arg in rest {
-        if arg.starts_with('-') && !allowed.contains(&arg.as_str()) {
-            return Err(CliError::UnknownFlag(arg.clone()));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -939,28 +768,6 @@ mod tests {
         for h in ["help", "--help", "-h"] {
             assert_eq!(parse_args(&args(&[h])).unwrap(), Command::Help);
         }
-    }
-
-    #[test]
-    fn analyze_passes_args_through_and_defaults_to_check() {
-        assert_eq!(
-            parse_args(&args(&["analyze"])).unwrap(),
-            Command::Analyze {
-                args: args(&["check"])
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["analyze", "--json"])).unwrap(),
-            Command::Analyze {
-                args: args(&["check", "--json"])
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["analyze", "check", "crates/core"])).unwrap(),
-            Command::Analyze {
-                args: args(&["check", "crates/core"])
-            }
-        );
     }
 
     #[test]
@@ -1148,6 +955,22 @@ mod tests {
                 ..
             }
         ));
+        // `--estimators 0` used to print `space = 0` while the registry
+        // silently ran one estimator (or kept the whole graph).
+        for spelling in ["--estimators", "-r"] {
+            let err = parse_args(&args(&["count", "g.txt", spelling, "0"])).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CliError::InvalidFlagValue {
+                        flag: "--estimators",
+                        ..
+                    }
+                ),
+                "{spelling}: {err:?}"
+            );
+            assert!(err.to_string().contains("at least 1"), "{err}");
+        }
     }
 
     #[test]
@@ -1207,6 +1030,26 @@ mod tests {
                 seed: 3
             }
         );
+        // Zero counts are usage errors, not silently run as 1.
+        for (argv, flag) in [
+            (
+                &["sample", "g.txt", "--estimators", "0"][..],
+                "--estimators",
+            ),
+            (&["sample", "g.txt", "-k", "0"][..], "-k"),
+            (&["sample", "g.txt", "--samples", "0"][..], "-k"),
+            (
+                &["transitivity", "g.txt", "--estimators", "0"][..],
+                "--estimators",
+            ),
+        ] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert!(
+                matches!(err, CliError::InvalidFlagValue { flag: f, .. } if f == flag),
+                "{argv:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("at least 1"), "{err}");
+        }
     }
 
     #[test]
@@ -1594,6 +1437,21 @@ mod tests {
                 output: PathBuf::from("o.txt")
             }
         );
+        let err = parse_args(&args(&[
+            "generate", "orkut", "--scale", "0", "--output", "o.txt",
+        ]))
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CliError::InvalidFlagValue {
+                    flag: "--scale",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("at least 1"), "{err}");
     }
 
     #[test]

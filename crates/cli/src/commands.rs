@@ -97,7 +97,7 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             seed,
         } => {
             let stream = read_stream_auto(&input)?;
-            let mut est = TransitivityEstimator::new(estimators.max(1), seed);
+            let mut est = TransitivityEstimator::new(estimators, seed);
             est.process_edges(stream.edges());
             Ok(format!(
                 "estimated transitivity coefficient: {:.4} (tau-hat = {:.0}, zeta-hat = {:.0})\n",
@@ -113,9 +113,9 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             seed,
         } => {
             let stream = read_stream_auto(&input)?;
-            let mut sampler = TriangleSampler::new(estimators.max(1), seed);
+            let mut sampler = TriangleSampler::new(estimators, seed);
             sampler.process_edges(stream.edges());
-            match sampler.sample_k(k.max(1)) {
+            match sampler.sample_k(k) {
                 Some(triangles) => {
                     let mut out = format!("{} uniform triangle sample(s):\n", triangles.len());
                     for t in triangles {
@@ -181,22 +181,8 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 ));
             }
             out.push_str(&format!("wrote {}\n", output.display()));
-            let failures = report.gate_failures();
-            if failures.is_empty() {
-                out.push_str("accuracy gate: ok\n");
-            } else {
-                out.push_str(&format!("accuracy gate: FAILED for {failures:?}\n"));
-                if check {
-                    // The report is already on disk, so CI can upload the
-                    // artifact even though the gate fails the job.
-                    print!("{out}");
-                    return Err(format!(
-                        "accuracy gate failed: {failures:?} exceeded the documented error bound"
-                    )
-                    .into());
-                }
-            }
-            // The latency gates, both release-only:
+            // The accuracy gate runs in every build. The latency gates, both
+            // release-only:
             // - hot-path: pooled rows must not be slower than their
             //   reference rows beyond the documented HOT_PATH_TOLERANCE.
             //   (The correctness half — bit-identical estimates — is
@@ -211,46 +197,42 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             // optimisation, so the ratio is noise — the gates are enforced
             // in release builds (what the CI perf-smoke job runs) and
             // skipped, visibly, otherwise.
-            if cfg!(debug_assertions) {
-                out.push_str("hot-path gate: skipped (unoptimised build)\n");
-                out.push_str("serve stall gate: skipped (unoptimised build)\n");
-            } else {
-                let gates = [
-                    (
-                        "hot-path",
-                        report.hot_path_regressions(),
-                        "slower than the reference path beyond the documented tolerance",
-                    ),
-                    (
-                        "serve stall",
-                        report.serve_stall_regressions(),
-                        "p50 above the documented round-trip bound",
-                    ),
-                ];
-                for (gate, failures, why) in gates {
-                    if failures.is_empty() {
-                        out.push_str(&format!("{gate} gate: ok\n"));
-                        continue;
-                    }
+            let gates = [
+                (
+                    "accuracy",
+                    report.gate_failures(),
+                    "exceeded the documented error bound",
+                    false,
+                ),
+                (
+                    "hot-path",
+                    report.hot_path_regressions(),
+                    "slower than the reference path beyond the documented tolerance",
+                    true,
+                ),
+                (
+                    "serve stall",
+                    report.serve_stall_regressions(),
+                    "p50 above the documented round-trip bound",
+                    true,
+                ),
+            ];
+            for (gate, failures, why, release_only) in gates {
+                if release_only && cfg!(debug_assertions) {
+                    out.push_str(&format!("{gate} gate: skipped (unoptimised build)\n"));
+                } else if failures.is_empty() {
+                    out.push_str(&format!("{gate} gate: ok\n"));
+                } else {
                     out.push_str(&format!("{gate} gate: FAILED for {failures:?}\n"));
                     if check {
+                        // The report is already on disk, so CI can upload the
+                        // artifact even though the gate fails the job.
                         print!("{out}");
                         return Err(format!("{gate} gate failed: {failures:?} {why}").into());
                     }
                 }
             }
             Ok(out)
-        }
-        Command::Analyze { args } => {
-            // The linter prints its own report (text or --json) and returns
-            // a process exit code; translate a dirty tree into a CLI error
-            // so `tristream-cli analyze` exits non-zero exactly when the
-            // standalone binary would.
-            match tristream_analyze::cli_main(&args) {
-                0 => Ok(String::new()),
-                1 => Err("analyze found invariant violations (see the report above)".into()),
-                _ => Err("analyze could not check the workspace".into()),
-            }
         }
         Command::Serve {
             addr,
@@ -335,9 +317,7 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
         } => {
             let kind = dataset_from_slug(&dataset)
                 .ok_or_else(|| format!("unknown dataset {dataset:?}; see `tristream-cli help`"))?;
-            let denominator = kind
-                .default_scale_denominator()
-                .saturating_mul(scale.max(1));
+            let denominator = kind.default_scale_denominator().saturating_mul(scale);
             let stand_in = StandIn::generate_scaled(kind, denominator, seed);
             write_edge_list_file(&stand_in.stream, &output)?;
             Ok(format!(
@@ -386,7 +366,7 @@ fn run_count_algo(
     let start = Instant::now();
     let decode_secs = Rc::new(Cell::new(0.0));
     let (mut counter, shards_note): (Box<dyn TriangleEstimator>, String) = if parallel {
-        let shards = shards.unwrap_or_else(default_shards).max(1);
+        let shards = shards.unwrap_or_else(default_shards);
         let counter = spec.build_sharded(&params, shards);
         (Box::new(counter), format!("shards = {shards}, "))
     } else {

@@ -11,6 +11,7 @@
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tristream-cli"))
@@ -702,6 +703,31 @@ fn serve_daemon_end_to_end_over_the_binary() {
     );
 
     let _ = std::fs::remove_file(&edge_list);
+}
+
+#[test]
+fn retries_back_off_then_report_the_transport_error() {
+    // docs/OPERATIONS.md §1: `--retries N` retries transport failures on a
+    // 10 ms doubling schedule. A released port refuses every connect, so
+    // three retries sleep 10 + 20 + 40 ms before the last failure is
+    // reported, and a sleep never returns early.
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("binding an ephemeral port")
+        .port();
+    let addr = format!("127.0.0.1:{port}");
+    let start = Instant::now();
+    let query = run(&["client", "query", "s", "--addr", &addr, "--retries", "3"]);
+    let elapsed = start.elapsed();
+    assert_eq!(query.status.code(), Some(1), "{query:?}");
+    assert!(
+        String::from_utf8_lossy(&query.stderr).contains("transport error"),
+        "{query:?}"
+    );
+    assert!(
+        elapsed >= Duration::from_millis(70),
+        "three retries must back off 70 ms in all, took {elapsed:?}"
+    );
 }
 
 #[test]

@@ -11,13 +11,13 @@
 //!
 //! * the table's own mutex guards only the `Vec` of entries (lookup,
 //!   create, delete) and is held for microseconds;
-//! * each stream has its own mutex around engine + ingest counter, so a
-//!   slow SNAPSHOT of stream A never blocks ingest on stream B.
+//! * each stream has its own mutex around its engine, so a slow SNAPSHOT
+//!   of stream A never blocks ingest on stream B.
 //!
-//! QUERY takes neither lock beyond the lookup. It reads the engine's
-//! [`Frontier`] — the summaries every shard publishes after each batch —
-//! through a handle the entry keeps outside its mutex, and waits only
-//! until the frontier covers the edges its caller must see.
+//! QUERY and STATS take neither lock beyond the lookup. They read the
+//! engine's [`Frontier`] — the summaries every shard publishes after each
+//! batch — through a handle the entry keeps outside its mutex, and wait
+//! only until the frontier covers the edges their caller must see.
 //!
 //! Entries are `Arc`-shared: a connection resolves a name to an
 //! `Arc<StreamEntry>` under the table lock, then works on the stream with
@@ -52,16 +52,8 @@ pub const DEFAULT_STREAM_SHARDS: usize = 2;
 /// The boxed engine type every stream runs.
 pub type StreamEngine = ShardedEstimator<Box<dyn TriangleEstimator + Send>>;
 
-/// Mutable per-stream state, guarded by the entry's mutex.
-pub struct StreamState {
-    /// The sharded engine (persistent worker threads, bounded queues).
-    pub engine: StreamEngine,
-    /// EDGES-frame enqueue latency.
-    pub ingest: LatencyCounter,
-}
-
-/// One named stream: immutable identity, the read side QUERY uses without
-/// the stream lock, and mutexed state.
+/// One named stream: immutable identity, the read side QUERY and STATS use
+/// without the stream lock, and the mutexed engine.
 pub struct StreamEntry {
     name: String,
     algo: &'static str,
@@ -78,14 +70,18 @@ pub struct StreamEntry {
     /// Whether the registry flags this stream's algorithm as supporting
     /// snapshots (see `AlgoSpec::snapshotable`).
     snapshotable: bool,
-    /// The engine's published summaries, which QUERY reads.
+    /// The engine's published summaries, which QUERY and STATS read.
     frontier: Arc<Frontier>,
     /// Edges ingested, updated under the stream lock: what a QUERY waits
     /// for when it must see every edge.
     ingested: AtomicU64,
     /// QUERY latency, including any wait for the frontier.
     query: Mutex<LatencyCounter>,
-    state: Mutex<StreamState>,
+    /// EDGES-frame enqueue latency, updated under the stream lock so a
+    /// checkpoint's batch count matches its snapshot.
+    ingest: Mutex<LatencyCounter>,
+    /// The sharded engine (persistent worker threads, bounded queues).
+    engine: Mutex<StreamEngine>,
 }
 
 impl std::fmt::Debug for StreamEntry {
@@ -128,31 +124,38 @@ impl StreamEntry {
         self.query.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Locks the stream's state. Poisoning (an engine panic on another
+    fn ingest_latency(&self) -> MutexGuard<'_, LatencyCounter> {
+        self.ingest.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the stream's engine. Poisoning (an engine panic on another
     /// connection's thread) is healed by taking the inner value: the
     /// engine itself re-surfaces a shard's panic on the next engine call
     /// (a dead worker fails every send and read), so nothing is masked —
     /// but an unrelated stream's handler never dies on a poisoned table.
-    pub fn lock(&self) -> MutexGuard<'_, StreamState> {
-        self.state
+    pub fn lock(&self) -> MutexGuard<'_, StreamEngine> {
+        self.engine
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Per-stream counters for a STATS report. Waits for every batch
-    /// ingested, under the stream lock (the estimate is the value a QUERY
-    /// that must see every edge would answer).
+    /// Per-stream counters for a STATS report. The estimate, edges and
+    /// memory words are one frontier reading that covers every edge
+    /// ingested before the call (the value a QUERY that must see every
+    /// edge would answer). It takes no stream lock, so it never stalls the
+    /// stream's writer, and it does not count as a QUERY.
     pub fn stats(&self) -> StreamStats {
-        let state = self.lock();
+        let reading = self.frontier.read(self.ingested());
+        let ingest = *self.ingest_latency();
         let query = *self.query_latency();
         StreamStats {
             name: self.name.clone(),
             algo: self.algo.to_string(),
-            edges: state.engine.edges_seen(),
-            estimate: state.engine.estimate(),
-            memory_words: state.engine.memory_words() as u64,
-            ingest_batches: state.ingest.ops(),
-            ingest_nanos: state.ingest.total_nanos(),
+            edges: reading.edges,
+            estimate: reading.estimate,
+            memory_words: reading.memory_words as u64,
+            ingest_batches: ingest.ops(),
+            ingest_nanos: ingest.total_nanos(),
             queries: query.ops(),
             query_nanos: query.total_nanos(),
         }
@@ -253,20 +256,22 @@ impl StreamTable {
             cp.shards,
             cp.window,
         )?;
-        let state = entry
-            .state
+        let engine = entry
+            .engine
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
         // The restore publishes every shard at the restored edge count, so
         // a QUERY answers the restored bits as soon as the entry is listed.
-        state
-            .engine
+        engine
             .restore(&cp.engine)
             .map_err(|e| WireError::new(ErrorCode::BadSnapshot, e.to_string()))?;
         // The recovered batch count keeps the checkpoint cadence counting
         // from where the lost process left off.
-        state.ingest = LatencyCounter::with_ops(cp.ingest_batches);
-        *entry.ingested.get_mut() = state.engine.edges_seen();
+        *entry
+            .ingest
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = LatencyCounter::with_ops(cp.ingest_batches);
+        *entry.ingested.get_mut() = engine.edges_seen();
         self.insert(entry)
     }
 
@@ -306,10 +311,8 @@ impl StreamTable {
             frontier: engine.frontier(),
             ingested: AtomicU64::new(0),
             query: Mutex::new(LatencyCounter::new()),
-            state: Mutex::new(StreamState {
-                engine,
-                ingest: LatencyCounter::new(),
-            }),
+            ingest: Mutex::new(LatencyCounter::new()),
+            engine: Mutex::new(engine),
         })
     }
 
@@ -356,8 +359,8 @@ impl StreamTable {
 
     /// Per-stream counters for every live stream, in creation order.
     pub fn stats(&self) -> Vec<StreamStats> {
-        // Snapshot the entries first so per-stream synchronisation (which
-        // can wait on engine queues) happens outside the table lock.
+        // Snapshot the entries first so per-stream reads (which can wait
+        // for the frontier) happen outside the table lock.
         let entries: Vec<Arc<StreamEntry>> = self.lock().clone();
         entries.iter().map(|entry| entry.stats()).collect()
     }
@@ -403,13 +406,14 @@ pub(crate) struct Ingested {
 /// enqueued on the engine's bounded queues and this returns without waiting
 /// for processing (backpressure applies when the queues are full).
 pub(crate) fn ingest(entry: &StreamEntry, batch: &[Edge]) -> Ingested {
-    let mut state = entry.lock();
-    let (_, nanos) = crate::metrics::timed(|| state.engine.process_batch(batch));
-    state.ingest.record(nanos);
-    let edges = state.engine.edges_seen();
+    let mut engine = entry.lock();
+    let (_, nanos) = crate::metrics::timed(|| engine.process_batch(batch));
+    let mut ingest = entry.ingest_latency();
+    ingest.record(nanos);
+    let edges = engine.edges_seen();
     entry.ingested.store(edges, Ordering::SeqCst);
     Ingested {
-        batches: state.ingest.ops(),
+        batches: ingest.ops(),
         edges,
     }
 }
@@ -453,9 +457,8 @@ pub fn checkpoint_stream(entry: &StreamEntry) -> Result<StreamCheckpoint, WireEr
             ),
         ));
     }
-    let state = entry.lock();
-    let engine = state
-        .engine
+    let engine = entry.lock();
+    let snapshot = engine
         .snapshot()
         .map_err(|e| WireError::new(ErrorCode::SnapshotUnsupported, e.to_string()))?;
     Ok(StreamCheckpoint {
@@ -465,9 +468,9 @@ pub fn checkpoint_stream(entry: &StreamEntry) -> Result<StreamCheckpoint, WireEr
         budget_words: entry.budget_words,
         shards: entry.shards,
         window: entry.window,
-        replay_edges: state.engine.edges_seen(),
-        ingest_batches: state.ingest.ops(),
-        engine,
+        replay_edges: engine.edges_seen(),
+        ingest_batches: entry.ingest_latency().ops(),
+        engine: snapshot,
     })
 }
 
@@ -706,6 +709,41 @@ mod tests {
             (estimate.to_bits(), edges, words)
         );
         assert_eq!(table.stats()[0].queries, 2);
+    }
+
+    #[test]
+    fn stats_read_the_frontier_without_the_stream_lock() {
+        // STATS reads the frontier like QUERY, so it must return while
+        // another thread holds the stream's mutex, with the bits of a query
+        // taken before, and without counting as a QUERY.
+        let table = Arc::new(StreamTable::new());
+        table
+            .create("s", "neighborhood-bulk", 5, 1 << 12, 2, 0)
+            .unwrap();
+        let entry = table.require("s").unwrap();
+        for chunk in batch(300).chunks(50) {
+            ingest_batch(&entry, chunk);
+        }
+        let (estimate, edges, words) = query_stream(&entry);
+        let held = entry.lock();
+        let (done, reply) = std::sync::mpsc::channel();
+        let reader = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || done.send(table.stats()).unwrap())
+        };
+        let stats = reply.recv_timeout(std::time::Duration::from_secs(10));
+        drop(held);
+        reader.join().unwrap();
+        let stats = stats.expect("a STATS waited for the stream lock");
+        assert_eq!(
+            (
+                stats[0].estimate.to_bits(),
+                stats[0].edges,
+                stats[0].memory_words
+            ),
+            (estimate.to_bits(), edges, words)
+        );
+        assert_eq!((stats[0].ingest_batches, stats[0].queries), (6, 1));
     }
 
     #[test]

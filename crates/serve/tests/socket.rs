@@ -15,7 +15,8 @@ use tristream_core::{ShardedEstimator, TriangleEstimator};
 use tristream_graph::Edge;
 use tristream_serve::protocol::{ErrorCode, FrameType, Request};
 use tristream_serve::{
-    Client, ClientError, CreateStream, EstimateReply, Server, StreamCheckpoint, SERVE_STREAM_HINT,
+    Client, ClientError, CreateStream, EstimateReply, RetryPolicy, Server, StreamCheckpoint,
+    SERVE_STREAM_HINT,
 };
 
 /// Binds a daemon on an ephemeral loopback port and runs it on a
@@ -564,6 +565,31 @@ fn frontier_reads_answer_a_restored_stream_at_once() {
     );
 
     writer.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+}
+
+#[test]
+fn refusals_are_answered_once_and_never_retried() {
+    // docs/OPERATIONS.md §1: only transport failures are retried. An
+    // UNKNOWN_STREAM refusal is an answer, so a QUERY under eight retries
+    // returns it before the schedule's eight delays (10 ms doubling,
+    // capped at 640 ms: 1.91 s in all) could have run.
+    let (addr, server) = spawn_server();
+    let mut client = Client::connect(addr).expect("connect");
+    let start = Instant::now();
+    let err = client
+        .query_with_retry("ghost", RetryPolicy::new(8))
+        .expect_err("no stream is named ghost");
+    let elapsed = start.elapsed();
+    assert!(
+        matches!(&err, ClientError::Server(e) if e.code == ErrorCode::UnknownStream),
+        "{err}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(1_910),
+        "a refusal was retried: {elapsed:?}"
+    );
+    client.shutdown().expect("shutdown");
     server.join().expect("join").expect("server run");
 }
 
