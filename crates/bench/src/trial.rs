@@ -6,12 +6,11 @@
 //! million edges per second with I/O factored out. [`run_trials`] produces
 //! exactly those statistics for any closure that maps a seed to an estimate.
 
-use serde::Serialize;
 use std::time::{Duration, Instant};
 use tristream_sample::relative_error;
 
 /// The result of one trial: the estimate it produced and how long it took.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrialOutcome {
     /// The estimate produced by this trial.
     pub estimate: f64,
@@ -21,7 +20,7 @@ pub struct TrialOutcome {
 
 /// Accuracy and timing statistics over a set of trials, in the shape the
 /// paper's tables use.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TrialSummary {
     /// Ground truth the estimates are scored against.
     pub truth: f64,
@@ -59,7 +58,7 @@ impl TrialSummary {
 
 /// Average-throughput record used by the figures that report million edges
 /// per second.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ThroughputSummary {
     /// Label of the configuration (dataset, r, batch size, …).
     pub label: String,

@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use tristream_baselines::registry::{algo_names_joined, find_algo};
 use tristream_graph::binary::is_tsb_path;
+use tristream_serve::CreateStream;
 
 /// Errors produced while parsing the command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,21 +207,9 @@ pub const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7878";
 /// What `tristream-cli client` should do once connected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientAction {
-    /// CREATE a named stream running a registry algorithm.
-    Create {
-        /// Stream name.
-        name: String,
-        /// Registry algorithm name (validated at parse time).
-        algo: String,
-        /// Root RNG seed.
-        seed: u64,
-        /// Memory budget in 8-byte words.
-        budget_words: u64,
-        /// Engine shards; 0 lets the server choose.
-        shards: u16,
-        /// Sliding-window size; 0 keeps the registry default.
-        window: u64,
-    },
+    /// CREATE a named stream running a registry algorithm (validated at
+    /// parse time).
+    Create(CreateStream),
     /// Stream an edge-list file to a stream as EDGES frames.
     Send {
         /// Target stream name.
@@ -263,7 +252,9 @@ USAGE:
                              [--checkpoint-every N] [--idle-timeout SECS]
   tristream-cli client       create NAME --algo NAME [--seed S] [--budget WORDS]
                                          [--shards K] [--window W] [--addr HOST:PORT]
+                                         [--retries N]
   tristream-cli client       send NAME <EDGE_LIST> [--batch W] [--addr HOST:PORT]
+                                         [--retries N]
   tristream-cli client       query NAME | stats | delete NAME | shutdown
                                          [--addr HOST:PORT] [--retries N]
   tristream-cli checkpoint   NAME --output FILE [--addr HOST:PORT] [--retries N]
@@ -674,31 +665,21 @@ fn parse_client(rest: &[String]) -> Result<Command, CliError> {
         "create" => {
             let name = positional(rest, 1, "stream name")?;
             let mut algo: Option<String> = None;
-            let mut seed = 0u64;
-            let mut budget_words = 1u64 << 14;
-            let mut shards = 0u16;
-            let mut window = 0u64;
+            let mut recipe = CreateStream::new(name, "");
             let mut flags = Flags::after(rest, 2);
             while let Some(flag) = flags.next() {
                 match flag {
                     "--algo" | "-a" => algo = Some(flags.value("--algo")?),
-                    "--seed" => seed = flags.value("--seed")?,
-                    "--budget" => budget_words = flags.value("--budget")?,
-                    "--shards" => shards = flags.value("--shards")?,
-                    "--window" => window = flags.value("--window")?,
+                    "--seed" => recipe.seed = flags.value("--seed")?,
+                    "--budget" => recipe.budget_words = flags.value("--budget")?,
+                    "--shards" => recipe.shards = flags.value("--shards")?,
+                    "--window" => recipe.window = flags.value("--window")?,
                     other => remote.read(other, &mut flags)?,
                 }
             }
-            let algo = algo.ok_or(CliError::MissingArgument("--algo NAME"))?;
-            registered(&algo)?;
-            ClientAction::Create {
-                name,
-                algo,
-                seed,
-                budget_words,
-                shards,
-                window,
-            }
+            recipe.algo = algo.ok_or(CliError::MissingArgument("--algo NAME"))?;
+            registered(&recipe.algo)?;
+            ClientAction::Create(recipe)
         }
         "send" => {
             let name = positional(rest, 1, "stream name")?;
@@ -1298,14 +1279,14 @@ mod tests {
             Command::Client {
                 addr: "10.0.0.1:7878".to_string(),
                 retries: 0,
-                action: ClientAction::Create {
+                action: ClientAction::Create(CreateStream {
                     name: "prod".to_string(),
                     algo: "sliding".to_string(),
                     seed: 7,
                     budget_words: 4_096,
                     shards: 2,
                     window: 100,
-                },
+                }),
             }
         );
         let c = parse_args(&args(&[

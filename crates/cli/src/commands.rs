@@ -22,7 +22,7 @@ use tristream_graph::binary::{
 };
 use tristream_graph::io::{read_edge_list_file, write_edge_list_file};
 use tristream_graph::{Edge, EdgeStream, GraphError, GraphSummary};
-use tristream_serve::{Client, CreateStream, RetryPolicy, Server, ServerOptions, StreamCheckpoint};
+use tristream_serve::{Client, RetryPolicy, Server, ServerOptions, StreamCheckpoint};
 
 /// Reads a whole edge-stream file, picking the codec from the extension:
 /// `.tsb` files use the binary reader (duplicates preserved — binary
@@ -280,9 +280,8 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             addr,
             retries,
         } => {
-            let policy = RetryPolicy::new(retries);
-            let mut client = Client::connect_with_retry(addr.as_str(), policy)?;
-            let bytes = client.snapshot_with_retry(&name, policy)?;
+            let mut client = Client::connect_with_retry(addr.as_str(), RetryPolicy::new(retries))?;
+            let bytes = client.snapshot(&name)?;
             std::fs::write(&output, &bytes)?;
             Ok(format!(
                 "checkpointed stream {name:?} to {} ({} bytes)\n",
@@ -421,9 +420,9 @@ fn run_count_algo(
 /// `client <ACTION>`: one connection, one operation, one report. The
 /// errors are the typed client errors, so a server-side refusal (unknown
 /// stream, draining, …) renders with its protocol error code and detail.
-/// `--retries` drives the connect for every action, and the request
-/// itself only for the read-only ones (QUERY, STATS) — mutating requests
-/// are never retried, so a transport failure stays unambiguous.
+/// `--retries` is the connection's retry policy: the connect and the reads
+/// (QUERY, STATS) retry transport failures under it, while every other
+/// request is sent once, so a transport failure there stays unambiguous.
 fn run_client(
     addr: &str,
     policy: RetryPolicy,
@@ -431,25 +430,11 @@ fn run_client(
 ) -> Result<String, Box<dyn Error>> {
     let mut client = Client::connect_with_retry(addr, policy)?;
     match action {
-        ClientAction::Create {
-            name,
-            algo,
-            seed,
-            budget_words,
-            shards,
-            window,
-        } => {
-            client.create_stream(&CreateStream {
-                name: name.clone(),
-                algo: algo.clone(),
-                seed,
-                budget_words,
-                shards,
-                window,
-            })?;
+        ClientAction::Create(recipe) => {
+            client.create_stream(&recipe)?;
             Ok(format!(
-                "created stream {name:?} (algo = {algo}, seed = {seed}, budget = {budget_words} \
-                 words)\n"
+                "created stream {:?} (algo = {}, seed = {}, budget = {} words)\n",
+                recipe.name, recipe.algo, recipe.seed, recipe.budget_words
             ))
         }
         ClientAction::Send { name, input, batch } => {
@@ -460,6 +445,7 @@ fn run_client(
             // A QUERY on another connection answers at the frontier, which
             // may trail acknowledged edges; one on this connection returns
             // once they are all in, so a later `client query` sees them.
+            // It follows EDGES, so it is not retried.
             client.query(&name)?;
             Ok(format!(
                 "sent {} edges to {name:?} in {frames} EDGES frame(s) of up to {batch}\n",
@@ -467,14 +453,14 @@ fn run_client(
             ))
         }
         ClientAction::Query { name } => {
-            let reply = client.query_with_retry(&name, policy)?;
+            let reply = client.query(&name)?;
             Ok(format!(
                 "stream {name:?}: estimate = {:.0} ({} edges, memory = {} words)\n",
                 reply.estimate, reply.edges, reply.memory_words
             ))
         }
         ClientAction::Stats => {
-            let streams = client.stats_with_retry(policy)?;
+            let streams = client.stats()?;
             if streams.is_empty() {
                 return Ok("no live streams\n".to_string());
             }
@@ -549,6 +535,7 @@ pub fn write_temp_stream(stream: &EdgeStream, name: &str) -> std::path::PathBuf 
 mod tests {
     use super::*;
     use crate::args::Command;
+    use tristream_serve::CreateStream;
 
     fn sample_graph_path() -> std::path::PathBuf {
         // 1,000-ish triangles, 3,000 edges: the paper's Table 1 workload.
@@ -915,14 +902,14 @@ mod tests {
                 action,
             })
         };
-        let out = client(ClientAction::Create {
+        let out = client(ClientAction::Create(CreateStream {
             name: "prod".into(),
             algo: "exact".into(),
             seed: 0,
             budget_words: 1 << 14,
             shards: 0,
             window: 0,
-        })
+        }))
         .unwrap();
         assert!(out.contains("created stream \"prod\""), "{out}");
         let out = client(ClientAction::Send {
@@ -972,14 +959,14 @@ mod tests {
                 action,
             })
         };
-        client(ClientAction::Create {
+        client(ClientAction::Create(CreateStream {
             name: "prod".into(),
             algo: "neighborhood-bulk".into(),
             seed: 11,
             budget_words: 1 << 14,
             shards: 2,
             window: 0,
-        })
+        }))
         .unwrap();
         client(ClientAction::Send {
             name: "prod".into(),

@@ -13,13 +13,13 @@
 //! Each worker drains one bounded FIFO queue of batches.
 //! [`ShardedEstimator::process_batch`] enqueues the batch and returns, so
 //! the hot path has no spawn or join. After each batch a worker publishes a
-//! fixed-size summary of its shard — the engine's cumulative edge count,
-//! the shard's estimate and its memory words — into that shard's ring in
-//! the shared [`Frontier`]. The *frontier* is the newest edge count every
+//! [`Reading`] of its shard — the engine's cumulative edge count, the
+//! shard's estimate and its memory words — into that shard's ring in the
+//! shared [`Frontier`]. The *frontier* is the newest edge count every
 //! shard has published, and the engine's estimate is complete there (the
 //! paper's bulk algorithm is exact at every batch boundary). A read waits
 //! until the frontier covers the edges it must see and answers from the
-//! summaries, without touching a shard; reads that need whole shards
+//! readings, without touching a shard; reads that need whole shards
 //! (snapshot, restore) wait for every submitted batch and then lock them.
 //! A worker that exits, by a panic or because its queue closed, marks its
 //! shard closed, so a reader waiting on it fails instead of hanging.
@@ -79,32 +79,41 @@ pub fn drain_batch_source<E>(
 /// [`ShardedEstimator::process_batch`] blocks instead of growing memory.
 const QUEUE_DEPTH: usize = 4;
 
-/// Summaries each shard's ring keeps. `process_batch` hands a batch to the
+/// Readings each shard's ring keeps. `process_batch` hands a batch to the
 /// shards in order and blocks on a full queue. So while the slowest shard
-/// works on the batch after its newest summary, with `QUEUE_DEPTH` more
+/// works on the batch after its newest reading, with `QUEUE_DEPTH` more
 /// queued behind it, a shard earlier in the order can have published up
-/// to `QUEUE_DEPTH + 2` batches past that summary. One more entry keeps
-/// the slowest shard's newest summary — the frontier — in every ring.
+/// to `QUEUE_DEPTH + 2` batches past that reading. One more entry keeps
+/// the slowest shard's newest reading — the frontier — in every ring.
 const RING_DEPTH: usize = QUEUE_DEPTH + 3;
 
 /// One `process_edges` call, so batch boundaries are the caller's, and
-/// the engine's edge count after it, which keys the summary that follows.
+/// the engine's edge count after it, which keys the reading that follows.
 struct Job {
     batch: Arc<[Edge]>,
     edges: u64,
 }
 
-/// What a worker publishes after each batch.
-#[derive(Debug, Clone, Copy)]
-struct Summary {
-    /// The engine's cumulative edge count after the batch. Every shard
-    /// sees the same batches, so the keys agree across shards.
-    edges: u64,
-    estimate: f64,
-    memory_words: usize,
+/// An answer of the engine: both a shard's answer after a batch, which its
+/// worker publishes, and the engine's answer at the frontier, which
+/// [`Frontier::read`] returns. The frontier is the newest edge count that
+/// every shard has published.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reading {
+    /// The engine's cumulative edge count: after the batch, or the
+    /// frontier. Every shard sees the same batches, so the counts agree
+    /// across shards.
+    pub edges: u64,
+    /// The shard's estimate, or at the frontier the mean of the shard
+    /// estimates in shard order — the bits [`TriangleEstimator::estimate`]
+    /// gives once those edges are in.
+    pub estimate: f64,
+    /// The shard's memory words, or at the frontier their sum.
+    pub memory_words: usize,
 }
 
-impl Summary {
+impl Reading {
+    /// What a shard answers after `edges` edges.
     fn of(shard: &impl TriangleEstimator, edges: u64) -> Self {
         Self {
             edges,
@@ -114,27 +123,27 @@ impl Summary {
     }
 }
 
-/// One shard's newest summaries, the oldest overwritten first.
+/// One shard's newest readings, the oldest overwritten first.
 #[derive(Debug, Clone, Copy)]
 struct Ring {
-    slots: [Summary; RING_DEPTH],
-    /// Summaries published since the ring was last reset, at least one.
+    slots: [Reading; RING_DEPTH],
+    /// Readings published since the ring was last reset, at least one.
     published: usize,
     /// Set once the shard's worker has exited.
     closed: bool,
 }
 
 impl Ring {
-    fn new(summary: Summary) -> Self {
+    fn new(reading: Reading) -> Self {
         Self {
-            slots: [summary; RING_DEPTH],
+            slots: [reading; RING_DEPTH],
             published: 1,
             closed: false,
         }
     }
 
-    fn push(&mut self, summary: Summary) {
-        self.slots[self.published % RING_DEPTH] = summary;
+    fn push(&mut self, reading: Reading) {
+        self.slots[self.published % RING_DEPTH] = reading;
         self.published += 1;
     }
 
@@ -142,19 +151,19 @@ impl Ring {
         self.slots[(self.published - 1) % RING_DEPTH].edges
     }
 
-    /// The summary keyed `edges`, which every ring holds while `edges` is
+    /// The reading keyed `edges`, which every ring holds while `edges` is
     /// the frontier.
-    fn at(&self, edges: u64) -> &Summary {
+    fn at(&self, edges: u64) -> &Reading {
         let held = &self.slots[..self.published.min(RING_DEPTH)];
         #[allow(clippy::expect_used)]
         held.iter()
-            .find(|summary| summary.edges == edges)
+            .find(|reading| reading.edges == edges)
             // analyze: allow(P1, reason = "RING_DEPTH covers the QUEUE_DEPTH + 2 batches a shard can publish past the slowest shard, so every ring holds the frontier; parallel::tests pins that lead")
-            .expect("a shard's ring lost the frontier summary")
+            .expect("a shard's ring lost the frontier reading")
     }
 }
 
-/// The per-shard summary rings a [`ShardedEstimator`] shares with its
+/// The per-shard reading rings a [`ShardedEstimator`] shares with its
 /// workers and, through [`ShardedEstimator::frontier`], with readers that
 /// must not wait for the estimator's owner.
 ///
@@ -167,22 +176,10 @@ pub struct Frontier {
     published: Condvar,
 }
 
-/// The engine's answer at the frontier.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Reading {
-    /// The frontier: the newest edge count every shard has published.
-    pub edges: u64,
-    /// The mean of the shard estimates there, in shard order — the bits
-    /// [`TriangleEstimator::estimate`] gives once those edges are in.
-    pub estimate: f64,
-    /// The sum of the shard memory words there.
-    pub memory_words: usize,
-}
-
 impl Frontier {
-    fn new(summaries: impl IntoIterator<Item = Summary>) -> Self {
+    fn new(readings: impl IntoIterator<Item = Reading>) -> Self {
         Self {
-            rings: Mutex::new(summaries.into_iter().map(Ring::new).collect()),
+            rings: Mutex::new(readings.into_iter().map(Ring::new).collect()),
             published: Condvar::new(),
         }
     }
@@ -193,17 +190,17 @@ impl Frontier {
         self.rings.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn publish(&self, shard: usize, summary: Summary) {
-        self.lock()[shard].push(summary);
+    fn publish(&self, shard: usize, reading: Reading) {
+        self.lock()[shard].push(reading);
         self.published.notify_all();
     }
 
-    /// Makes each shard's summary the only one in its ring, as after a
+    /// Makes each shard's reading the only one in its ring, as after a
     /// restore.
-    fn reset(&self, summaries: &[Summary]) {
-        for (ring, &summary) in self.lock().iter_mut().zip(summaries) {
+    fn reset(&self, readings: &[Reading]) {
+        for (ring, &reading) in self.lock().iter_mut().zip(readings) {
             ring.published = 0;
-            ring.push(summary);
+            ring.push(reading);
         }
         self.published.notify_all();
     }
@@ -224,7 +221,7 @@ impl Frontier {
                 .try_fold(u64::MAX, |frontier, newest| Some(frontier.min(newest?)));
             #[allow(clippy::expect_used)]
             let frontier = frontier
-                // analyze: allow(P1, reason = "a worker exits while its estimator lives only after a panic on its shard; resurfacing it on the reader's thread beats waiting forever for a summary it will never publish")
+                // analyze: allow(P1, reason = "a worker exits while its estimator lives only after a panic on its shard; resurfacing it on the reader's thread beats waiting forever for a reading it will never publish")
                 .expect("shard lost to an earlier panic");
             if frontier >= edges {
                 return (rings, frontier);
@@ -236,7 +233,7 @@ impl Frontier {
         }
     }
 
-    /// Waits until every shard has published a summary at `edges` edges or
+    /// Waits until every shard has published a reading at `edges` edges or
     /// later, then answers at the frontier. It takes no shard lock and
     /// allocates nothing.
     ///
@@ -276,7 +273,7 @@ struct Shard<C> {
 }
 
 /// Runs a shard's batches in queue order until the queue closes,
-/// publishing a summary after each. Stops early if a panic on a reader's
+/// publishing a reading after each. Stops early if a panic on a reader's
 /// thread poisoned the shard. Either way, or by a panic here, the shard is
 /// marked closed on the way out.
 fn work<C: TriangleEstimator>(
@@ -291,7 +288,7 @@ fn work<C: TriangleEstimator>(
             return;
         };
         estimator.process_edges(&job.batch);
-        frontier.publish(shard, Summary::of(&*estimator, job.edges));
+        frontier.publish(shard, Reading::of(&*estimator, job.edges));
     }
 }
 
@@ -349,12 +346,12 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
     pub fn from_factory(shards: usize, seed: u64, mut factory: impl FnMut(u64) -> C) -> Self {
         assert!(shards > 0, "at least one shard is required");
         let estimators: Vec<C> = (0..shards).map(|i| factory(shard_seed(seed, i))).collect();
-        let summaries = estimators.iter().map(|shard| Summary::of(shard, 0));
+        let readings = estimators.iter().map(|shard| Reading::of(shard, 0));
         // Built up in place, so that if a spawn fails, dropping `sharded`
         // joins the workers already running.
         let mut sharded = Self {
             shards: Vec::with_capacity(shards),
-            frontier: Arc::new(Frontier::new(summaries)),
+            frontier: Arc::new(Frontier::new(readings)),
             edges_seen: 0,
         };
         for (i, estimator) in estimators.into_iter().enumerate() {
@@ -382,7 +379,7 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
         self.shards.len()
     }
 
-    /// A shared handle on the summaries the workers publish. Its
+    /// A shared handle on the readings the workers publish. Its
     /// [`Frontier::read`] answers without this estimator, so a holder can
     /// read while another thread owns the estimator and submits batches.
     pub fn frontier(&self) -> Arc<Frontier> {
@@ -594,14 +591,14 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
             nested.push(section.rest());
         }
         let mut nested = nested.into_iter();
-        let summaries = self
+        let readings = self
             .map_synced(|shard| {
                 nested.next().map_or(Ok(()), |bytes| shard.restore(bytes))?;
-                Ok(Summary::of(shard, edges_seen))
+                Ok(Reading::of(shard, edges_seen))
             })
             .into_iter()
             .collect::<Result<Vec<_>, SnapshotError>>()?;
-        self.frontier.reset(&summaries);
+        self.frontier.reset(&readings);
         self.edges_seen = edges_seen;
         Ok(())
     }

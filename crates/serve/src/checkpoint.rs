@@ -109,6 +109,13 @@ impl StreamCheckpoint {
             });
         }
         let name = meta.string("stream name")?;
+        // No request could name the stream, since the wire refuses empty
+        // strings, and its file would be `.tsc`, which no scan reads back.
+        if name.is_empty() {
+            return Err(SnapshotError::Incompatible {
+                reason: "the stream name is empty".to_string(),
+            });
+        }
         let algo = meta.string("algorithm name")?;
         let seed = meta.u64("seed")?;
         let budget_words = meta.u64("budget words")?;
@@ -289,6 +296,19 @@ mod tests {
             StreamCheckpoint::decode(&trailing),
             Err(SnapshotError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn an_empty_stream_name_is_refused() {
+        let mut cp = sample();
+        cp.name = String::new();
+        let bytes = cp.encode().unwrap();
+        match StreamCheckpoint::decode(&bytes) {
+            Err(SnapshotError::Incompatible { reason }) => {
+                assert!(reason.contains("name"), "{reason}");
+            }
+            other => panic!("an empty name decoded to {other:?}"),
+        }
     }
 
     #[test]

@@ -6,22 +6,26 @@
 //! exactly one reply frame. [`Client::connect`] performs the HELLO
 //! handshake, so a constructed client is always version-checked.
 
-use crate::protocol::{Request, Response, StreamStats, WireError, PROTOCOL_VERSION};
+use crate::protocol::{
+    CreateStream, FrameType, Request, Response, StreamStats, WireError, PROTOCOL_VERSION,
+};
 use std::fmt;
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
+use tristream_core::Reading;
 use tristream_graph::{frame, Edge, GraphError};
 
 /// Why a client call failed.
 #[derive(Debug)]
 pub enum ClientError {
-    /// The transport failed: connect, framing, or socket I/O.
+    /// The transport failed: connect, framing, or socket I/O, including a
+    /// connection closed before its reply.
     Transport(GraphError),
     /// The server answered with an ERROR frame.
     Server(WireError),
     /// The server answered with something the protocol does not allow
-    /// here (e.g. an ESTIMATE in reply to CREATE, or a hangup mid-reply).
+    /// here (e.g. an ESTIMATE in reply to CREATE).
     Protocol(String),
 }
 
@@ -65,6 +69,13 @@ impl ClientError {
 /// *refusal* — an ERROR frame, surfaced as [`ClientError::Server`] — is a
 /// definitive answer, not a transient fault, and is never retried;
 /// protocol violations aren't either.
+///
+/// A connection keeps its policy ([`Client::connect_with_retry`]) for the
+/// connect and its reads — QUERY, STATS, SNAPSHOT — until it sends any
+/// other request. Those are sent once: a lost EDGES reply leaves "did the
+/// batch land?" unknowable. From then on its reads fail fast too, since a
+/// retry reconnects and a QUERY on a new connection would not wait for the
+/// EDGES this one had acknowledged (read-your-writes is per connection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RetryPolicy {
     /// Additional attempts after the first failure (0 = fail fast).
@@ -72,11 +83,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries: the first transport failure is final.
-    pub fn none() -> Self {
-        Self { retries: 0 }
-    }
-
     /// Up to `retries` additional attempts with the documented backoff.
     pub fn new(retries: u32) -> Self {
         Self { retries }
@@ -91,61 +97,18 @@ impl RetryPolicy {
     }
 }
 
-/// Parameters for [`Client::create_stream`]. Zero values mean "server
-/// default" where the protocol says so (`shards`, `window`).
-#[derive(Debug, Clone)]
-pub struct CreateStream {
-    /// Stream name (1–255 UTF-8 bytes).
-    pub name: String,
-    /// Registry algorithm name.
-    pub algo: String,
-    /// Root RNG seed.
-    pub seed: u64,
-    /// Memory budget in 8-byte words.
-    pub budget_words: u64,
-    /// Engine shards; 0 = server default.
-    pub shards: u16,
-    /// Sliding-window size; 0 = registry default.
-    pub window: u64,
-}
-
-impl CreateStream {
-    /// A stream spec with seed 0, a 16 Ki-word budget, and server-default
-    /// shards/window.
-    pub fn new(name: impl Into<String>, algo: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            algo: algo.into(),
-            seed: 0,
-            budget_words: 1 << 14,
-            shards: 0,
-            window: 0,
-        }
-    }
-}
-
-/// Reply to a QUERY.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EstimateReply {
-    /// The stream's current estimate, bit-identical to the server's value.
-    pub estimate: f64,
-    /// Edges the estimate covers: the frontier the server answered at,
-    /// which includes every edge this connection had sent to the stream.
-    pub edges: u64,
-    /// Measured `memory_words()` across the stream's shards.
-    pub memory_words: u64,
-}
-
 /// One connection to a `tristream serve` daemon.
 #[derive(Debug)]
 pub struct Client {
     conn: TcpStream,
     /// The connected peer, kept for [`Client::reconnect`].
     peer: Option<SocketAddr>,
+    /// How this connection's reads retry (see [`RetryPolicy`]).
+    retry: RetryPolicy,
 }
 
 impl Client {
-    /// Connects and performs the HELLO handshake.
+    /// Connects and performs the HELLO handshake, with no retries.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
         let conn =
             TcpStream::connect(addr).map_err(|e| ClientError::Transport(GraphError::Io(e)))?;
@@ -156,7 +119,11 @@ impl Client {
         conn.set_nodelay(true)
             .map_err(|e| ClientError::Transport(GraphError::Io(e)))?;
         let peer = conn.peer_addr().ok();
-        let mut client = Self { conn, peer };
+        let mut client = Self {
+            conn,
+            peer,
+            retry: RetryPolicy::default(),
+        };
         client.expect_ok(&Request::Hello {
             version: PROTOCOL_VERSION,
         })?;
@@ -164,9 +131,10 @@ impl Client {
     }
 
     /// Connects with retries on transport failure, following `policy`'s
-    /// deterministic backoff. Server refusals (a HELLO answered with an
-    /// ERROR frame) are final on the first occurrence — retrying a refusal
-    /// would just be refused again.
+    /// deterministic backoff, and keeps `policy` for the connection's
+    /// reads. Server refusals (a HELLO answered with an ERROR frame) are
+    /// final on the first occurrence — retrying a refusal would just be
+    /// refused again.
     pub fn connect_with_retry<A: ToSocketAddrs>(
         addr: A,
         policy: RetryPolicy,
@@ -174,11 +142,13 @@ impl Client {
         let mut attempt = 0u32;
         loop {
             match Self::connect(&addr) {
-                Ok(client) => return Ok(client),
-                Err(err @ ClientError::Transport(_)) if attempt < policy.retries => {
+                Ok(mut client) => {
+                    client.retry = policy;
+                    return Ok(client);
+                }
+                Err(ClientError::Transport(_)) if attempt < policy.retries => {
                     attempt += 1;
                     std::thread::sleep(policy.delay(attempt));
-                    let _ = err;
                 }
                 Err(err) => return Err(err),
             }
@@ -186,26 +156,21 @@ impl Client {
     }
 
     /// Drops the current connection and dials the same peer again,
-    /// including the HELLO handshake.
+    /// including the HELLO handshake. The new connection keeps this one's
+    /// retry policy.
     pub fn reconnect(&mut self) -> Result<(), ClientError> {
         let peer = self.peer.ok_or_else(|| {
             ClientError::Protocol("peer address unknown; cannot reconnect".to_string())
         })?;
+        let retry = self.retry;
         *self = Self::connect(peer)?;
+        self.retry = retry;
         Ok(())
     }
 
-    /// Retries `request` across transport failures (reconnecting between
-    /// attempts) until it gets a response frame or the policy is
-    /// exhausted. Only safe for requests that are read-only or idempotent
-    /// on the server — QUERY, STATS, SNAPSHOT — which is why the write
-    /// paths don't offer it: a lost EDGES reply leaves "did the batch
-    /// land?" unknowable, and blind resends would double-ingest.
-    fn roundtrip_with_retry(
-        &mut self,
-        request: &Request,
-        policy: RetryPolicy,
-    ) -> Result<Response, ClientError> {
+    /// Sends a read — QUERY, STATS or SNAPSHOT — and retries its transport
+    /// failures under the connection's policy, reconnecting before each.
+    fn read(&mut self, request: &Request) -> Result<Response, ClientError> {
         let mut attempt = 0u32;
         loop {
             let err = match self.roundtrip(request) {
@@ -214,15 +179,25 @@ impl Client {
                 // Refusals and protocol violations are answers, not faults.
                 Err(err) => return Err(err),
             };
-            if attempt >= policy.retries {
+            if attempt >= self.retry.retries {
                 return Err(err);
             }
             attempt += 1;
-            std::thread::sleep(policy.delay(attempt));
+            std::thread::sleep(self.retry.delay(attempt));
             // A failed reconnect consumes this attempt's slot; the next
             // loop iteration fails fast on the dead connection if none
             // remain.
             let _ = self.reconnect();
+        }
+    }
+
+    /// Sends any other request once and expects OK; from here on the
+    /// connection's reads fail fast (see [`RetryPolicy`]).
+    fn expect_ok(&mut self, request: &Request) -> Result<(), ClientError> {
+        self.retry = RetryPolicy::default();
+        match self.roundtrip(request)? {
+            Response::Ok => Ok(()),
+            other => Err(unexpected(other, FrameType::Ok)),
         }
     }
 
@@ -234,35 +209,18 @@ impl Client {
         frame::write_frame(&mut writer, request.frame_type().byte(), &payload)?;
         writer.flush().map_err(GraphError::Io)?;
         match frame::read_frame(&mut &self.conn)? {
-            None => Err(ClientError::Protocol(
-                "server closed the connection instead of replying".to_string(),
-            )),
+            None => Err(ClientError::Transport(GraphError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection instead of replying",
+            )))),
             Some((frame_type, payload)) => Response::decode(frame_type, &payload)
                 .map_err(|e| ClientError::Protocol(e.to_string())),
         }
     }
 
-    fn expect_ok(&mut self, request: &Request) -> Result<(), ClientError> {
-        match self.roundtrip(request)? {
-            Response::Ok => Ok(()),
-            Response::Error(err) => Err(ClientError::Server(err)),
-            other => Err(ClientError::Protocol(format!(
-                "expected OK, got {}",
-                other.frame_type().name()
-            ))),
-        }
-    }
-
     /// CREATE: a new named stream.
-    pub fn create_stream(&mut self, spec: &CreateStream) -> Result<(), ClientError> {
-        self.expect_ok(&Request::Create {
-            name: spec.name.clone(),
-            algo: spec.algo.clone(),
-            seed: spec.seed,
-            budget_words: spec.budget_words,
-            shards: spec.shards,
-            window: spec.window,
-        })
+    pub fn create_stream(&mut self, recipe: &CreateStream) -> Result<(), ClientError> {
+        self.expect_ok(&Request::Create(recipe.clone()))
     }
 
     /// EDGES: ingest one batch. One call is one engine batch — batch
@@ -297,73 +255,39 @@ impl Client {
         Ok(frames)
     }
 
-    /// QUERY: the stream's live estimate.
-    pub fn query(&mut self, name: &str) -> Result<EstimateReply, ClientError> {
-        let response = self.roundtrip(&Request::Query {
+    /// QUERY: the stream's engine at the frontier, which covers every edge
+    /// this connection had sent to the stream, bit-identical to the server.
+    pub fn query(&mut self, name: &str) -> Result<Reading, ClientError> {
+        match self.read(&Request::Query {
             name: name.to_string(),
-        })?;
-        expect_estimate(response)
-    }
-
-    /// QUERY with transport retries (see [`RetryPolicy`]): the client
-    /// reconnects between attempts, so a server restart mid-session is
-    /// survivable for read paths.
-    pub fn query_with_retry(
-        &mut self,
-        name: &str,
-        policy: RetryPolicy,
-    ) -> Result<EstimateReply, ClientError> {
-        let response = self.roundtrip_with_retry(
-            &Request::Query {
-                name: name.to_string(),
-            },
-            policy,
-        )?;
-        expect_estimate(response)
+        })? {
+            Response::Estimate(reading) => Ok(reading),
+            other => Err(unexpected(other, FrameType::Estimate)),
+        }
     }
 
     /// STATS: per-stream counters for every live stream.
     pub fn stats(&mut self) -> Result<Vec<StreamStats>, ClientError> {
-        let response = self.roundtrip(&Request::Stats)?;
-        expect_stats(response)
-    }
-
-    /// STATS with transport retries (see [`RetryPolicy`]).
-    pub fn stats_with_retry(
-        &mut self,
-        policy: RetryPolicy,
-    ) -> Result<Vec<StreamStats>, ClientError> {
-        let response = self.roundtrip_with_retry(&Request::Stats, policy)?;
-        expect_stats(response)
+        match self.read(&Request::Stats)? {
+            Response::StatsReport(streams) => Ok(streams),
+            other => Err(unexpected(other, FrameType::StatsReport)),
+        }
     }
 
     /// SNAPSHOT: the stream's checkpoint container (v2), ready to be
     /// written to disk or fed to [`Client::restore`].
     pub fn snapshot(&mut self, name: &str) -> Result<Vec<u8>, ClientError> {
-        let response = self.roundtrip(&Request::Snapshot {
+        match self.read(&Request::Snapshot {
             name: name.to_string(),
-        })?;
-        expect_snapshot_data(response)
+        })? {
+            Response::SnapshotData(bytes) => Ok(bytes),
+            other => Err(unexpected(other, FrameType::SnapshotData)),
+        }
     }
 
-    /// SNAPSHOT with transport retries (read-only, so safe to retry).
-    pub fn snapshot_with_retry(
-        &mut self,
-        name: &str,
-        policy: RetryPolicy,
-    ) -> Result<Vec<u8>, ClientError> {
-        let response = self.roundtrip_with_retry(
-            &Request::Snapshot {
-                name: name.to_string(),
-            },
-            policy,
-        )?;
-        expect_snapshot_data(response)
-    }
-
-    /// RESTORE: recreate a stream from a checkpoint container (v2). Not
-    /// retried: like CREATE it mutates the server, and a lost reply makes
-    /// a blind resend ambiguous (the retry would see DUPLICATE_STREAM).
+    /// RESTORE: recreate a stream from a checkpoint container (v2). Like
+    /// CREATE it mutates the server, and a lost reply makes a blind resend
+    /// ambiguous (the retry would see DUPLICATE_STREAM).
     pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), ClientError> {
         self.expect_ok(&Request::Restore {
             checkpoint: checkpoint.to_vec(),
@@ -383,11 +307,13 @@ impl Client {
     }
 
     /// Escape hatch for tests: sends a raw frame and reads one raw reply.
+    /// The frame may write, so the connection's reads stop retrying.
     pub fn raw_roundtrip(
         &mut self,
         frame_type: u8,
         payload: &[u8],
     ) -> Result<Option<(u8, Vec<u8>)>, ClientError> {
+        self.retry = RetryPolicy::default();
         let mut writer = &self.conn;
         frame::write_frame(&mut writer, frame_type, payload)?;
         writer.flush().map_err(GraphError::Io)?;
@@ -395,44 +321,16 @@ impl Client {
     }
 }
 
-fn expect_estimate(response: Response) -> Result<EstimateReply, ClientError> {
+/// The error for a reply other than the `expected` one: the server's
+/// refusal, or a protocol violation.
+fn unexpected(response: Response, expected: FrameType) -> ClientError {
     match response {
-        Response::Estimate {
-            estimate,
-            edges,
-            memory_words,
-        } => Ok(EstimateReply {
-            estimate,
-            edges,
-            memory_words,
-        }),
-        Response::Error(err) => Err(ClientError::Server(err)),
-        other => Err(ClientError::Protocol(format!(
-            "expected ESTIMATE, got {}",
+        Response::Error(err) => ClientError::Server(err),
+        other => ClientError::Protocol(format!(
+            "expected {}, got {}",
+            expected.name(),
             other.frame_type().name()
-        ))),
-    }
-}
-
-fn expect_stats(response: Response) -> Result<Vec<StreamStats>, ClientError> {
-    match response {
-        Response::StatsReport(streams) => Ok(streams),
-        Response::Error(err) => Err(ClientError::Server(err)),
-        other => Err(ClientError::Protocol(format!(
-            "expected STATS_REPORT, got {}",
-            other.frame_type().name()
-        ))),
-    }
-}
-
-fn expect_snapshot_data(response: Response) -> Result<Vec<u8>, ClientError> {
-    match response {
-        Response::SnapshotData(bytes) => Ok(bytes),
-        Response::Error(err) => Err(ClientError::Server(err)),
-        other => Err(ClientError::Protocol(format!(
-            "expected SNAPSHOT_DATA, got {}",
-            other.frame_type().name()
-        ))),
+        )),
     }
 }
 
@@ -449,6 +347,6 @@ mod tests {
         assert_eq!(delays, vec![10, 20, 40, 80, 160, 320, 640, 640]);
         // Huge attempt numbers must not overflow the shift.
         assert_eq!(RetryPolicy::new(u32::MAX).delay(u32::MAX).as_millis(), 640);
-        assert_eq!(RetryPolicy::none().retries, 0);
+        assert_eq!(RetryPolicy::default().retries, 0);
     }
 }

@@ -43,10 +43,10 @@ pub mod server;
 pub mod table;
 
 pub use checkpoint::{StateDirScan, StreamCheckpoint};
-pub use client::{Client, ClientError, CreateStream, EstimateReply, RetryPolicy};
+pub use client::{Client, ClientError, RetryPolicy};
 pub use protocol::{
-    ErrorCode, FrameType, Request, Response, StreamStats, WireError, MIN_PROTOCOL_VERSION,
-    PROTOCOL_MAGIC, PROTOCOL_VERSION,
+    CreateStream, ErrorCode, FrameType, Request, Response, StreamStats, WireError,
+    MIN_PROTOCOL_VERSION, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerOptions};
 pub use table::{StreamTable, DEFAULT_STREAM_SHARDS, SERVE_STREAM_HINT};

@@ -15,6 +15,7 @@
 //! can answer with — never a panic.
 
 use std::fmt;
+use tristream_core::Reading;
 use tristream_graph::binary::{read_edges_binary, write_edges_binary};
 use tristream_graph::{Edge, GraphError};
 
@@ -224,6 +225,47 @@ fn malformed(message: impl Into<String>) -> WireError {
     WireError::new(ErrorCode::MalformedFrame, message)
 }
 
+/// A stream's CREATE recipe: what a CREATE frame carries, what the server
+/// keeps for the stream's checkpoints, and what [`Client::create_stream`]
+/// sends. Zero values mean "server default" where the protocol says so
+/// (`shards`, `window`).
+///
+/// [`Client::create_stream`]: crate::Client::create_stream
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CreateStream {
+    /// Stream name (1–65535 UTF-8 bytes, like every wire string).
+    pub name: String,
+    /// Registry algorithm name.
+    pub algo: String,
+    /// Root RNG seed; shard seeds derive from it exactly as in the offline
+    /// `count --parallel` path.
+    pub seed: u64,
+    /// Memory budget in 8-byte words (see `memory_words()` in
+    /// `tristream-core`); the server resolves the algorithm's space
+    /// parameter from it.
+    pub budget_words: u64,
+    /// Engine shards (worker threads); 0 means the server default.
+    pub shards: u16,
+    /// Sliding-window size for the `sliding` algorithm; 0 means the
+    /// registry default, other algorithms ignore it.
+    pub window: u64,
+}
+
+impl CreateStream {
+    /// A recipe with seed 0, a 16 Ki-word budget, and server-default
+    /// shards and window.
+    pub fn new(name: impl Into<String>, algo: impl Into<String>) -> Self {
+        Self {
+            name: name.into(),
+            algo: algo.into(),
+            seed: 0,
+            budget_words: 1 << 14,
+            shards: 0,
+            window: 0,
+        }
+    }
+}
+
 /// A client → server request, decoded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -235,24 +277,7 @@ pub enum Request {
         version: u16,
     },
     /// Create a named stream.
-    Create {
-        /// Stream name (1–65535 UTF-8 bytes, like every wire string).
-        name: String,
-        /// Registry algorithm name.
-        algo: String,
-        /// Root RNG seed; shard seeds derive from it exactly as in the
-        /// offline `count --parallel` path.
-        seed: u64,
-        /// Memory budget in 8-byte words (see `memory_words()` in
-        /// `tristream-core`); the server resolves the algorithm's space
-        /// parameter from it.
-        budget_words: u64,
-        /// Engine shards (worker threads); 0 means the server default.
-        shards: u16,
-        /// Sliding-window size for the `sliding` algorithm; 0 means the
-        /// registry default, other algorithms ignore it.
-        window: u64,
-    },
+    Create(CreateStream),
     /// Tear down a named stream.
     Delete {
         /// Stream name.
@@ -321,16 +346,10 @@ pub struct StreamStats {
 pub enum Response {
     /// Success, nothing to report.
     Ok,
-    /// Reply to QUERY.
-    Estimate {
-        /// The stream's current estimate. Encoded as raw IEEE-754 bits, so
-        /// the value a client sees is bit-identical to the server's.
-        estimate: f64,
-        /// Edges ingested so far.
-        edges: u64,
-        /// Measured `memory_words()` across the stream's shards.
-        memory_words: u64,
-    },
+    /// Reply to QUERY: the stream's engine at the frontier it answered at.
+    /// The estimate travels as raw IEEE-754 bits, so the value a client
+    /// sees is bit-identical to the server's.
+    Estimate(Reading),
     /// Reply to STATS: one record per live stream, in creation order.
     StatsReport(Vec<StreamStats>),
     /// Reply to SNAPSHOT: the stream's checkpoint container, verbatim (v2).
@@ -358,7 +377,7 @@ impl Request {
     pub fn frame_type(&self) -> FrameType {
         match self {
             Request::Hello { .. } => FrameType::Hello,
-            Request::Create { .. } => FrameType::Create,
+            Request::Create(_) => FrameType::Create,
             Request::Delete { .. } => FrameType::Delete,
             Request::Edges { .. } => FrameType::Edges,
             Request::Query { .. } => FrameType::Query,
@@ -369,6 +388,18 @@ impl Request {
         }
     }
 
+    /// Whether the request changes the stream table — CREATE, DELETE,
+    /// EDGES and RESTORE — which a draining server refuses.
+    pub(crate) fn mutates(&self) -> bool {
+        matches!(
+            self,
+            Request::Create(_)
+                | Request::Delete { .. }
+                | Request::Edges { .. }
+                | Request::Restore { .. }
+        )
+    }
+
     /// Encodes the payload bytes (without the frame header).
     pub fn encode_payload(&self) -> Result<Vec<u8>, WireError> {
         let mut out = Vec::new();
@@ -377,20 +408,13 @@ impl Request {
                 out.extend_from_slice(&PROTOCOL_MAGIC);
                 out.extend_from_slice(&version.to_le_bytes());
             }
-            Request::Create {
-                name,
-                algo,
-                seed,
-                budget_words,
-                shards,
-                window,
-            } => {
-                out.extend_from_slice(&seed.to_le_bytes());
-                out.extend_from_slice(&budget_words.to_le_bytes());
-                out.extend_from_slice(&window.to_le_bytes());
-                out.extend_from_slice(&shards.to_le_bytes());
-                push_str(&mut out, name)?;
-                push_str(&mut out, algo)?;
+            Request::Create(recipe) => {
+                out.extend_from_slice(&recipe.seed.to_le_bytes());
+                out.extend_from_slice(&recipe.budget_words.to_le_bytes());
+                out.extend_from_slice(&recipe.window.to_le_bytes());
+                out.extend_from_slice(&recipe.shards.to_le_bytes());
+                push_str(&mut out, &recipe.name)?;
+                push_str(&mut out, &recipe.algo)?;
             }
             Request::Delete { name } | Request::Query { name } | Request::Snapshot { name } => {
                 push_str(&mut out, name)?;
@@ -426,22 +450,15 @@ impl Request {
                     version: cur.u16()?,
                 }
             }
-            FrameType::Create => {
-                let seed = cur.u64()?;
-                let budget_words = cur.u64()?;
-                let window = cur.u64()?;
-                let shards = cur.u16()?;
-                let name = cur.string()?;
-                let algo = cur.string()?;
-                Request::Create {
-                    name,
-                    algo,
-                    seed,
-                    budget_words,
-                    shards,
-                    window,
-                }
-            }
+            // Struct fields evaluate in the order written: the wire order.
+            FrameType::Create => Request::Create(CreateStream {
+                seed: cur.u64()?,
+                budget_words: cur.u64()?,
+                window: cur.u64()?,
+                shards: cur.u16()?,
+                name: cur.string()?,
+                algo: cur.string()?,
+            }),
             FrameType::Delete => Request::Delete {
                 name: cur.string()?,
             },
@@ -491,7 +508,7 @@ impl Response {
     pub fn frame_type(&self) -> FrameType {
         match self {
             Response::Ok => FrameType::Ok,
-            Response::Estimate { .. } => FrameType::Estimate,
+            Response::Estimate(_) => FrameType::Estimate,
             Response::StatsReport(_) => FrameType::StatsReport,
             Response::SnapshotData(_) => FrameType::SnapshotData,
             Response::Error(_) => FrameType::Error,
@@ -503,14 +520,10 @@ impl Response {
         let mut out = Vec::new();
         match self {
             Response::Ok => {}
-            Response::Estimate {
-                estimate,
-                edges,
-                memory_words,
-            } => {
-                out.extend_from_slice(&estimate.to_bits().to_le_bytes());
-                out.extend_from_slice(&edges.to_le_bytes());
-                out.extend_from_slice(&memory_words.to_le_bytes());
+            Response::Estimate(reading) => {
+                out.extend_from_slice(&reading.estimate.to_bits().to_le_bytes());
+                out.extend_from_slice(&reading.edges.to_le_bytes());
+                out.extend_from_slice(&(reading.memory_words as u64).to_le_bytes());
             }
             Response::StatsReport(streams) => {
                 let count = u32::try_from(streams.len())
@@ -558,11 +571,12 @@ impl Response {
         let mut cur = Cursor::new(payload);
         let response = match frame_type {
             FrameType::Ok => Response::Ok,
-            FrameType::Estimate => Response::Estimate {
+            FrameType::Estimate => Response::Estimate(Reading {
                 estimate: f64::from_bits(cur.u64()?),
                 edges: cur.u64()?,
-                memory_words: cur.u64()?,
-            },
+                memory_words: usize::try_from(cur.u64()?)
+                    .map_err(|_| malformed("memory word count does not fit in a usize"))?,
+            }),
             FrameType::StatsReport => {
                 let count = cur.u32()?;
                 let mut streams = Vec::with_capacity(count.min(1 << 16) as usize);
@@ -709,14 +723,14 @@ mod tests {
         round_trip_request(Request::Hello {
             version: PROTOCOL_VERSION,
         });
-        round_trip_request(Request::Create {
+        round_trip_request(Request::Create(CreateStream {
             name: "clicks".into(),
             algo: "neighborhood-bulk".into(),
             seed: 42,
             budget_words: 1 << 16,
             shards: 4,
             window: 0,
-        });
+        }));
         round_trip_request(Request::Delete {
             name: "clicks".into(),
         });
@@ -743,11 +757,11 @@ mod tests {
     #[test]
     fn every_response_round_trips() {
         round_trip_response(Response::Ok);
-        round_trip_response(Response::Estimate {
+        round_trip_response(Response::Estimate(Reading {
             estimate: 1234.5678,
             edges: 3_000,
             memory_words: 8_192,
-        });
+        }));
         round_trip_response(Response::StatsReport(vec![StreamStats {
             name: "clicks".into(),
             algo: "sliding".into(),
@@ -792,14 +806,14 @@ mod tests {
         // NaN-boxing-hostile values and signed zero must round-trip
         // bit-for-bit: the parity guarantee is stated in bits, not in ==.
         for value in [0.1 + 0.2, -0.0, f64::MIN_POSITIVE, 1e300] {
-            let resp = Response::Estimate {
+            let resp = Response::Estimate(Reading {
                 estimate: value,
                 edges: 0,
                 memory_words: 0,
-            };
+            });
             let payload = resp.encode_payload().unwrap();
             match Response::decode(FrameType::Estimate.byte(), &payload).unwrap() {
-                Response::Estimate { estimate, .. } => {
+                Response::Estimate(Reading { estimate, .. }) => {
                     assert_eq!(estimate.to_bits(), value.to_bits());
                 }
                 other => panic!("expected Estimate, got {other:?}"),

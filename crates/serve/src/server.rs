@@ -379,11 +379,13 @@ fn drive_connection(
 }
 
 fn respond(conn: &TcpStream, response: &Response) -> Result<(), GraphError> {
-    // Response encoding is infallible for everything the server constructs
-    // (ERROR messages are sanitised by the encoder); a failure here would
-    // be a protocol-module bug, answered with a bare OK-less hangup rather
-    // than a panic.
-    let payload = response.encode_payload().unwrap_or_default();
+    let payload = match response.encode_payload() {
+        Ok(payload) => payload,
+        // A reply the wire cannot carry goes out as an ERROR frame with the
+        // encode error instead. An ERROR payload always encodes: the
+        // encoder sanitises its message.
+        Err(err) => return respond(conn, &Response::Error(err)),
+    };
     let mut writer = conn;
     frame::write_frame(&mut writer, response.frame_type().byte(), &payload)?;
     writer.flush().map_err(GraphError::Io)
@@ -406,6 +408,17 @@ fn handle_request(
             Flow::Close,
         );
     }
+    // A draining server refuses every request that changes the stream
+    // table, and still answers the rest.
+    if request.mutates() && shared.draining() {
+        return (
+            Response::Error(WireError::new(
+                ErrorCode::Draining,
+                "server is draining; no new streams or edges accepted",
+            )),
+            Flow::Continue,
+        );
+    }
     match request {
         Request::Hello { version } => {
             if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
@@ -423,39 +436,28 @@ fn handle_request(
             *hello_done = true;
             (Response::Ok, Flow::Continue)
         }
-        Request::Create {
-            name,
-            algo,
-            seed,
-            budget_words,
-            shards,
-            window,
-        } => {
-            if shared.draining() {
-                return (draining_error(), Flow::Continue);
-            }
+        Request::Create(recipe) => {
             // A checkpointing server only accepts streams it can actually
             // checkpoint: refusing here, with a typed error, beats
             // accepting the stream and silently never persisting it.
             if shared.state_dir.is_some() {
-                let snapshotable = tristream_baselines::registry::find_algo(&algo)
+                let snapshotable = tristream_baselines::registry::find_algo(&recipe.algo)
                     .is_none_or(|spec| spec.snapshotable);
                 if !snapshotable {
                     return (
                         Response::Error(WireError::new(
                             ErrorCode::SnapshotUnsupported,
                             format!(
-                                "algorithm {algo:?} does not support snapshots; a server \
-                                 running with --state-dir cannot checkpoint it"
+                                "algorithm {:?} does not support snapshots; a server \
+                                 running with --state-dir cannot checkpoint it",
+                                recipe.algo
                             ),
                         )),
                         Flow::Continue,
                     );
                 }
             }
-            let result = shared
-                .table
-                .create(&name, &algo, seed, budget_words, shards, window);
+            let result = shared.table.create_stream(recipe);
             (
                 match result {
                     Ok(()) => Response::Ok,
@@ -464,35 +466,25 @@ fn handle_request(
                 Flow::Continue,
             )
         }
-        Request::Delete { name } => {
-            if shared.draining() {
-                return (draining_error(), Flow::Continue);
-            }
-            (
-                match shared.table.delete(&name) {
-                    Ok(()) => Response::Ok,
-                    Err(err) => Response::Error(err),
-                },
-                Flow::Continue,
-            )
-        }
-        Request::Edges { name, edges } => {
-            if shared.draining() {
-                return (draining_error(), Flow::Continue);
-            }
-            (
-                match shared.table.require(&name) {
-                    Ok(entry) => {
-                        let ingested = ingest(&entry, &edges);
-                        written.record(&entry, ingested.edges);
-                        maybe_checkpoint(shared, &entry, ingested.batches);
-                        Response::Ok
-                    }
-                    Err(err) => Response::Error(err),
-                },
-                Flow::Continue,
-            )
-        }
+        Request::Delete { name } => (
+            match shared.table.delete(&name) {
+                Ok(()) => Response::Ok,
+                Err(err) => Response::Error(err),
+            },
+            Flow::Continue,
+        ),
+        Request::Edges { name, edges } => (
+            match shared.table.require(&name) {
+                Ok(entry) => {
+                    let ingested = ingest(&entry, &edges);
+                    written.record(&entry, ingested.edges);
+                    maybe_checkpoint(shared, &entry, ingested.batches);
+                    Response::Ok
+                }
+                Err(err) => Response::Error(err),
+            },
+            Flow::Continue,
+        ),
         // A QUERY answers at the frontier once it covers this connection's
         // acknowledged writes. Reads stay answerable during a drain, and
         // then wait for every acknowledged edge: mutations are refused, so
@@ -505,12 +497,7 @@ fn handle_request(
                     } else {
                         written.edges(&entry)
                     };
-                    let reading = query_at(&entry, edges);
-                    Response::Estimate {
-                        estimate: reading.estimate,
-                        edges: reading.edges,
-                        memory_words: reading.memory_words as u64,
-                    }
+                    Response::Estimate(query_at(&entry, edges))
                 }
                 Err(err) => Response::Error(err),
             },
@@ -535,9 +522,6 @@ fn handle_request(
             Flow::Continue,
         ),
         Request::Restore { checkpoint } => {
-            if shared.draining() {
-                return (draining_error(), Flow::Continue);
-            }
             let result = StreamCheckpoint::decode(&checkpoint)
                 .map_err(|e| WireError::new(ErrorCode::BadSnapshot, e.to_string()))
                 .and_then(|cp| {
@@ -572,13 +556,6 @@ fn handle_request(
             (Response::Ok, Flow::Close)
         }
     }
-}
-
-fn draining_error() -> Response {
-    Response::Error(WireError::new(
-        ErrorCode::Draining,
-        "server is draining; no new streams or edges accepted",
-    ))
 }
 
 /// Writes the stream's checkpoint if the server persists state and the

@@ -15,7 +15,7 @@
 //!   of stream A never blocks ingest on stream B.
 //!
 //! QUERY and STATS take neither lock beyond the lookup. They read the
-//! engine's [`Frontier`] — the summaries every shard publishes after each
+//! engine's [`Frontier`] — the readings every shard publishes after each
 //! batch — through a handle the entry keeps outside its mutex, and wait
 //! only until the frontier covers the edges their caller must see.
 //!
@@ -28,7 +28,7 @@
 
 use crate::checkpoint::StreamCheckpoint;
 use crate::metrics::LatencyCounter;
-use crate::protocol::{ErrorCode, StreamStats, WireError};
+use crate::protocol::{CreateStream, ErrorCode, StreamStats, WireError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tristream_baselines::registry::{find_algo, AlgoParams, AlgoSpec, StreamHint};
@@ -55,22 +55,15 @@ pub type StreamEngine = ShardedEstimator<Box<dyn TriangleEstimator + Send>>;
 /// One named stream: immutable identity, the read side QUERY and STATS use
 /// without the stream lock, and the mutexed engine.
 pub struct StreamEntry {
-    name: String,
-    algo: &'static str,
+    /// The CREATE recipe, kept verbatim (zeros meaning "default" and all)
+    /// so a checkpoint can recreate the stream by replaying it.
+    recipe: CreateStream,
+    /// The registry entry the recipe names.
+    spec: &'static AlgoSpec,
     /// The resolved space parameter (from the CREATE budget), recorded for
     /// observability.
     space: usize,
-    /// The raw CREATE parameters, kept verbatim (zeros meaning "default"
-    /// and all) so a checkpoint can recreate the stream by replaying the
-    /// exact CREATE recipe.
-    seed: u64,
-    budget_words: u64,
-    shards: u16,
-    window: u64,
-    /// Whether the registry flags this stream's algorithm as supporting
-    /// snapshots (see `AlgoSpec::snapshotable`).
-    snapshotable: bool,
-    /// The engine's published summaries, which QUERY and STATS read.
+    /// The engine's published readings, which QUERY and STATS read.
     frontier: Arc<Frontier>,
     /// Edges ingested, updated under the stream lock: what a QUERY waits
     /// for when it must see every edge.
@@ -87,8 +80,8 @@ pub struct StreamEntry {
 impl std::fmt::Debug for StreamEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamEntry")
-            .field("name", &self.name)
-            .field("algo", &self.algo)
+            .field("name", &self.recipe.name)
+            .field("algo", &self.spec.name)
             .field("space", &self.space)
             .finish_non_exhaustive()
     }
@@ -97,12 +90,12 @@ impl std::fmt::Debug for StreamEntry {
 impl StreamEntry {
     /// The stream's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.recipe.name
     }
 
     /// The registry algorithm the stream runs.
     pub fn algo(&self) -> &'static str {
-        self.algo
+        self.spec.name
     }
 
     /// The space parameter resolved from the CREATE budget.
@@ -112,7 +105,7 @@ impl StreamEntry {
 
     /// Whether this stream's algorithm supports checkpoints.
     pub fn snapshotable(&self) -> bool {
-        self.snapshotable
+        self.spec.snapshotable
     }
 
     /// Edges ingested into the stream so far.
@@ -149,8 +142,8 @@ impl StreamEntry {
         let ingest = *self.ingest_latency();
         let query = *self.query_latency();
         StreamStats {
-            name: self.name.clone(),
-            algo: self.algo.to_string(),
+            name: self.recipe.name.clone(),
+            algo: self.spec.name.to_string(),
             edges: reading.edges,
             estimate: reading.estimate,
             memory_words: reading.memory_words as u64,
@@ -238,7 +231,20 @@ impl StreamTable {
         shards: u16,
         window: u64,
     ) -> Result<(), WireError> {
-        let entry = self.new_entry(name, algo, seed, budget_words, shards, window)?;
+        self.create_stream(CreateStream {
+            name: name.to_string(),
+            algo: algo.to_string(),
+            seed,
+            budget_words,
+            shards,
+            window,
+        })
+    }
+
+    /// Creates the stream `recipe` describes, as [`create`](Self::create)
+    /// does.
+    pub(crate) fn create_stream(&self, recipe: CreateStream) -> Result<(), WireError> {
+        let entry = self.new_entry(recipe)?;
         self.insert(entry)
     }
 
@@ -248,14 +254,14 @@ impl StreamTable {
     /// Engine-level validation failures surface as
     /// [`ErrorCode::BadSnapshot`].
     pub fn create_restored(&self, cp: &StreamCheckpoint) -> Result<(), WireError> {
-        let mut entry = self.new_entry(
-            &cp.name,
-            &cp.algo,
-            cp.seed,
-            cp.budget_words,
-            cp.shards,
-            cp.window,
-        )?;
+        let mut entry = self.new_entry(CreateStream {
+            name: cp.name.clone(),
+            algo: cp.algo.clone(),
+            seed: cp.seed,
+            budget_words: cp.budget_words,
+            shards: cp.shards,
+            window: cp.window,
+        })?;
         let engine = entry
             .engine
             .get_mut()
@@ -275,39 +281,31 @@ impl StreamTable {
         self.insert(entry)
     }
 
-    /// The CREATE recipe: refuses a name already in the table, resolves
+    /// Runs a CREATE recipe: refuses a name already in the table, resolves
     /// `shards == 0` and `window == 0` to their defaults, and builds the
-    /// entry's engine through [`build_stream_engine`]. The raw parameters
-    /// are kept verbatim for checkpoints.
-    fn new_entry(
-        &self,
-        name: &str,
-        algo: &str,
-        seed: u64,
-        budget_words: u64,
-        shards: u16,
-        window: u64,
-    ) -> Result<StreamEntry, WireError> {
-        if self.get(name).is_some() {
-            return Err(duplicate_stream(name));
+    /// entry's engine through [`build_stream_engine`]. The recipe is kept
+    /// verbatim for checkpoints.
+    fn new_entry(&self, recipe: CreateStream) -> Result<StreamEntry, WireError> {
+        if self.get(&recipe.name).is_some() {
+            return Err(duplicate_stream(&recipe.name));
         }
-        let resolved_shards = if shards == 0 {
+        let shards = if recipe.shards == 0 {
             DEFAULT_STREAM_SHARDS
         } else {
-            shards as usize
+            recipe.shards as usize
         };
-        let window_opt = (window > 0).then_some(window);
-        let (spec, engine, space) =
-            build_stream_engine(algo, seed, budget_words, resolved_shards, window_opt)?;
-        Ok(StreamEntry {
-            name: name.to_string(),
-            algo: spec.name,
-            space,
-            seed,
-            budget_words,
+        let window = (recipe.window > 0).then_some(recipe.window);
+        let (spec, engine, space) = build_stream_engine(
+            &recipe.algo,
+            recipe.seed,
+            recipe.budget_words,
             shards,
             window,
-            snapshotable: spec.snapshotable,
+        )?;
+        Ok(StreamEntry {
+            recipe,
+            spec,
+            space,
             frontier: engine.frontier(),
             ingested: AtomicU64::new(0),
             query: Mutex::new(LatencyCounter::new()),
@@ -461,13 +459,14 @@ pub fn checkpoint_stream(entry: &StreamEntry) -> Result<StreamCheckpoint, WireEr
     let snapshot = engine
         .snapshot()
         .map_err(|e| WireError::new(ErrorCode::SnapshotUnsupported, e.to_string()))?;
+    let recipe = &entry.recipe;
     Ok(StreamCheckpoint {
-        name: entry.name.clone(),
-        algo: entry.algo.to_string(),
-        seed: entry.seed,
-        budget_words: entry.budget_words,
-        shards: entry.shards,
-        window: entry.window,
+        name: recipe.name.clone(),
+        algo: recipe.algo.clone(),
+        seed: recipe.seed,
+        budget_words: recipe.budget_words,
+        shards: recipe.shards,
+        window: recipe.window,
         replay_edges: engine.edges_seen(),
         ingest_batches: entry.ingest_latency().ops(),
         engine: snapshot,

@@ -207,6 +207,41 @@ fn restore_of_corrupt_bytes_is_refused_with_bad_snapshot() {
 }
 
 #[test]
+fn restore_of_a_checkpoint_with_an_empty_name_is_refused_with_bad_snapshot() {
+    // No request could name such a stream, its checkpoint would be written
+    // to `<state-dir>/.tsc`, which recovery never reads back, and STATS
+    // cannot encode its empty name.
+    let dir = state_dir("empty-name");
+    let (addr, _, _, server) = spawn_server_with(ServerOptions {
+        state_dir: Some(dir.clone()),
+        ..ServerOptions::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .create_stream(&CreateStream::new("named", "neighborhood-bulk"))
+        .expect("create");
+    client
+        .send_edges("named", &test_edges()[..64])
+        .expect("ingest");
+    let bytes = client.snapshot("named").expect("snapshot");
+    let mut cp = StreamCheckpoint::decode(&bytes).expect("decode");
+    cp.name = String::new();
+    let err = client
+        .restore(&cp.encode().expect("encode"))
+        .expect_err("an empty stream name is refused");
+    assert_eq!(
+        err.server_error().map(|e| e.code),
+        Some(ErrorCode::BadSnapshot)
+    );
+    let stats = client.stats().expect("STATS still decodes");
+    assert_eq!(stats.len(), 1);
+    assert!(!dir.join(".tsc").exists(), "a .tsc file was written");
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn restore_refused_by_one_shard_answers_bad_snapshot_and_leaves_no_stream() {
     // A checkpoint wrapping a 2-shard engine snapshot whose shard-1
     // section holds a bulk snapshot re-tagged with level-1 tag 2, every

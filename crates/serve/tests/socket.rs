@@ -11,12 +11,11 @@ use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tristream_baselines::registry::{find_algo, registry, AlgoParams};
-use tristream_core::{ShardedEstimator, TriangleEstimator};
+use tristream_core::{Reading, ShardedEstimator, TriangleEstimator};
 use tristream_graph::Edge;
 use tristream_serve::protocol::{ErrorCode, FrameType, Request};
 use tristream_serve::{
-    Client, ClientError, CreateStream, EstimateReply, RetryPolicy, Server, StreamCheckpoint,
-    SERVE_STREAM_HINT,
+    Client, ClientError, CreateStream, RetryPolicy, Server, StreamCheckpoint, SERVE_STREAM_HINT,
 };
 
 /// Binds a daemon on an ephemeral loopback port and runs it on a
@@ -89,7 +88,7 @@ fn served_estimate_is_bit_identical_to_the_offline_parallel_path() {
             offline.estimate()
         );
         assert_eq!(served.edges, edges.len() as u64, "{algo}");
-        assert_eq!(served.memory_words, offline.memory_words() as u64, "{algo}");
+        assert_eq!(served.memory_words, offline.memory_words(), "{algo}");
     }
 
     client.shutdown().expect("shutdown");
@@ -383,6 +382,26 @@ fn graceful_drain_flushes_batches_answers_queries_and_joins_everything() {
         err.server_error().map(|e| e.code),
         Some(ErrorCode::Draining)
     );
+    // Every other request that changes the stream table is refused too,
+    // and every read is answered. The requests go back to back: a draining
+    // server closes a connection idle for one 50 ms poll.
+    let stats = bystander.stats().expect("STATS during drain");
+    assert_eq!(stats[0].edges, edges.len() as u64);
+    let checkpoint = bystander
+        .snapshot("draining")
+        .expect("SNAPSHOT during drain");
+    let refusals = [
+        bystander.create_stream(&CreateStream::new("late", "exact")),
+        bystander.delete("draining"),
+        bystander.restore(&checkpoint),
+    ];
+    for refusal in refusals {
+        let err = refusal.expect_err("mutations refused during drain");
+        assert_eq!(
+            err.server_error().map(|e| e.code),
+            Some(ErrorCode::Draining)
+        );
+    }
     drop(bystander);
 
     // run() returning Ok proves: accept loop exited, every handler thread
@@ -456,12 +475,12 @@ fn frontier_reads_on_another_connection_match_the_twin_at_their_cut() {
 
     let mut twin = offline_engine("neighborhood-bulk", 6, spec.budget_words, 2);
     let mut cuts = std::collections::BTreeMap::new();
-    cuts.insert(0, (twin.estimate().to_bits(), twin.memory_words() as u64));
+    cuts.insert(0, (twin.estimate().to_bits(), twin.memory_words()));
     for chunk in edges.chunks(batch) {
         twin.process_batch(chunk);
         cuts.insert(
             twin.edges_seen(),
-            (twin.estimate().to_bits(), twin.memory_words() as u64),
+            (twin.estimate().to_bits(), twin.memory_words()),
         );
     }
     for reply in &replies {
@@ -480,7 +499,7 @@ fn frontier_reads_on_another_connection_match_the_twin_at_their_cut() {
 
 /// Sends one QUERY from a helper thread and fails the test if no reply
 /// arrives within 10 s, instead of hanging it.
-fn query_promptly(mut client: Client, name: &'static str) -> (Client, EstimateReply) {
+fn query_promptly(mut client: Client, name: &'static str) -> (Client, Reading) {
     let (done, reply) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let estimate = client.query(name).expect("query");
@@ -575,11 +594,9 @@ fn refusals_are_answered_once_and_never_retried() {
     // returns it before the schedule's eight delays (10 ms doubling,
     // capped at 640 ms: 1.91 s in all) could have run.
     let (addr, server) = spawn_server();
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = Client::connect_with_retry(addr, RetryPolicy::new(8)).expect("connect");
     let start = Instant::now();
-    let err = client
-        .query_with_retry("ghost", RetryPolicy::new(8))
-        .expect_err("no stream is named ghost");
+    let err = client.query("ghost").expect_err("no stream is named ghost");
     let elapsed = start.elapsed();
     assert!(
         matches!(&err, ClientError::Server(e) if e.code == ErrorCode::UnknownStream),
@@ -590,6 +607,43 @@ fn refusals_are_answered_once_and_never_retried() {
         "a refusal was retried: {elapsed:?}"
     );
     client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+}
+
+#[test]
+fn reads_retry_across_a_daemon_restart_until_the_connection_writes() {
+    // docs/OPERATIONS.md §1: a connection's reads retry under its policy
+    // until it sends any other request, and a connection closed before a
+    // read's reply is a transport failure.
+    let (addr, server) = spawn_server();
+    let mut reader = Client::connect_with_retry(addr, RetryPolicy::new(5)).expect("connect");
+    assert!(reader.stats().expect("stats").is_empty());
+    let mut writer = Client::connect_with_retry(addr, RetryPolicy::new(5)).expect("connect");
+    writer
+        .create_stream(&CreateStream::new("s", "exact"))
+        .expect("create");
+    writer.send_edges("s", &test_edges()[..64]).expect("edges");
+
+    // Drain the daemon, which closes both connections, and bind a new one
+    // to the same address.
+    let mut stopper = Client::connect(addr).expect("connect");
+    stopper.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+    let restarted = Server::bind(addr).expect("bind the same address");
+    let server = std::thread::spawn(move || restarted.run());
+
+    // The reader reconnects to the new daemon, which has no streams.
+    let stats = reader.stats().expect("STATS across the restart");
+    assert!(stats.is_empty(), "{stats:?}");
+    // The writer's read fails fast. A retry would reconnect, and a QUERY on
+    // a new connection would not wait for this one's EDGES: here the new
+    // daemon would answer UNKNOWN_STREAM.
+    let err = writer
+        .query("s")
+        .expect_err("the writer's read is not retried");
+    assert!(matches!(err, ClientError::Transport(_)), "{err}");
+
+    reader.shutdown().expect("shutdown");
     server.join().expect("join").expect("server run");
 }
 
